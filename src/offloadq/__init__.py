@@ -3,12 +3,13 @@
 Jobs arrive at a single dispatch queue and can be served whole at the
 cloud, or split so a fixed fraction runs locally while the remainder runs
 at the cloud.  The package builds the uniformized discounted-cost decision
-process on a truncated state space, solves it by value iteration, checks
-the solved policy for the expected switching structure, and cross-checks
-policies against a continuous-time discrete-event simulator.
+process on a truncated state space, solves it by policy iteration (value
+iteration stays available as the oracle), checks the solved policy for the
+expected switching structure, and cross-checks policies against a
+continuous-time discrete-event simulator.
 
 Typical flow: ``derive_rates`` or ``ModelParams`` -> ``build_kernel`` ->
-``value_iterate`` -> ``run_structure_checks`` / ``simulate``.  The same
+``policy_iterate`` -> ``run_structure_checks`` / ``simulate``.  The same
 pipeline is scriptable through the ``offloadq`` command line (see
 ``offloadq.cli``).
 """
@@ -53,6 +54,7 @@ from .solver import (
     bellman_backup,
     evaluate_policy,
     load_checkpoint,
+    policy_iterate,
     q_table,
     save_checkpoint,
     value_iterate,
@@ -98,6 +100,7 @@ __all__ = [
     "lambda_from_utilization",
     "load_checkpoint",
     "mm1_reference",
+    "policy_iterate",
     "profile_leq",
     "q_table",
     "run_structure_checks",

@@ -1,6 +1,6 @@
 """Command-line front end: solve, inspect, and simulate dispatching policies.
 
-Subcommands: ``solve`` (value iteration to artifacts), ``grid`` (policy
+Subcommands: ``solve`` (policy iteration to artifacts), ``grid`` (policy
 slice as CSV), ``analyze`` (structure checks on a solved artifact),
 ``simulate`` (delay estimate for one policy), ``sweep`` (delay vs
 utilization CSV across policies), ``couple`` (paired comparison of two
@@ -39,6 +39,7 @@ from .model import (
     derive_rates,
     from_heterogeneous,
     lambda_from_utilization,
+    params_close,
 )
 from .simulator import (
     SimConfig,
@@ -48,7 +49,7 @@ from .simulator import (
     coupled_compare,
     simulate,
 )
-from .solver import load_checkpoint, save_checkpoint, value_iterate
+from .solver import PolicyTable, load_checkpoint, policy_iterate, save_checkpoint
 from .structure import run_structure_checks
 
 SCHEMA_VERSION = 1
@@ -293,10 +294,10 @@ def _run_config(args, allow_missing_rate: bool = False) -> RunConfig:
 # ------------------------------------------------------------------ solving
 
 
-def _solve(params: ModelParams, cfg: RunConfig):
+def _solve(params: ModelParams, cfg: RunConfig, pi0: PolicyTable | None = None):
     space = build_state_space(cfg.n_max)
     kernel = build_kernel(params, space, cfg.discount_for(params))
-    table, policy = value_iterate(kernel, tol=cfg.tol, max_iters=cfg.max_iters)
+    table, policy = policy_iterate(kernel, tol=cfg.tol, max_iters=cfg.max_iters, pi0=pi0)
     return space, table, policy
 
 
@@ -308,7 +309,7 @@ def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
         _, table, policy = _solve(cfg.params, cfg)
         if not table.converged:
             raise ConfigError(
-                f"value iteration did not converge within {cfg.max_iters} sweeps"
+                f"policy iteration did not converge within {cfg.max_iters} steps"
             )
         resolved = TablePolicy(policy.actions, cfg.n_max)
     else:
@@ -323,6 +324,12 @@ def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
             ck = load_checkpoint(spec)
             if ck.policy is None or ck.n_max is None:
                 raise ConfigError(f"artifact {spec} lacks a stored policy table")
+            if ck.params is not None and not params_close(ck.params, cfg.params):
+                rates = "lam={0.lam:g}, mu0={0.mu0:g}, K={0.K:g}, f={0.f:g}".format
+                raise ConfigError(
+                    f"artifact {spec} was solved for {rates(ck.params)}, "
+                    f"but the config gives {rates(cfg.params)}"
+                )
             resolved = TablePolicy(ck.policy.actions, ck.n_max)
     cache[spec] = resolved
     return resolved
@@ -341,6 +348,7 @@ def cmd_solve(args) -> int:
     meta = {
         "schema_version": SCHEMA_VERSION,
         "status": "converged" if table.converged else "not_converged",
+        "method": "policy_iteration",
         "iterations": table.iterations,
         "residual": table.residual,
         "error_bound": table.error_bound,
@@ -356,8 +364,8 @@ def cmd_solve(args) -> int:
     }
     _write_json(cfg.out_dir / "solution.json", meta)
     print(
-        f"{meta['status']}: {table.iterations} sweeps, residual {table.residual:.3e}, "
-        f"artifacts in {cfg.out_dir}"
+        f"{meta['status']}: {table.iterations} policy-iteration steps, "
+        f"residual {table.residual:.3e}, artifacts in {cfg.out_dir}"
     )
     return EXIT_OK if table.converged else EXIT_NO_CONVERGENCE
 
@@ -440,19 +448,21 @@ def cmd_sweep(args) -> int:
     if "optimal" in policies:
         cfg.discount_for(cfg.params)  # fail before the long run if unset
     rows = []
+    optimum = None  # warm start for the next rho's solve
     for rho in rhos:
         lam = lambda_from_utilization(rho, cfg.params.mu0, cfg.params.K)
         params = derive_rates(lam, cfg.params.mu0, cfg.params.K, cfg.params.f)
         table_policy = None
         if "optimal" in policies and _policy_stable("optimal", rho, params):
-            _, table, policy = _solve(params, cfg)
+            _, table, optimum = _solve(params, cfg, pi0=optimum)
             if not table.converged:
                 print(
-                    f"error: value iteration did not converge at rho={rho:g}",
+                    f"error: policy iteration did not converge at rho={rho:g} "
+                    f"within {cfg.max_iters} steps",
                     file=sys.stderr,
                 )
                 return EXIT_NO_CONVERGENCE
-            table_policy = TablePolicy(policy.actions, cfg.n_max)
+            table_policy = TablePolicy(optimum.actions, cfg.n_max)
         for name in policies:
             if not _policy_stable(name, rho, params):
                 rows.append((_fmt(rho), name, "", "", "", "unstable"))
@@ -535,7 +545,8 @@ def _add_solver_flags(sub) -> None:
     g.add_argument("--alpha", type=float, help="discount factor in (0, 1)")
     g.add_argument("--beta", type=float, help="continuous-time discount rate")
     g.add_argument("--tol", type=float, help="sup-norm residual target")
-    g.add_argument("--max-iters", dest="max_iters", type=int, help="sweep budget")
+    g.add_argument("--max-iters", dest="max_iters", type=int,
+                   help="policy-iteration step budget")
     g.add_argument("--margin", type=int, help="boundary margin for checks")
 
 
@@ -554,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run value iteration and write artifacts")
+    p = sub.add_parser("solve", help="run policy iteration and write artifacts")
     _add_model_flags(p)
     _add_solver_flags(p)
     p.add_argument("--out-dir", dest="out_dir", help="artifact directory")

@@ -241,23 +241,3 @@ def build_kernel(p: ModelParams, space: StateSpace, d: DiscountSpec) -> Transiti
         params=p, space=space, discount=d, probs=probs, costs=costs, admissible=admissible
     )
 
-
-def dump_kernel(kernel: TransitionKernel, path: str) -> None:
-    """Write a plain-text debugging table: state, action, next, probability, cost.
-
-    The format is for eyeballing only and carries no stability guarantee.
-    """
-    n = kernel.space.size
-    indptr = kernel.probs.indptr
-    indices = kernel.probs.indices
-    data = kernel.probs.data
-    with open(path, "w") as fh:
-        fh.write("state_id\taction\tnext_id\tprob\tcost\n")
-        for a in range(N_ACTIONS):
-            for sid in range(n):
-                if not kernel.admissible[a, sid]:
-                    continue
-                row = a * n + sid
-                cost = kernel.costs[a, sid]
-                for k in range(indptr[row], indptr[row + 1]):
-                    fh.write(f"{sid}\t{a}\t{indices[k]}\t{data[k]:.17g}\t{cost:.17g}\n")

@@ -1,10 +1,15 @@
-"""Discounted value iteration and policy evaluation on the built kernel.
+"""Discounted policy iteration, value iteration and policy evaluation.
 
-Sweeps are synchronous (Jacobi): each new table is computed from the
-complete previous table, which keeps results independent of state order
-and bit-reproducible.  Iteration starts from the all-zero table, so the
-iterates increase pointwise toward the fixed point and the sup-norm
-residual certifies the error bound ``alpha * residual / (1 - alpha)``.
+:func:`policy_iterate` is the default solver: Howard policy iteration
+that evaluates each policy exactly by a sparse LU solve and improves it
+greedily, stopping when no state improves.  :func:`value_iterate` is the
+oracle and the resume path.  Its sweeps are synchronous (Jacobi): each
+new table is computed from the complete previous table, which keeps
+results independent of state order and bit-reproducible.  Iteration
+starts from the all-zero table, so the iterates increase pointwise
+toward the fixed point.  Both solvers report the sup-norm Bellman
+residual of the returned table, which certifies the error bound
+``alpha * residual / (1 - alpha)``.
 
 Long runs (small ``1 - alpha``, large spaces) can be checkpointed to disk
 and resumed; see :func:`save_checkpoint` for the layout.
@@ -12,7 +17,6 @@ and resumed; see :func:`save_checkpoint` for the layout.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +117,6 @@ def value_iterate(
     v0: ValueTable | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 50_000,
-    log_every: int = 0,
 ) -> tuple[ValueTable, PolicyTable]:
     """Iterate Bellman sweeps to a sup-norm residual of ``tol``.
 
@@ -130,16 +133,12 @@ def value_iterate(
     done = 0 if v0 is None else v0.iterations
     residual = float("inf")
     converged = False
-    t0 = time.monotonic()
     for k in range(max_iters):
         q = q_table(kernel, values)
         v_new = q.min(axis=0)
         residual = float(np.max(np.abs(v_new - values)))
         values = v_new
         done += 1
-        if log_every and (k + 1) % log_every == 0:
-            rate = done / max(time.monotonic() - t0, 1e-9)
-            print(f"sweep {done}: residual {residual:.3e} ({rate:.0f} sweeps/s)")
         if checkpoint_path and checkpoint_every and (k + 1) % checkpoint_every == 0:
             save_checkpoint(
                 checkpoint_path,
@@ -179,20 +178,20 @@ def evaluate_policy(
     method: str = "iterative",
     tol: float = 1e-13,
     max_iters: int = 10_000_000,
-    direct_size_limit: int = 10_000,
+    direct_size_limit: int | None = None,
 ) -> ValueTable:
     """Discounted cost-to-go of a fixed policy.
 
     ``direct`` factors the linear system ``(I - alpha * P) V = c`` (refused
-    above ``direct_size_limit`` states); ``iterative`` applies the policy's
-    own backup until the residual drops below ``tol``.
+    above ``direct_size_limit`` states, when one is given); ``iterative``
+    applies the policy's own backup until the residual drops below ``tol``.
     """
     pi.validate(kernel)
     p_pi, c_pi = _policy_system(kernel, pi)
     n = kernel.space.size
     alpha = kernel.discount.alpha
     if method == "direct":
-        if n > direct_size_limit:
+        if direct_size_limit is not None and n > direct_size_limit:
             raise ValueError(
                 f"direct solve refused for {n} states (limit {direct_size_limit}); "
                 "use method='iterative'"
@@ -215,6 +214,60 @@ def evaluate_policy(
                 break
         return ValueTable(values, kernel.discount, done, residual, converged, tol)
     raise ValueError(f"unknown evaluation method {method!r}")
+
+
+def policy_iterate(
+    kernel: TransitionKernel,
+    tol: float = 1e-9,
+    max_iters: int = 1_000,
+    pi0: PolicyTable | None = None,
+) -> tuple[ValueTable, PolicyTable]:
+    """Howard policy iteration: exact evaluation, then greedy improvement.
+
+    Each step evaluates the current policy with
+    ``evaluate_policy(method="direct")`` and switches only the states whose
+    action is worse than the best by more than ``TIE_EPS``, so near-ties
+    cannot cycle.  The start is ``pi0`` (a warm start, e.g. the optimum of
+    a neighbouring load) or the greedy policy of the all-zero table.
+    ``iterations`` counts evaluations and ``max_iters`` caps them.
+    ``converged`` means the last step improved no state and the Bellman
+    residual of the returned values is within ``tol``; hitting the cap
+    returns the last evaluation with ``converged=False``.  The returned
+    policy is the tie-ordered greedy policy of the returned values, as for
+    :func:`value_iterate`.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    n = kernel.space.size
+    sids = np.arange(n)
+    values = np.zeros(n)
+    q = q_table(kernel, values)
+    if pi0 is None:
+        actions = _greedy_of_q(kernel, q, q.min(axis=0))
+    else:
+        pi0.validate(kernel)
+        actions = pi0.actions.copy()
+    done = 0
+    stable = False
+    while done < max_iters and not stable:
+        values = evaluate_policy(kernel, PolicyTable(actions), method="direct").values
+        done += 1
+        q = q_table(kernel, values)
+        best = q.min(axis=0)
+        better = q[actions, sids] > best + TIE_EPS
+        stable = not better.any()
+        actions[better] = _greedy_of_q(kernel, q, best)[better]
+    best = q.min(axis=0)
+    residual = float(np.max(np.abs(best - values)))
+    table = ValueTable(
+        values=values,
+        discount=kernel.discount,
+        iterations=done,
+        residual=residual,
+        converged=stable and residual <= tol,
+        tol=tol,
+    )
+    return table, PolicyTable(_greedy_of_q(kernel, q, best))
 
 
 def save_checkpoint(

@@ -31,6 +31,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     meta = json.loads((tmp_path / "solution.json").read_text())
     assert meta["schema_version"] == 1
     assert meta["status"] == "converged"
+    assert meta["method"] == "policy_iteration"
     assert meta["n_max"] == 6
     assert meta["model"]["f"] == 0.4
     assert meta["residual"] <= 1e-7
@@ -222,6 +223,16 @@ def test_simulate_solution_artifact_as_policy(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "simulation.json").read_text())
     assert payload["report"]["jobs_completed"] > 0
+
+
+def test_simulate_rejects_artifact_solved_for_other_rates(tmp_path, capsys):
+    sol = _solve_fast(tmp_path)
+    other = [a if a != "0.3" else "0.5" for a in FAST]
+    rc = main(["simulate", *other, *SIM_FAST, "--policy", str(sol),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "solved for" in capsys.readouterr().err
+    assert not (tmp_path / "simulation.json").exists()
 
 
 def test_simulate_unknown_policy(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Value iteration, greedy extraction, and policy-evaluation oracles."""
+"""Policy and value iteration, greedy extraction, and policy-evaluation oracles."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,15 @@ from offloadq.solver import (
     bellman_backup,
     evaluate_policy,
     load_checkpoint,
+    policy_iterate,
+    q_table,
     save_checkpoint,
     value_iterate,
 )
+from offloadq.structure import run_structure_checks
 
 CONFIG_A = derive_rates(3.6, 1.0, 8.0, 0.4)
+CONFIG_B = derive_rates(7.2, 1.0, 8.0, 0.4)
 
 
 def _kernel(p=CONFIG_A, n_max=3, alpha=0.9):
@@ -179,3 +183,44 @@ def test_positive_arrivals_give_positive_empty_state_value():
     k = _kernel(n_max=3, alpha=0.9)
     table, _ = value_iterate(k, tol=1e-12)
     assert table.values[k.space.id_of(0, 0, 0, 0)] > 0.0
+
+
+@pytest.mark.parametrize("p", [CONFIG_A, CONFIG_B], ids=["rho0.4", "rho0.8"])
+def test_policy_iterate_values_are_the_exact_evaluation(p):
+    k = _kernel(p, n_max=10, alpha=0.99)
+    table, policy = policy_iterate(k, tol=1e-9)
+    assert table.converged
+    assert table.residual <= 1e-9
+    exact = evaluate_policy(k, policy, method="direct")
+    assert np.max(np.abs(exact.values - table.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [CONFIG_A, CONFIG_B], ids=["rho0.4", "rho0.8"])
+def test_policy_iterate_agrees_with_vi_above_its_decision_floor(p):
+    k = _kernel(p, n_max=10, alpha=0.99)
+    vi_table, vi_policy = value_iterate(k, tol=1e-10)
+    _, pi_policy = policy_iterate(k, tol=1e-9)
+    floor = run_structure_checks(vi_policy, k.space, values=vi_table, kernel=k).decision_floor
+    q = np.sort(q_table(k, vi_table.values), axis=0)
+    decided = q[1] - q[0] > floor  # inadmissible rows are +inf, so lone actions count
+    assert decided.sum() > k.space.size // 2
+    assert np.array_equal(pi_policy.actions[decided], vi_policy.actions[decided])
+
+
+def test_policy_iterate_warm_start_from_optimum_takes_one_step():
+    k = _kernel(CONFIG_B, n_max=8, alpha=0.99)
+    cold, policy = policy_iterate(k, tol=1e-9)
+    assert cold.iterations > 1
+    warm, again = policy_iterate(k, tol=1e-9, pi0=policy)
+    assert warm.converged
+    assert warm.iterations == 1
+    assert np.array_equal(again.actions, policy.actions)
+
+
+def test_policy_iterate_step_budget_reports_non_convergence():
+    k = _kernel(CONFIG_B, n_max=8, alpha=0.99)
+    table, policy = policy_iterate(k, tol=1e-9, max_iters=1)
+    assert not table.converged
+    assert table.iterations == 1
+    assert np.isfinite(table.error_bound)
+    policy.validate(k)
