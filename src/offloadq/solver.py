@@ -1,15 +1,16 @@
 """Discounted policy iteration, value iteration and policy evaluation.
 
-:func:`policy_iterate` is the default solver: Howard policy iteration
-that evaluates each policy exactly by a sparse LU solve and improves it
-greedily, stopping when no state improves.  :func:`value_iterate` is the
-oracle and the resume path.  Its sweeps are synchronous (Jacobi): each
-new table is computed from the complete previous table, which keeps
-results independent of state order and bit-reproducible.  Iteration
-starts from the all-zero table, so the iterates increase pointwise
-toward the fixed point.  Both solvers report the sup-norm Bellman
-residual of the returned table, which certifies the error bound
-``alpha * residual / (1 - alpha)``.
+:func:`policy_iterate` is the default solver: policy iteration that
+evaluates each policy exactly by a sparse LU solve and improves it by a
+``LOOKAHEAD``-step lookahead (the next policy is greedy for
+``T^(LOOKAHEAD-1) v``, not for ``v``), stopping when no state improves.
+:func:`value_iterate` is the oracle and the resume path.  Its sweeps are
+synchronous (Jacobi): each new table is computed from the complete
+previous table, which keeps results independent of state order and
+bit-reproducible.  Iteration starts from the all-zero table, so the
+iterates increase pointwise toward the fixed point.  Both solvers report
+the sup-norm Bellman residual of the returned table, which certifies the
+error bound ``alpha * residual / (1 - alpha)``.
 
 Long runs (small ``1 - alpha``, large spaces) can be checkpointed to disk
 and resumed; see :func:`save_checkpoint` for the layout.
@@ -30,6 +31,9 @@ from .model import Action, ModelParams, derive_rates
 # aggressively, idle only when strictly better
 TIE_EPS = 1e-10
 _TIE_ORDER = (Action.SM1_THEN_SM2, Action.SM1, Action.SM2, Action.IDLE)
+# Bellman sweeps behind each policy-iteration improvement step; 25-200
+# all take 2-4 steps at n_max 60, alpha 0.999, and 50 was fastest overall
+LOOKAHEAD = 50
 
 CHECKPOINT_FORMAT = 1
 
@@ -222,12 +226,19 @@ def policy_iterate(
     max_iters: int = 1_000,
     pi0: PolicyTable | None = None,
 ) -> tuple[ValueTable, PolicyTable]:
-    """Howard policy iteration: exact evaluation, then greedy improvement.
+    """Policy iteration: exact evaluation, then a lookahead improvement.
 
     Each step evaluates the current policy with
-    ``evaluate_policy(method="direct")`` and switches only the states whose
-    action is worse than the best by more than ``TIE_EPS``, so near-ties
-    cannot cycle.  The start is ``pi0`` (a warm start, e.g. the optimum of
+    ``evaluate_policy(method="direct")`` and stops if no state's action is
+    worse than the best by more than ``TIE_EPS``.  Otherwise the next
+    policy is the exact argmin of ``q_table(kernel, u)`` for
+    ``u = T^(L-1) v``, with ``L = LOOKAHEAD`` Bellman sweeps ``T`` in all.
+    Since ``v >= T v`` and ``T`` is monotone, ``u >= T u``, so the next
+    policy's values satisfy ``v' <= T^L v <= T v``: they fall strictly
+    wherever the stop test failed, and policies cannot cycle.  A one-step
+    (Howard) improvement moves the switching front about one queue level
+    per step; the lookahead cuts 28-46 steps to 3 at n_max 60,
+    alpha 0.999.  The start is ``pi0`` (a warm start, e.g. the optimum of
     a neighbouring load) or the greedy policy of the all-zero table.
     ``iterations`` counts evaluations and ``max_iters`` caps them.
     ``converged`` means the last step improved no state and the Bellman
@@ -254,9 +265,12 @@ def policy_iterate(
         done += 1
         q = q_table(kernel, values)
         best = q.min(axis=0)
-        better = q[actions, sids] > best + TIE_EPS
-        stable = not better.any()
-        actions[better] = _greedy_of_q(kernel, q, best)[better]
+        stable = not (q[actions, sids] > best + TIE_EPS).any()
+        if not stable:
+            u = best  # T v; L - 2 more sweeps make T^(L-1) v
+            for _ in range(LOOKAHEAD - 2):
+                u = q_table(kernel, u).min(axis=0)
+            actions = q_table(kernel, u).argmin(axis=0).astype(np.int8)
     best = q.min(axis=0)
     residual = float(np.max(np.abs(best - values)))
     table = ValueTable(

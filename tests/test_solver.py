@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from offloadq.kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
-from offloadq.model import Action, State, admissible_actions, derive_rates
+from offloadq.model import (
+    Action,
+    State,
+    admissible_actions,
+    derive_rates,
+    lambda_from_utilization,
+)
 from offloadq.solver import (
     PolicyTable,
     ValueTable,
@@ -20,6 +26,13 @@ from offloadq.structure import run_structure_checks
 
 CONFIG_A = derive_rates(3.6, 1.0, 8.0, 0.4)
 CONFIG_B = derive_rates(7.2, 1.0, 8.0, 0.4)
+# the reference configurations a-d: (rho, f, K) with mu0 = 1
+REFERENCE = {
+    "a": (0.4, 0.4, 8),
+    "b": (0.8, 0.4, 8),
+    "c": (0.4, 0.8, 8),
+    "d": (0.4, 0.4, 15),
+}
 
 
 def _kernel(p=CONFIG_A, n_max=3, alpha=0.9):
@@ -224,3 +237,28 @@ def test_policy_iterate_step_budget_reports_non_convergence():
     assert table.iterations == 1
     assert np.isfinite(table.error_bound)
     policy.validate(k)
+
+
+def test_policy_iterate_values_fall_with_each_step():
+    k = _kernel(CONFIG_B, n_max=20, alpha=0.999)
+    previous = None
+    for budget in range(1, 6):
+        table, policy = policy_iterate(k, tol=1e-9, max_iters=budget)
+        policy.validate(k)
+        if previous is not None:
+            assert np.all(table.values <= previous + 1e-9 * np.abs(previous))
+        previous = table.values
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_policy_iterate_step_count_on_reference_configs(name):
+    rho, f, K = REFERENCE[name]
+    p = derive_rates(lambda_from_utilization(rho, 1.0, K), 1.0, K, f)
+    k = _kernel(p, n_max=20, alpha=0.999)
+    table, _ = policy_iterate(k, tol=1e-9)
+    # one-step (Howard) improvement needs 16-20 steps here
+    assert table.converged
+    assert table.iterations <= 5
+    vi_table, _ = value_iterate(k, tol=1e-9)
+    bound = vi_table.error_bound + table.error_bound
+    assert np.max(np.abs(table.values - vi_table.values)) <= bound
