@@ -348,7 +348,7 @@ def cmd_solve(args) -> int:
     meta = {
         "schema_version": SCHEMA_VERSION,
         "status": "converged" if table.converged else "not_converged",
-        "method": "policy_iteration",
+        "method": table.method,
         "iterations": table.iterations,
         "residual": table.residual,
         "error_bound": table.error_bound,

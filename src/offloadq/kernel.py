@@ -10,17 +10,24 @@ arrivals into a full base queue are lost, and a preprocessing completion
 that would overflow the cloud's split-job queue re-samples (self-loop),
 which is well defined by memorylessness.
 
-The kernel is materialized as one sparse row per (state, action) pair,
-stacked action-major, so a Bellman sweep is a single sparse mat-vec.
-Rows for inadmissible (state, action) pairs reuse the state's idle
-dynamics behind an infinite stage cost so a minimizer can never select
-them; the ``admissible`` mask identifies the real rows.
+Every decision is an instantaneous assignment: action ``a`` moves state
+``s`` to a post-action state ``post(s, a)``, and only then does an event
+happen.  So the kernel factors as ``P_a = R_a E``: ``R_a`` is the 0/1
+matrix of the post-action map and ``E`` the n x n kernel of the idle
+(no-assignment) dynamics.  The kernel stores ``E`` once, as a sparse
+matrix, beside the post-action map, and a Bellman sweep is one sparse
+mat-vec with ``E`` followed by a gather through ``post``.  The stacked
+form with one row per (state, action) pair is derived on demand.
+Inadmissible (state, action) pairs map to the state itself behind an
+infinite stage cost, so a minimizer can never select them; the
+``admissible`` mask identifies the real pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,21 +130,42 @@ class DiscountSpec:
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Stage costs and one-step distributions for every (state, action) pair.
+    """The kernel in factored form ``P_a = R_a E``.
 
-    ``probs`` has one row per pair, stacked action-major: row ``a * N + s``
-    holds the distribution of the next state id after taking action ``a``
-    in state ``s``.  ``costs[a, s]`` is the expected discounted holding cost
-    accrued until the next epoch, ``total_jobs(post-action state)/(beta+nu)``;
-    it is ``+inf`` where the action is inadmissible.
+    ``post[a, s]`` is the state id right after action ``a`` assigns jobs in
+    state ``s`` (``R_a`` is the 0/1 matrix of this map; ``post[a, s] = s``
+    where ``a`` is inadmissible).  ``events`` is ``E``, the n x n sparse
+    matrix of the idle dynamics: row ``x`` holds the distribution of the
+    next state id when no job is assigned in ``x``.  ``cost0[x]`` is the
+    expected discounted holding cost accrued until the next epoch from
+    ``x``, ``total_jobs(x)/(beta+nu)``.
+
+    ``probs`` and ``costs`` are the stacked per-(state, action) form,
+    derived on first use and read-only: row ``a * N + s`` of ``probs`` is
+    ``events[post[a, s]]``, and ``costs[a, s]`` is ``cost0[post[a, s]]``,
+    or ``+inf`` where the action is inadmissible.
     """
 
     params: ModelParams
     space: StateSpace
     discount: DiscountSpec
-    probs: sp.csr_matrix = field(repr=False, compare=False)
-    costs: np.ndarray = field(repr=False, compare=False)
+    events: sp.csr_matrix = field(repr=False, compare=False)
+    post: np.ndarray = field(repr=False, compare=False)
+    cost0: np.ndarray = field(repr=False, compare=False)
     admissible: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def probs(self) -> sp.csr_matrix:
+        probs = self.events[self.post.ravel()]
+        for arr in (probs.data, probs.indices, probs.indptr):
+            arr.flags.writeable = False
+        return probs
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        costs = np.where(self.admissible, self.cost0[self.post], np.inf)
+        costs.flags.writeable = False
+        return costs
 
     def action_row(self, action: Action, sid: int) -> int:
         return int(action) * self.space.size + sid
@@ -150,24 +178,25 @@ class TransitionKernel:
         return {int(j): float(v) for j, v in zip(row.indices, row.data)}
 
 
-def _post_action_components(space: StateSpace):
-    """Post-action state components and admissibility for all four actions."""
+def _post_action_map(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Post-action state ids and admissibility, one row per action."""
     n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
-    out = {}
-    out[Action.IDLE] = (np.ones(space.size, dtype=bool), n0, i2, i1, n2)
-    adm = (n0 >= 1) & (i1 == 0)
-    out[Action.SM1] = (adm, np.where(adm, n0 - 1, n0), i2, np.where(adm, 1, i1), n2)
-    adm = (n0 >= 1) & (i2 == 0)
-    out[Action.SM2] = (adm, np.where(adm, n0 - 1, n0), np.where(adm, 1, i2), i1, n2)
-    adm = (n0 >= 2) & (i1 == 0) & (i2 == 0)
-    out[Action.SM1_THEN_SM2] = (
-        adm,
-        np.where(adm, n0 - 2, n0),
-        np.where(adm, 1, i2),
-        np.where(adm, 1, i1),
-        n2,
-    )
-    return out
+    # (admissible, jobs taken from the base queue, sets i2, sets i1)
+    moves = {
+        Action.IDLE: (np.ones(space.size, dtype=bool), 0, 0, 0),
+        Action.SM1: ((n0 >= 1) & (i1 == 0), 1, 0, 1),
+        Action.SM2: ((n0 >= 1) & (i2 == 0), 1, 1, 0),
+        Action.SM1_THEN_SM2: ((n0 >= 2) & (i1 == 0) & (i2 == 0), 2, 1, 1),
+    }
+    post = np.empty((N_ACTIONS, space.size), dtype=np.int64)
+    admissible = np.empty((N_ACTIONS, space.size), dtype=bool)
+    for action, (adm, take, set2, set1) in moves.items():
+        a = int(action)
+        admissible[a] = adm
+        post[a] = np.where(
+            adm, space.ids_of(n0 - take, i2 | set2, i1 | set1, n2), np.arange(space.size)
+        )
+    return post, admissible
 
 
 def build_kernel(p: ModelParams, space: StateSpace, d: DiscountSpec) -> TransitionKernel:
@@ -178,66 +207,56 @@ def build_kernel(p: ModelParams, space: StateSpace, d: DiscountSpec) -> Transiti
         )
     n = space.size
     m = space.n_max
+    n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
+    sids = np.arange(n)
     p_arr = p.lam / nu
     p_loc = p.mu_l2 / nu
     p_c2 = p.mu_c2 / nu
     p_c1 = p.mu_c1 / nu
 
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    data_parts: list[np.ndarray] = []
-    costs = np.full((N_ACTIONS, n), np.inf)
-    admissible = np.zeros((N_ACTIONS, n), dtype=bool)
-    sids = np.arange(n)
+    # arrival: one more job in the base queue, lost at the cap
+    arr_tgt = np.where(n0 < m, space.ids_of(np.minimum(n0 + 1, m), i2, i1, n2), sids)
 
-    for action, (adm, n0, i2, i1, n2) in _post_action_components(space).items():
-        a = int(action)
-        admissible[a] = adm
-        costs[a, adm] = (n0 + i2 + i1 + n2)[adm] / (d.beta + nu)
-        base = a * n + sids
-        post = space.ids_of(n0, i2, i1, n2)
+    # local completion: the preprocessing job moves to the cloud queue,
+    # re-sampling (self-loop) if that queue is at the cap; idle local
+    # slots burn the rate as a self-loop
+    moves = (i2 == 1) & (n2 < m)
+    loc_tgt = np.where(moves, space.ids_of(n0, 0, i1, np.minimum(n2 + 1, m)), sids)
 
-        # arrival: one more job in the base queue, lost at the cap
-        tgt = np.where(n0 < m, space.ids_of(np.minimum(n0 + 1, m), i2, i1, n2), post)
-        rows_parts.append(base)
-        cols_parts.append(tgt)
-        data_parts.append(np.full(n, p_arr))
-
-        # local completion: the preprocessing job moves to the cloud queue,
-        # re-sampling (self-loop) if that queue is at the cap; idle local
-        # slots burn the rate as a self-loop
-        moves = (i2 == 1) & (n2 < m)
-        tgt = np.where(moves, space.ids_of(n0, 0, i1, np.minimum(n2 + 1, m)), post)
-        rows_parts.append(base)
-        cols_parts.append(tgt)
-        data_parts.append(np.full(n, p_loc))
-
-        # cloud completion: split jobs are served first and at the faster
-        # rate; a lone full-offload job is served at mu_c1 with the rate
-        # difference self-looping; an empty cloud self-loops everything
-        serve_sm2 = n2 >= 1
-        serve_sm1 = (~serve_sm2) & (i1 == 1)
-        tgt = np.where(
-            serve_sm2,
-            space.ids_of(n0, i2, i1, np.maximum(n2 - 1, 0)),
-            np.where(serve_sm1, space.ids_of(n0, i2, 0, n2), post),
-        )
-        prob = np.where(serve_sm2, p_c2, np.where(serve_sm1, p_c1, p_c2))
-        rows_parts.append(base)
-        cols_parts.append(tgt)
-        data_parts.append(prob)
-        # residual self-loop mass while the slower full-offload job is served
-        rows_parts.append(base[serve_sm1])
-        cols_parts.append(post[serve_sm1])
-        data_parts.append(np.full(int(serve_sm1.sum()), p_c2 - p_c1))
-
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    data = np.concatenate(data_parts)
-    probs = sp.coo_matrix((data, (rows, cols)), shape=(N_ACTIONS * n, n)).tocsr()
-    probs.sum_duplicates()
-    probs.eliminate_zeros()
-    return TransitionKernel(
-        params=p, space=space, discount=d, probs=probs, costs=costs, admissible=admissible
+    # cloud completion: split jobs are served first and at the faster
+    # rate; a lone full-offload job is served at mu_c1 with the rate
+    # difference self-looping; an empty cloud self-loops everything
+    serve_sm2 = n2 >= 1
+    serve_sm1 = (~serve_sm2) & (i1 == 1)
+    cloud_tgt = np.where(
+        serve_sm2,
+        space.ids_of(n0, i2, i1, np.maximum(n2 - 1, 0)),
+        np.where(serve_sm1, space.ids_of(n0, i2, 0, n2), sids),
     )
+    cloud_prob = np.where(serve_sm2, p_c2, np.where(serve_sm1, p_c1, p_c2))
 
+    rows = np.concatenate([sids, sids, sids, sids[serve_sm1]])
+    cols = np.concatenate([arr_tgt, loc_tgt, cloud_tgt, sids[serve_sm1]])
+    data = np.concatenate(
+        [
+            np.full(n, p_arr),
+            np.full(n, p_loc),
+            cloud_prob,
+            # residual self-loop mass while the slower full-offload job is served
+            np.full(int(serve_sm1.sum()), p_c2 - p_c1),
+        ]
+    )
+    events = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    events.sum_duplicates()
+    events.eliminate_zeros()
+    post, admissible = _post_action_map(space)
+    cost0 = (n0 + i2 + i1 + n2) / (d.beta + nu)
+    return TransitionKernel(
+        params=p,
+        space=space,
+        discount=d,
+        events=events,
+        post=post,
+        cost0=cost0,
+        admissible=admissible,
+    )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .model import ModelParams
 
@@ -481,7 +481,7 @@ def _aggregate(reps: list[_RepResult], cfg: SimConfig, keep_events: bool) -> Del
     tavg = np.array([r.time_avg_jobs for r in reps])
     n = len(reps)
     if n > 1:
-        half = float(stats.t.ppf(0.975, n - 1) * means.std(ddof=1) / math.sqrt(n))
+        half = float(stdtrit(n - 1, 0.975) * means.std(ddof=1) / math.sqrt(n))
     else:
         half = float("nan")
     return DelayReport(
@@ -627,7 +627,7 @@ def coupled_compare(
     diff = report_b.rep_mean_sojourn - report_a.rep_mean_sojourn
     n = len(diff)
     if n > 1:
-        half = float(stats.t.ppf(0.975, n - 1) * diff.std(ddof=1) / math.sqrt(n))
+        half = float(stdtrit(n - 1, 0.975) * diff.std(ddof=1) / math.sqrt(n))
     else:
         half = float("nan")
     return CoupledReport(

@@ -1,9 +1,10 @@
 """Discounted policy iteration, value iteration and policy evaluation.
 
 :func:`policy_iterate` is the default solver: policy iteration that
-evaluates each policy exactly by a sparse LU solve and improves it by a
-``LOOKAHEAD``-step lookahead (the next policy is greedy for
-``T^(LOOKAHEAD-1) v``, not for ``v``), stopping when no state improves.
+evaluates each policy exactly by a sparse LU solve over its
+post-decision states and improves it by a ``LOOKAHEAD``-step lookahead
+(the next policy is greedy for ``T^(LOOKAHEAD-1) v``, not for ``v``),
+stopping when no state improves.
 :func:`value_iterate` is the oracle and the resume path.  Its sweeps are
 synchronous (Jacobi): each new table is computed from the complete
 previous table, which keeps results independent of state order and
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .kernel import N_ACTIONS, DiscountSpec, StateSpace, TransitionKernel, build_state_space
+from .kernel import DiscountSpec, StateSpace, TransitionKernel, build_state_space
 from .model import Action, ModelParams, derive_rates
 
 # preference order used to resolve near-ties in the greedy argmin: assign
@@ -36,11 +37,20 @@ _TIE_ORDER = (Action.SM1_THEN_SM2, Action.SM1, Action.SM2, Action.IDLE)
 LOOKAHEAD = 50
 
 CHECKPOINT_FORMAT = 1
+VALUE_ITERATION = "value_iteration"
+POLICY_ITERATION = "policy_iteration"
+POLICY_EVALUATION = "policy_evaluation"
 
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Dense cost-to-go table plus convergence metadata."""
+    """Dense cost-to-go table plus convergence metadata.
+
+    ``method`` names what produced the table and so the unit of
+    ``iterations``: Bellman sweeps for ``"value_iteration"``, evaluations
+    for ``"policy_iteration"``, backup sweeps of one policy (0 for a
+    direct solve) for ``"policy_evaluation"``; empty when unknown.
+    """
 
     values: np.ndarray
     discount: DiscountSpec
@@ -48,6 +58,7 @@ class ValueTable:
     residual: float = float("inf")
     converged: bool = False
     tol: float = float("nan")
+    method: str = ""
 
     @property
     def error_bound(self) -> float:
@@ -79,12 +90,24 @@ def _values_of(v) -> np.ndarray:
     return v.values if isinstance(v, ValueTable) else np.asarray(v, dtype=float)
 
 
+def _sweeps_of(v) -> int:
+    """Bellman sweeps behind ``v``; steps of other solvers are not sweeps."""
+    return v.iterations if isinstance(v, ValueTable) and v.method == VALUE_ITERATION else 0
+
+
 def q_table(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
-    """Action-value table of a value vector, one row per action; +inf on inadmissible pairs."""
+    """Action-value table of a value vector, one row per action; +inf on inadmissible pairs.
+
+    The value of every post-action state, ``cost0 + alpha * E v``, is
+    computed once and gathered through the post-action map.
+    """
     n = kernel.space.size
     if values.shape != (n,):
         raise ValueError(f"value table has shape {values.shape}, kernel expects ({n},)")
-    return kernel.costs + kernel.discount.alpha * (kernel.probs @ values).reshape(N_ACTIONS, n)
+    w = kernel.cost0 + kernel.discount.alpha * (kernel.events @ values)
+    q = w[kernel.post]
+    np.copyto(q, np.inf, where=~kernel.admissible)
+    return q
 
 
 def _greedy_of_q(kernel: TransitionKernel, q: np.ndarray, v_new: np.ndarray) -> np.ndarray:
@@ -103,13 +126,13 @@ def bellman_backup(kernel: TransitionKernel, v) -> tuple[ValueTable, PolicyTable
     q = q_table(kernel, values)
     v_new = q.min(axis=0)
     residual = float(np.max(np.abs(v_new - values)))
-    iterations = v.iterations + 1 if isinstance(v, ValueTable) else 1
     table = ValueTable(
         values=v_new,
         discount=kernel.discount,
-        iterations=iterations,
+        iterations=_sweeps_of(v) + 1,
         residual=residual,
         converged=False,
+        method=VALUE_ITERATION,
     )
     return table, PolicyTable(_greedy_of_q(kernel, q, v_new))
 
@@ -124,9 +147,12 @@ def value_iterate(
 ) -> tuple[ValueTable, PolicyTable]:
     """Iterate Bellman sweeps to a sup-norm residual of ``tol``.
 
-    ``v0`` resumes from an earlier table (its iteration count carries
-    over); the default start is the all-zero table.  Hitting ``max_iters``
-    returns the last table with ``converged=False`` rather than raising.
+    ``v0`` resumes from an earlier table; the default start is the
+    all-zero table.  The sweep count of a ``v0`` from this function (or a
+    checkpoint of one) carries over; a table from another solver starts
+    the count at 0, since its ``iterations`` are not sweeps.  Hitting
+    ``max_iters`` returns the last table with ``converged=False`` rather
+    than raising.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -134,7 +160,7 @@ def value_iterate(
     if v0 is not None and v0.values.shape != (n,):
         raise ValueError(f"resume table has shape {v0.values.shape}, kernel expects ({n},)")
     values = np.zeros(n) if v0 is None else v0.values.astype(float, copy=True)
-    done = 0 if v0 is None else v0.iterations
+    done = _sweeps_of(v0)
     residual = float("inf")
     converged = False
     for k in range(max_iters):
@@ -146,7 +172,7 @@ def value_iterate(
         if checkpoint_path and checkpoint_every and (k + 1) % checkpoint_every == 0:
             save_checkpoint(
                 checkpoint_path,
-                ValueTable(values, kernel.discount, done, residual, False, tol),
+                ValueTable(values, kernel.discount, done, residual, False, tol, VALUE_ITERATION),
                 params=kernel.params,
                 n_max=kernel.space.n_max,
             )
@@ -160,20 +186,13 @@ def value_iterate(
         residual=residual,
         converged=converged,
         tol=tol,
+        method=VALUE_ITERATION,
     )
     q = q_table(kernel, values)
     policy = PolicyTable(_greedy_of_q(kernel, q, q.min(axis=0)))
     if checkpoint_path:
         save_checkpoint(checkpoint_path, table, policy, kernel.params, kernel.space.n_max)
     return table, policy
-
-
-def _policy_system(kernel: TransitionKernel, pi: PolicyTable):
-    n = kernel.space.size
-    rows = pi.actions.astype(np.int64) * n + np.arange(n)
-    p_pi = kernel.probs[rows]
-    c_pi = kernel.costs[pi.actions, np.arange(n)]
-    return p_pi, c_pi
 
 
 def evaluate_policy(
@@ -186,24 +205,43 @@ def evaluate_policy(
 ) -> ValueTable:
     """Discounted cost-to-go of a fixed policy.
 
-    ``direct`` factors the linear system ``(I - alpha * P) V = c`` (refused
-    above ``direct_size_limit`` states, when one is given); ``iterative``
-    applies the policy's own backup until the residual drops below ``tol``.
+    ``direct`` solves a linear system (refused above ``direct_size_limit``
+    states, when one is given); ``iterative`` applies the policy's own
+    backup ``v <- c + alpha * P v`` until the residual drops below ``tol``.
+
+    The direct solve works on post-decision states only.  With
+    ``post_pi[s] = post[pi(s), s]``, ``v(s) = u(post_pi[s])``, where ``u``
+    is the value of a post-decision state, before its event.  On the
+    states ``X`` the policy can reach, ``X = unique(post_pi)``, ``u``
+    solves ``(I - alpha * E[X] R_pi) u = cost0[X]``, with ``R_pi`` the
+    0/1 matrix mapping each state to its post-decision state's index in
+    ``X``.  In the reference solves at n_max 60, ``X`` holds 3,904-9,283
+    of the 14,884 states, so the LU is that much smaller than one of
+    ``(I - alpha * P_pi)``.
     """
     pi.validate(kernel)
-    p_pi, c_pi = _policy_system(kernel, pi)
     n = kernel.space.size
     alpha = kernel.discount.alpha
+    post_pi = kernel.post[pi.actions, np.arange(n)]
     if method == "direct":
         if direct_size_limit is not None and n > direct_size_limit:
             raise ValueError(
                 f"direct solve refused for {n} states (limit {direct_size_limit}); "
                 "use method='iterative'"
             )
-        system = sp.eye(n, format="csr") - alpha * p_pi
-        values = spla.spsolve(system.tocsc(), c_pi)
-        return ValueTable(values, kernel.discount, iterations=0, residual=0.0, converged=True)
+        x, col = np.unique(post_pi, return_inverse=True)
+        e_x = kernel.events[x]
+        e_r = sp.csr_matrix((e_x.data, col[e_x.indices], e_x.indptr), shape=(x.size, x.size))
+        e_r.sum_duplicates()
+        system = sp.eye(x.size, format="csr") - alpha * e_r
+        u = spla.spsolve(system.tocsc(), kernel.cost0[x])
+        return ValueTable(
+            u[col], kernel.discount, iterations=0, residual=0.0, converged=True,
+            method=POLICY_EVALUATION,
+        )
     if method == "iterative":
+        p_pi = kernel.events[post_pi]
+        c_pi = kernel.cost0[post_pi]
         values = np.zeros(n)
         residual = float("inf")
         converged = False
@@ -216,7 +254,9 @@ def evaluate_policy(
             if residual <= tol:
                 converged = True
                 break
-        return ValueTable(values, kernel.discount, done, residual, converged, tol)
+        return ValueTable(
+            values, kernel.discount, done, residual, converged, tol, POLICY_EVALUATION
+        )
     raise ValueError(f"unknown evaluation method {method!r}")
 
 
@@ -280,6 +320,7 @@ def policy_iterate(
         residual=residual,
         converged=stable and residual <= tol,
         tol=tol,
+        method=POLICY_ITERATION,
     )
     return table, PolicyTable(_greedy_of_q(kernel, q, best))
 
@@ -295,7 +336,7 @@ def save_checkpoint(
 
     Layout (npz, format 1): ``format_version``; the value table under
     ``values`` with scalars ``iterations``, ``residual``, ``converged``,
-    ``tol``; the discount under ``nu``/``alpha``/``beta``; optionally the
+    ``tol`` and the string ``method``; the discount under ``nu``/``alpha``/``beta``; optionally the
     greedy policy under ``policy`` (Action codes), the model under
     ``lam``/``mu0``/``cloud_speedup``/``local_fraction``, and the queue
     cap under ``n_max``.
@@ -307,6 +348,7 @@ def save_checkpoint(
         "residual": table.residual,
         "converged": int(table.converged),
         "tol": table.tol,
+        "method": table.method,
         "nu": table.discount.nu,
         "alpha": table.discount.alpha,
         "beta": table.discount.beta,
@@ -352,6 +394,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             residual=float(data["residual"]),
             converged=bool(data["converged"]),
             tol=float(data["tol"]),
+            method=str(data["method"]) if "method" in data else "",
         )
         policy = PolicyTable(data["policy"]) if "policy" in data else None
         params = None

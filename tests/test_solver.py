@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from offloadq.kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
 from offloadq.model import (
@@ -149,6 +151,20 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     assert np.array_equal(resumed.values, straight.values)
 
 
+def test_value_iterate_does_not_count_policy_iteration_steps_as_sweeps(tmp_path):
+    k = _kernel(CONFIG_B, n_max=6, alpha=0.99)
+    pi_table, _ = policy_iterate(k, tol=1e-9)
+    assert pi_table.iterations > 1
+    path = tmp_path / "solution.npz"
+    save_checkpoint(str(path), pi_table, params=k.params, n_max=k.space.n_max)
+    for v0 in (pi_table, load_checkpoint(str(path)).table):
+        one, _ = value_iterate(k, tol=1e-300, max_iters=1, v0=v0)
+        assert one.iterations == 1
+        none, _ = value_iterate(k, tol=1e-300, max_iters=0, v0=v0)
+        assert none.iterations == 0
+        assert np.array_equal(none.values, pi_table.values)
+
+
 def test_checkpoint_stores_policy(tmp_path):
     k = _kernel(n_max=2, alpha=0.5)
     table, policy = value_iterate(k, tol=1e-9, checkpoint_path=str(tmp_path / "sol.npz"))
@@ -167,6 +183,39 @@ def test_evaluate_policy_oracle_agreement():
         direct = evaluate_policy(k, pi, method="direct")
         iterative = evaluate_policy(k, pi, method="iterative", tol=1e-13)
         assert np.max(np.abs(direct.values - iterative.values)) <= 1e-8
+
+
+def _greedy_of_zero(kernel):
+    _, greedy = bellman_backup(kernel, np.zeros(kernel.space.size))
+    return greedy
+
+
+def test_direct_evaluation_on_post_decision_states_matches_the_full_system():
+    k = _kernel(CONFIG_B, n_max=6, alpha=0.999)
+    n = k.space.size
+    sids = np.arange(n)
+    rng = np.random.default_rng(11)
+    policies = [_random_admissible_policy(k, rng) for _ in range(3)]
+    policies += [PolicyTable(np.zeros(n, dtype=np.int8)), _greedy_of_zero(k)]
+    reached = []
+    for pi in policies:
+        p_pi = k.probs[pi.actions.astype(np.int64) * n + sids]
+        c_pi = k.costs[pi.actions, sids]
+        full = spla.spsolve((sp.eye(n, format="csr") - k.discount.alpha * p_pi).tocsc(), c_pi)
+        reduced = evaluate_policy(k, pi, method="direct").values
+        assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
+        reached.append(np.unique(k.post[pi.actions, sids]).size)
+    assert reached[3] == n  # idling everywhere reaches every state
+    assert max(reached[:3] + reached[4:]) < n
+
+
+def test_factored_q_table_equals_the_stacked_kernel():
+    k = _kernel(CONFIG_B, n_max=6, alpha=0.999)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        v = rng.uniform(0.0, 100.0, size=k.space.size)
+        stacked = k.costs + k.discount.alpha * (k.probs @ v).reshape(k.costs.shape)
+        assert q_table(k, v).tobytes() == stacked.tobytes()
 
 
 def test_evaluate_policy_matches_vi_fixed_point():
