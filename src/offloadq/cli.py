@@ -16,9 +16,11 @@ environment variable, then the config file, then the working directory.
 
 All CSV output is byte-stable for fixed inputs: fixed column order,
 numbers at 9 significant digits, lines terminated with "\\n".  JSON
-reports carry a ``schema_version`` field.  Exit codes: 0 success (and
-all checks passed), 1 usage or configuration error, 2 structure-check
-failure, 3 solver non-convergence (artifacts are still written).
+reports carry a ``schema_version`` field.  A simulated table policy that
+saturated at its queue cap gets a ``warning:`` line on stderr.  Exit
+codes: 0 success (and all checks passed), 1 usage or configuration
+error, 2 structure-check failure, 3 solver non-convergence (artifacts
+are still written).
 """
 
 from __future__ import annotations
@@ -410,19 +412,27 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report.all_passed() else EXIT_CHECK
 
 
+def _write_sim_json(cfg: RunConfig, name: str, report, **policies: str) -> None:
+    """One simulation artifact: the policy names, model, sim block and report."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    payload = {"schema_version": SCHEMA_VERSION, "model": cfg.model_dict(),
+               "sim": cfg.sim_dict(), "report": report.to_json_dict(), **policies}
+    _write_json(cfg.out_dir / name, payload)
+
+
+def _warn_saturation(policy: str, report) -> None:
+    if report.saturation_events > 0:
+        print(f"warning: policy {policy}: {report.saturation_events} saturation events "
+              "(states beyond its table's queue cap were clamped to the cap)",
+              file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     cfg = _run_config(args)
     policy = _resolve_policy(args.policy, cfg, {})
     report = simulate(policy, cfg.params, cfg.sim_config())
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "policy": args.policy,
-        "model": cfg.model_dict(),
-        "sim": cfg.sim_dict(),
-        "report": report.to_json_dict(),
-    }
-    _write_json(cfg.out_dir / "simulation.json", payload)
+    _warn_saturation(args.policy, report)
+    _write_sim_json(cfg, "simulation.json", report, policy=args.policy)
     print(
         f"{args.policy}: mean sojourn {_fmt(report.mean_sojourn)} "
         f"+- {_fmt(report.ci_halfwidth)}, time-avg jobs {_fmt(report.time_avg_jobs)}, "
@@ -470,6 +480,7 @@ def cmd_sweep(args) -> int:
                 continue
             policy = table_policy if name == "optimal" else baseline(name)
             report = simulate(policy, params, cfg.sim_config())
+            _warn_saturation(f"{name} at rho={rho:g}", report)
             rows.append(
                 (
                     _fmt(rho),
@@ -499,16 +510,10 @@ def cmd_couple(args) -> int:
     policy_a = _resolve_policy(args.policy_a, cfg, cache)
     policy_b = _resolve_policy(args.policy_b, cfg, cache)
     report = coupled_compare(policy_a, policy_b, cfg.params, cfg.sim_config())
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "policy_a": args.policy_a,
-        "policy_b": args.policy_b,
-        "model": cfg.model_dict(),
-        "sim": cfg.sim_dict(),
-        "report": report.to_json_dict(),
-    }
-    _write_json(cfg.out_dir / "couple.json", payload)
+    _warn_saturation(args.policy_a, report.report_a)
+    _warn_saturation(args.policy_b, report.report_b)
+    _write_sim_json(cfg, "couple.json", report, policy_a=args.policy_a,
+                    policy_b=args.policy_b)
     print(
         f"mean sojourn difference (B - A): {_fmt(report.diff_mean)} "
         f"+- {_fmt(report.diff_ci_halfwidth)}; "

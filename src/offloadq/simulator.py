@@ -10,11 +10,12 @@ service requirement and no fresh randomness is drawn, so a replication is
 a deterministic function of the seed, and two coupled systems share
 exactly the arrival and service-triplet streams and nothing else.
 
-Every job carries a triplet of service times drawn at arrival time: a
-full-offload cloud time, a local preprocessing time tied to it by the
-fixed ratio ``mu_c1/mu_l2``, and an independent split-remainder cloud
-time.  Coupling by job index follows from drawing the triplet in arrival
-order.
+Every job carries a triplet of service times: a full-offload cloud time,
+a local preprocessing time tied to it by the fixed ratio ``mu_c1/mu_l2``,
+and an independent split-remainder cloud time.  The base queue is FIFO,
+so jobs leave it in arrival order; job j's triplet is the j-th pair of
+the triplet stream, drawn when the job is dispatched.  Coupling by job
+index follows from drawing the triplets in arrival order.
 
 Replication r of a run with master seed s draws from two named
 substreams, ``substream(s, r, ARRIVALS)`` and ``substream(s, r,
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import stdtrit
 
-from .model import ModelParams
+from .model import Action, ModelParams
 
 INF = math.inf
 
@@ -43,9 +44,11 @@ TRIPLETS = 1
 SHARED = "shared_arrivals_and_triplets"
 INDEPENDENT = "independent"
 
-IDLE, SM1, SM2, SM1_THEN_SM2 = 0, 1, 2, 3
+# plain ints: the event loop compares against them after every event
+IDLE, SM1, SM2, SM1_THEN_SM2 = (int(a) for a in Action)
 
-_CHUNK = 4096
+_CHUNK = 4096  # arrival gaps per draw
+_TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
 
 # event-log record layout: (time, kind, n0, i2, i1, n2) with the state
 # taken after the event and any same-instant assignments
@@ -112,21 +115,24 @@ class SimConfig:
 class TablePolicy:
     """Policy-table lookup with saturation at the solved queue cap.
 
-    Live simulation states can exceed the cap the policy was solved on;
-    lookups clamp n0 and n2 to the cap and count every clamped decision in
-    ``saturation_events``.
+    ``actions`` is a policy array over the truncated state space of cap
+    ``n_max``, in state-id order.  It is held as nested lists indexed
+    ``[n0][i2][i1][n2]``, the cheapest lookup for the simulator, which
+    calls ``action`` after every event.  Live simulation states can exceed
+    the cap; lookups clamp n0 and n2 to the cap and count every clamped
+    decision in ``saturation_events``.
     """
 
     def __init__(self, actions, n_max: int):
         acts = np.asarray(actions)
-        if acts.shape != (4 * (n_max + 1) ** 2,):
+        m1 = n_max + 1
+        if acts.shape != (4 * m1**2,):
             raise ValueError(
                 f"policy table has {acts.shape[0]} entries, cap {n_max} needs "
-                f"{4 * (n_max + 1) ** 2}"
+                f"{4 * m1**2}"
             )
-        self._acts = acts.astype(int).tolist()
+        self._rows = acts.astype(int).reshape(m1, 2, 2, m1).tolist()
         self.n_max = n_max
-        self._m1 = n_max + 1
         self.saturation_events = 0
 
     def action(self, n0: int, i2: int, i1: int, n2: int) -> int:
@@ -137,7 +143,7 @@ class TablePolicy:
                 n0 = m
             if n2 > m:
                 n2 = m
-        return self._acts[((n0 * 2 + i2) * 2 + i1) * self._m1 + n2]
+        return self._rows[n0][i2][i1][n2]
 
 
 def _offload_only(n0: int, i2: int, i1: int, n2: int) -> int:
@@ -207,16 +213,19 @@ class _RepResult:
 def _run_replication(
     policy,
     p: ModelParams,
-    horizon: float,
-    warmup: float,
-    rng_arrivals: np.random.Generator,
-    rng_triplets: np.random.Generator,
+    cfg: SimConfig,
+    rep: int,
     collect_events: bool = False,
     collect_traj: bool = False,
 ) -> _RepResult:
+    """Replication ``rep`` on the substreams (cfg.seed, rep, ARRIVALS/TRIPLETS)."""
     act = policy.action if hasattr(policy, "action") else policy
     sat_before = getattr(policy, "saturation_events", 0)
 
+    horizon = cfg.horizon
+    warmup = cfg.warmup
+    rng_arrivals = substream(cfg.seed, rep, ARRIVALS)
+    rng_triplets = substream(cfg.seed, rep, TRIPLETS)
     lam = p.lam
     l2_ratio = p.mu_c1 / p.mu_l2
     inv_c1 = 1.0 / p.mu_c1
@@ -225,7 +234,7 @@ def _run_replication(
     gaps: list[float] = []
     gap_i = 0
     trip: list[float] = []
-    trip_i = 0
+    trip_i = _TRIP_CHUNK
 
     t = 0.0
     n0 = 0
@@ -234,15 +243,19 @@ def _run_replication(
     n2 = 0
     n_tot = 0
 
-    base: deque = deque()  # queued jobs: (arrival_time, sigma_c1, sigma_l2, sigma_c2)
+    base: deque = deque()  # arrival times of the queued jobs, oldest first
     cloud_q: deque = deque()  # split jobs at the cloud: (arrival_time, sigma_c2)
     local_arr = 0.0
     local_c2 = 0.0
-    local_done = INF
+    local_done = INF  # finite exactly while the local slot is busy
     sm1_arr = 0.0
     sm1_remaining = 0.0
     sm1_done = INF  # finite exactly while the full-offload job is in service
-    cloud_sm2_done = INF
+    cloud_sm2_done = INF  # finite exactly while split jobs are at the cloud
+    # earliest service timer and its event code, ties going to local, then
+    # split cloud, then full-offload cloud; arrivals change no timer
+    t_srv = INF
+    srv_ev = 1
 
     if lam > 0.0:
         gaps = (rng_arrivals.standard_exponential(_CHUNK) / lam).tolist()
@@ -266,53 +279,51 @@ def _run_replication(
     try:
         while True:
             # ---- apply the policy until it idles or stalls ----
+            # a dispatch starts a timer that was infinite: compare it to t_srv
             while True:
                 a = act(n0, i2, i1, n2)
                 if a == IDLE:
                     break
-                if a == SM1:
-                    if n0 < 1 or i1 == 1:
+                if a == SM1 or a == SM1_THEN_SM2:
+                    if n0 < 1 or i1 == 1 or (a != SM1 and (n0 < 2 or i2 == 1)):
                         inadmissible += 1
                         break
-                    job = base.popleft()
+                    if trip_i == _TRIP_CHUNK:
+                        trip = rng_triplets.standard_exponential(_TRIP_CHUNK).tolist()
+                        trip_i = 0
+                    sm1_arr = base.popleft()
+                    sm1_remaining = trip[trip_i] * inv_c1
+                    trip_i += 2
                     n0 -= 1
                     i1 = 1
-                    sm1_arr = job[0]
-                    sm1_remaining = job[1]
                     if n2 == 0:
                         sm1_done = t + sm1_remaining
-                elif a == SM2:
-                    if n0 < 1 or i2 == 1:
-                        inadmissible += 1
-                        break
-                    job = base.popleft()
-                    n0 -= 1
-                    i2 = 1
-                    local_arr = job[0]
-                    local_c2 = job[3]
-                    local_done = t + job[2]
-                elif a == SM1_THEN_SM2:
-                    if n0 < 2 or i1 == 1 or i2 == 1:
-                        inadmissible += 1
-                        break
-                    job = base.popleft()
-                    n0 -= 1
-                    i1 = 1
-                    sm1_arr = job[0]
-                    sm1_remaining = job[1]
-                    if n2 == 0:
-                        sm1_done = t + sm1_remaining
-                    job = base.popleft()
-                    n0 -= 1
-                    i2 = 1
-                    local_arr = job[0]
-                    local_c2 = job[3]
-                    local_done = t + job[2]
-                else:
+                        if sm1_done < t_srv:
+                            t_srv = sm1_done
+                            srv_ev = 3
+                    if a == SM1:
+                        continue
+                elif a != SM2:
                     raise SimulationError(
                         f"policy returned unknown action {a!r} in state "
                         f"({n0},{i2},{i1},{n2})"
                     )
+                elif n0 < 1 or i2 == 1:
+                    inadmissible += 1
+                    break
+                # SM2, or the second half of the composite
+                if trip_i == _TRIP_CHUNK:
+                    trip = rng_triplets.standard_exponential(_TRIP_CHUNK).tolist()
+                    trip_i = 0
+                local_arr = base.popleft()
+                local_done = t + l2_ratio * (trip[trip_i] * inv_c1)
+                local_c2 = trip[trip_i + 1] * inv_c2
+                trip_i += 2
+                n0 -= 1
+                i2 = 1
+                if local_done <= t_srv:
+                    t_srv = local_done
+                    srv_ev = 1
 
             if collect and pending_kind >= 0:
                 if collect_events:
@@ -321,18 +332,13 @@ def _run_replication(
                     traj_t.append(t)
                     traj_n.append(n_tot)
 
-            # ---- next event ----
-            t_ev = next_arrival
-            ev = 0
-            if local_done < t_ev:
-                t_ev = local_done
-                ev = 1
-            if cloud_sm2_done < t_ev:
-                t_ev = cloud_sm2_done
-                ev = 2
-            if sm1_done < t_ev:
-                t_ev = sm1_done
-                ev = 3
+            # ---- next event; an arrival wins ties ----
+            if next_arrival <= t_srv:
+                t_ev = next_arrival
+                ev = 0
+            else:
+                t_ev = t_srv
+                ev = srv_ev
 
             # ---- time-average area over [warmup, horizon] ----
             seg_end = t_ev if t_ev < horizon else horizon
@@ -345,24 +351,17 @@ def _run_replication(
             pending_kind = ev
 
             if ev == 0:
-                # arrival; the job's service triplet is drawn now, in
-                # arrival order, two standard-exponential draws per job
-                if trip_i >= len(trip):
-                    trip = rng_triplets.standard_exponential(2 * _CHUNK).tolist()
-                    trip_i = 0
-                c1 = trip[trip_i] * inv_c1
-                c2 = trip[trip_i + 1] * inv_c2
-                trip_i += 2
-                base.append((t, c1, l2_ratio * c1, c2))
+                base.append(t)
                 n0 += 1
                 n_tot += 1
                 arrived += 1
-                if gap_i >= len(gaps):
+                if gap_i == _CHUNK:
                     gaps = (rng_arrivals.standard_exponential(_CHUNK) / lam).tolist()
                     gap_i = 0
                 next_arrival = t + gaps[gap_i]
                 gap_i += 1
-            elif ev == 1:
+                continue
+            if ev == 1:
                 # local preprocessing done: the split job joins the cloud
                 # queue, pausing a full-offload job in service
                 i2 = 0
@@ -374,6 +373,9 @@ def _run_replication(
                     cloud_sm2_done = t + local_c2
                 cloud_q.append((local_arr, local_c2))
                 n2 += 1
+                # a split job is at the cloud, so no full-offload job runs
+                t_srv = cloud_sm2_done
+                srv_ev = 2
             elif ev == 2:
                 # cloud finishes the head split job
                 job = cloud_q.popleft()
@@ -384,13 +386,20 @@ def _run_replication(
                     counted += 1
                     sojourn_sum += t - job[0]
                 if n2 > 0:
-                    cloud_sm2_done = t + cloud_q[0][1]
+                    cloud_sm2_done = t_srv = t + cloud_q[0][1]
+                    srv_ev = 2
                 else:
                     cloud_sm2_done = INF
                     if i1 == 1:
                         sm1_done = t + sm1_remaining
+                    t_srv = sm1_done
+                    srv_ev = 3
+                if local_done <= t_srv:
+                    t_srv = local_done
+                    srv_ev = 1
             else:
-                # cloud finishes the full-offload job
+                # cloud finishes the full-offload job; it ran, so no split
+                # job is at the cloud
                 i1 = 0
                 sm1_done = INF
                 n_tot -= 1
@@ -398,6 +407,8 @@ def _run_replication(
                 if sm1_arr >= warmup:
                     counted += 1
                     sojourn_sum += t - sm1_arr
+                t_srv = local_done
+                srv_ev = 1
     except SimulationError:
         raise
     except Exception as exc:
@@ -476,20 +487,23 @@ class DelayReport:
         }
 
 
+def _t_halfwidth(x: np.ndarray) -> float:
+    """95% Student-t half-width of the mean of ``x`` (NaN for one value)."""
+    n = len(x)
+    if n < 2:
+        return float("nan")
+    return float(stdtrit(n - 1, 0.975) * x.std(ddof=1) / math.sqrt(n))
+
+
 def _aggregate(reps: list[_RepResult], cfg: SimConfig, keep_events: bool) -> DelayReport:
     means = np.array([r.mean_sojourn for r in reps])
     tavg = np.array([r.time_avg_jobs for r in reps])
-    n = len(reps)
-    if n > 1:
-        half = float(stdtrit(n - 1, 0.975) * means.std(ddof=1) / math.sqrt(n))
-    else:
-        half = float("nan")
     return DelayReport(
         mean_sojourn=float(means.mean()),
-        ci_halfwidth=half,
+        ci_halfwidth=_t_halfwidth(means),
         time_avg_jobs=float(tavg.mean()),
         jobs_completed=int(sum(r.jobs_completed for r in reps)),
-        replications=n,
+        replications=len(reps),
         horizon=cfg.horizon,
         warmup=cfg.warmup,
         rep_mean_sojourn=means,
@@ -518,15 +532,7 @@ def simulate(
     report is a deterministic function of (policy, params, config).
     """
     reps = [
-        _run_replication(
-            policy,
-            p,
-            cfg.horizon,
-            cfg.warmup,
-            substream(cfg.seed, r, ARRIVALS),
-            substream(cfg.seed, r, TRIPLETS),
-            collect_events=collect_events,
-        )
+        _run_replication(policy, p, cfg, r, collect_events=collect_events)
         for r in range(cfg.replications)
     ]
     return _aggregate(reps, cfg, collect_events)
@@ -597,24 +603,8 @@ def coupled_compare(
     dom_total = 0
     rep_dom = []
     for r in range(cfg.replications):
-        ra = _run_replication(
-            policy_a,
-            p,
-            cfg.horizon,
-            cfg.warmup,
-            substream(cfg.seed, r, ARRIVALS),
-            substream(cfg.seed, r, TRIPLETS),
-            collect_traj=True,
-        )
-        rb = _run_replication(
-            policy_b,
-            p,
-            cfg.horizon,
-            cfg.warmup,
-            substream(cfg.seed, r, ARRIVALS),
-            substream(cfg.seed, r, TRIPLETS),
-            collect_traj=True,
-        )
+        ra = _run_replication(policy_a, p, cfg, r, collect_traj=True)
+        rb = _run_replication(policy_b, p, cfg, r, collect_traj=True)
         hits, total = _dominance_counts(ra, rb)
         dom_hits += hits
         dom_total += total
@@ -625,16 +615,11 @@ def coupled_compare(
     report_a = _aggregate(reps_a, cfg, False)
     report_b = _aggregate(reps_b, cfg, False)
     diff = report_b.rep_mean_sojourn - report_a.rep_mean_sojourn
-    n = len(diff)
-    if n > 1:
-        half = float(stdtrit(n - 1, 0.975) * diff.std(ddof=1) / math.sqrt(n))
-    else:
-        half = float("nan")
     return CoupledReport(
         report_a=report_a,
         report_b=report_b,
         diff_mean=float(diff.mean()),
-        diff_ci_halfwidth=half,
+        diff_ci_halfwidth=_t_halfwidth(diff),
         rep_diff=diff,
         dominance_fraction=dom_hits / dom_total if dom_total else float("nan"),
         rep_dominance=np.array(rep_dom),

@@ -235,6 +235,44 @@ def test_simulate_rejects_artifact_solved_for_other_rates(tmp_path, capsys):
     assert not (tmp_path / "simulation.json").exists()
 
 
+def test_saturated_table_warns_on_stderr(tmp_path, capsys):
+    heavy = [a if a != "0.3" else "0.9" for a in FAST]
+    heavy[heavy.index("--n-max") + 1] = "3"
+    assert main(["solve", *heavy, "--out-dir", str(tmp_path)]) == 0
+    sol = str(tmp_path / "solution.npz")
+    capsys.readouterr()
+
+    rc = main(["simulate", *heavy, *SIM_FAST, "--policy", sol, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    count = json.loads((tmp_path / "simulation.json").read_text())["report"][
+        "saturation_events"]
+    assert count > 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("warning: policy ")
+    assert sol in err and f" {count} saturation events" in err
+
+    rc = main(["couple", *heavy, *SIM_FAST, "--policy-a", "non_idling",
+               "--policy-b", sol, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and sol in err and "non_idling" not in err
+
+    rc = main(["sweep", *heavy[2:], *SIM_FAST, "--rhos", "0.9",
+               "--policies", "optimal,non_idling", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "warning: policy optimal at rho=0.9" in err
+
+    # a table whose cap the run never exceeds stays silent
+    quiet = _solve_fast(tmp_path / "quiet")
+    rc = main(["simulate", *FAST, *SIM_FAST, "--policy", str(quiet),
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "simulation.json").read_text())["report"][
+        "saturation_events"] == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_unknown_policy(tmp_path, capsys):
     rc = main(["simulate", *FAST, *SIM_FAST, "--policy", "bogus",
                "--out-dir", str(tmp_path)])

@@ -9,9 +9,19 @@ from offloadq.kernel import (
     build_state_space,
     uniformization_rate,
 )
-from offloadq.model import Action, State, admissible_actions, apply_action, derive_rates, total_jobs
+from offloadq.model import (
+    Action,
+    Op,
+    State,
+    admissible_actions,
+    apply_action,
+    apply_operator,
+    derive_rates,
+    total_jobs,
+)
 
 CONFIG_A = derive_rates(3.6, 1.0, 8.0, 0.4)
+CONFIG_B = derive_rates(7.2, 1.0, 8.0, 0.4)
 
 
 def _kernel(p=CONFIG_A, n_max=5, alpha=0.9):
@@ -162,6 +172,52 @@ def test_stage_costs_match_post_action_jobs():
                 assert k.costs[int(a), sid] == pytest.approx(expected, rel=1e-14)
             else:
                 assert np.isinf(k.costs[int(a), sid])
+
+
+@pytest.mark.parametrize(
+    "p", [CONFIG_A, CONFIG_B, derive_rates(0.0, 1.0, 8.0, 0.4)], ids=["a", "b", "lam0"]
+)
+def test_transitions_match_scalar_model_exhaustive(p):
+    k = _kernel(p, n_max=4)
+    space = k.space
+    m = space.n_max
+    nu = k.discount.nu
+    p_loc, p_c2, p_c1 = p.mu_l2 / nu, p.mu_c2 / nu, p.mu_c1 / nu
+
+    def target(op, s):
+        return space.id_of(*apply_operator(op, s))
+
+    for sid in range(space.size):
+        s = State(*space.state_of(sid))
+        allowed = admissible_actions(s)
+        for a in Action:
+            assert k.admissible[int(a), sid] == (a in allowed)
+            post = space.id_of(*apply_action(a, s)) if a in allowed else sid
+            assert k.post[int(a), sid] == post
+
+        expected: dict[int, float] = {}
+
+        def add(tgt, prob):
+            expected[tgt] = expected.get(tgt, 0.0) + prob
+
+        # an arrival at the cap is blocked
+        add(target(Op.ARRIVAL, s) if s.n0 < m else sid, p.lam / nu)
+        # an idle local slot, or a completion into a full cloud queue, self-loops
+        add(target(Op.LOCAL_DONE, s) if s.i2 == 1 and s.n2 < m else sid, p_loc)
+        if s.n2 >= 1:
+            add(target(Op.CLOUD_SM2_DONE, s), p_c2)
+        elif s.i1 == 1:
+            add(target(Op.CLOUD_SM1_DONE, s), p_c1)
+            add(sid, p_c2 - p_c1)  # the slower full-offload job is in service
+        else:
+            add(sid, p_c2)
+        expected = {j: v for j, v in expected.items() if v > 0.0}
+
+        row = k.events.getrow(sid)
+        got = dict(zip(row.indices.tolist(), row.data.tolist()))
+        assert got.keys() == expected.keys(), s
+        for j, v in expected.items():
+            assert got[j] == pytest.approx(v, rel=1e-14, abs=1e-16), (s, j)
 
 
 def test_row_stochastic_exhaustive():

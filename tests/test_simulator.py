@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from offloadq.kernel import build_state_space
-from offloadq.model import derive_rates
+from offloadq.model import derive_rates, lambda_from_utilization
 from offloadq.simulator import (
     ARRIVALS,
     IDLE,
@@ -353,3 +353,90 @@ def test_coupled_compare_requires_shared_streams():
     with pytest.raises(ValueError, match="coupled comparison"):
         coupled_compare(baseline("offload_only"), baseline("non_idling"),
                         CONFIG_A, cfg)
+
+
+# ---------------------------------------------------------------- sample paths
+
+# Per-replication numbers pinned for a fixed seed.  Job j gets the j-th
+# pair of the triplet stream wherever the event loop draws it, so a rewrite
+# of the loop must reproduce every number here to the last bit.
+HEAVY = derive_rates(lambda_from_utilization(0.95, 1.0, 8.0), 1.0, 8.0, 0.4)
+PIN_CFG = SimConfig(horizon=300.0, replications=2, seed=2024)
+
+# (config, reference policy): rep_mean_sojourn, rep_time_avg_jobs,
+# rep_jobs_arrived, rep_jobs_completed
+PINNED_PATHS = {
+    ("a", "offload_only"): (
+        [0.2248958111000867, 0.24567172591719139],
+        [0.7813047067106715, 0.8894583154684403],
+        [1060, 1083], [1060, 1083],
+    ),
+    ("a", "non_idling"): (
+        [0.26346081867041815, 0.27561535850453056],
+        [0.9152823996772306, 0.9988186392366332],
+        [1060, 1083], [1060, 1083],
+    ),
+    ("heavy", "offload_only"): (
+        [5.685774157652847, 17.473451576279015],
+        [48.48028950382687, 152.64865243188567],
+        [2550, 2608], [2434, 2317],
+    ),
+    ("heavy", "non_idling"): (
+        [2.279484452128365, 5.215801326722961],
+        [19.08070909359813, 45.170437910239315],
+        [2550, 2608], [2525, 2550],
+    ),
+}
+
+
+def _pin_policy(name):
+    if name == "always_sm1":  # offload_only's path, plus inadmissible stops
+        return lambda n0, i2, i1, n2: SM1
+    if name.startswith("table"):  # non_idling's path, tabulated at cap 8 or 1
+        n_max = int(name[len("table"):])
+        acts = tabulate_policy(baseline("non_idling"), build_state_space(n_max))
+        return TablePolicy(acts, n_max)
+    return baseline(name)
+
+
+@pytest.mark.parametrize(
+    "config, policy, path, saturation, inadmissible",
+    [
+        ("a", "offload_only", "offload_only", 0, 0),
+        ("a", "non_idling", "non_idling", 0, 0),
+        ("a", "table8", "non_idling", 0, 0),
+        ("a", "table1", "non_idling", 579, 0),
+        ("a", "always_sm1", "offload_only", 0, 4288),
+        ("heavy", "offload_only", "offload_only", 0, 0),
+        ("heavy", "non_idling", "non_idling", 0, 0),
+        ("heavy", "table8", "non_idling", 10326, 0),
+        ("heavy", "table1", "non_idling", 14435, 0),
+        ("heavy", "always_sm1", "offload_only", 0, 9911),
+    ],
+)
+def test_sample_path_pinned(config, policy, path, saturation, inadmissible):
+    p = CONFIG_A if config == "a" else HEAVY
+    rep = simulate(_pin_policy(policy), p, PIN_CFG)
+    sojourn, avg_jobs, arrived, completed = PINNED_PATHS[(config, path)]
+    assert rep.rep_mean_sojourn.tolist() == sojourn
+    assert rep.rep_time_avg_jobs.tolist() == avg_jobs
+    assert rep.rep_jobs_arrived.tolist() == arrived
+    assert rep.rep_jobs_completed.tolist() == completed
+    assert rep.saturation_events == saturation
+    assert rep.inadmissible_stops == inadmissible
+
+
+@pytest.mark.parametrize(
+    "config, dominance",
+    [
+        ("a", [0.7027843005702784, 0.6986301369863014]),
+        ("heavy", [0.9996360989810772, 0.9949791819740387]),
+    ],
+)
+def test_coupled_sample_path_pinned(config, dominance):
+    p = CONFIG_A if config == "a" else HEAVY
+    cr = coupled_compare(baseline("offload_only"), baseline("non_idling"), p, PIN_CFG)
+    assert cr.rep_dominance.tolist() == dominance
+    a, b = PINNED_PATHS[(config, "offload_only")], PINNED_PATHS[(config, "non_idling")]
+    assert cr.report_a.rep_mean_sojourn.tolist() == a[0]
+    assert cr.report_b.rep_mean_sojourn.tolist() == b[0]
