@@ -51,7 +51,7 @@ from .simulator import (
     coupled_compare,
     simulate,
 )
-from .solver import PolicyTable, load_checkpoint, policy_iterate, save_checkpoint
+from .solver import MAX_STEPS, PolicyTable, load_checkpoint, policy_iterate, save_checkpoint
 from .structure import run_structure_checks
 
 SCHEMA_VERSION = 1
@@ -279,7 +279,7 @@ def _run_config(args, allow_missing_rate: bool = False) -> RunConfig:
             alpha=alpha,
             beta=beta,
             tol=float(solver.get("tol", 1e-9)),
-            max_iters=int(solver.get("max_iters", 2_000_000)),
+            max_iters=int(solver.get("max_iters", MAX_STEPS)),
             margin=int(solver.get("margin", 5)),
             horizon=float(sim.get("horizon", 1e5)),
             warmup=None if sim.get("warmup") is None else float(sim["warmup"]),
@@ -551,7 +551,7 @@ def _add_solver_flags(sub) -> None:
     g.add_argument("--beta", type=float, help="continuous-time discount rate")
     g.add_argument("--tol", type=float, help="sup-norm residual target")
     g.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="policy-iteration step budget")
+                   help=f"policy-iteration step budget (default {MAX_STEPS})")
     g.add_argument("--margin", type=int, help="boundary margin for checks")
 
 

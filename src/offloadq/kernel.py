@@ -16,11 +16,11 @@ happen.  So the kernel factors as ``P_a = R_a E``: ``R_a`` is the 0/1
 matrix of the post-action map and ``E`` the n x n kernel of the idle
 (no-assignment) dynamics.  The kernel stores ``E`` once, as a sparse
 matrix, beside the post-action map, and a Bellman sweep is one sparse
-mat-vec with ``E`` followed by a gather through ``post``.  The stacked
-form with one row per (state, action) pair is derived on demand.
-Inadmissible (state, action) pairs map to the state itself behind an
-infinite stage cost, so a minimizer can never select them; the
-``admissible`` mask identifies the real pairs.
+mat-vec with ``E`` followed by a gather through ``sentinel_post``, the
+post-action map with every inadmissible (state, action) pair sent to the
+extra id ``n``, whose value is ``+inf``, so a minimizer can never select
+it.  The ``admissible`` mask identifies the real pairs.  The stacked form
+with one row per (state, action) pair is derived on demand.
 """
 
 from __future__ import annotations
@@ -140,8 +140,11 @@ class TransitionKernel:
     expected discounted holding cost accrued until the next epoch from
     ``x``, ``total_jobs(x)/(beta+nu)``.
 
-    ``probs`` and ``costs`` are the stacked per-(state, action) form,
-    derived on first use and read-only: row ``a * N + s`` of ``probs`` is
+    Derived on first use and read-only: ``sentinel_post`` is ``post`` with
+    inadmissible pairs sent to id ``N`` (one past the last state), so
+    gathering a length ``N + 1`` vector that ends in ``+inf`` through it
+    prices those pairs at ``+inf``.  ``probs`` and ``costs`` are the
+    stacked per-(state, action) form: row ``a * N + s`` of ``probs`` is
     ``events[post[a, s]]``, and ``costs[a, s]`` is ``cost0[post[a, s]]``,
     or ``+inf`` where the action is inadmissible.
     """
@@ -155,6 +158,12 @@ class TransitionKernel:
     admissible: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
+    def sentinel_post(self) -> np.ndarray:
+        sentinel_post = np.where(self.admissible, self.post, self.space.size)
+        sentinel_post.flags.writeable = False
+        return sentinel_post
+
+    @cached_property
     def probs(self) -> sp.csr_matrix:
         probs = self.events[self.post.ravel()]
         for arr in (probs.data, probs.indices, probs.indptr):
@@ -163,19 +172,9 @@ class TransitionKernel:
 
     @cached_property
     def costs(self) -> np.ndarray:
-        costs = np.where(self.admissible, self.cost0[self.post], np.inf)
+        costs = np.append(self.cost0, np.inf)[self.sentinel_post]
         costs.flags.writeable = False
         return costs
-
-    def action_row(self, action: Action, sid: int) -> int:
-        return int(action) * self.space.size + sid
-
-    def distribution(self, sid: int, action: Action) -> dict[int, float]:
-        """Sparse next-state distribution for one admissible pair."""
-        if not self.admissible[int(action), sid]:
-            raise ValueError(f"action {action!r} not admissible in state id {sid}")
-        row = self.probs.getrow(self.action_row(action, sid))
-        return {int(j): float(v) for j, v in zip(row.indices, row.data)}
 
 
 def _post_action_map(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:

@@ -10,12 +10,14 @@ service requirement and no fresh randomness is drawn, so a replication is
 a deterministic function of the seed, and two coupled systems share
 exactly the arrival and service-triplet streams and nothing else.
 
-Every job carries a triplet of service times: a full-offload cloud time,
-a local preprocessing time tied to it by the fixed ratio ``mu_c1/mu_l2``,
-and an independent split-remainder cloud time.  The base queue is FIFO,
-so jobs leave it in arrival order; job j's triplet is the j-th pair of
-the triplet stream, drawn when the job is dispatched.  Coupling by job
-index follows from drawing the triplets in arrival order.
+Every job carries a triplet of service times: an Exponential(mu_c1)
+full-offload cloud time; a local preprocessing time that is the same draw
+scaled by ``mu_c1/mu_l2``, so Exponential(mu_l2) and always the longer of
+the two; and an independent Exponential(mu_c2) split-remainder cloud
+time.  The base queue is FIFO, so jobs leave it in arrival order; job j's
+triplet is the j-th pair of the triplet stream, drawn when the job is
+dispatched.  Coupling by job index follows from drawing the triplets in
+arrival order.
 
 Replication r of a run with master seed s draws from two named
 substreams, ``substream(s, r, ARRIVALS)`` and ``substream(s, r,
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import stdtrit
@@ -40,9 +42,6 @@ INF = math.inf
 
 ARRIVALS = 0
 TRIPLETS = 1
-
-SHARED = "shared_arrivals_and_triplets"
-INDEPENDENT = "independent"
 
 # plain ints: the event loop compares against them after every event
 IDLE, SM1, SM2, SM1_THEN_SM2 = (int(a) for a in Action)
@@ -59,34 +58,15 @@ class SimulationError(RuntimeError):
     """A replication could not proceed (policy lookup failure or similar)."""
 
 
-class JobTriplet(NamedTuple):
-    sigma_c1: float
-    sigma_l2: float
-    sigma_c2: float
-
-
 def substream(seed: int, rep: int, purpose: int) -> np.random.Generator:
     """Named, reproducible generator for one purpose within one replication."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep, purpose))
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def gen_triplet(rng: np.random.Generator, p: ModelParams) -> JobTriplet:
-    """Draw one job's coupled service-time triplet.
-
-    The full-offload time is Exponential(mu_c1); the local preprocessing
-    time is the same draw scaled by mu_c1/mu_l2 (hence Exponential(mu_l2)
-    marginally, and always larger since mu_c1 > mu_l2); the split-remainder
-    time is an independent Exponential(mu_c2).
-    """
-    e1, e2 = rng.standard_exponential(2)
-    sigma_c1 = e1 / p.mu_c1
-    return JobTriplet(sigma_c1, (p.mu_c1 / p.mu_l2) * sigma_c1, e2 / p.mu_c2)
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """Run lengths, replication count, master seed, and coupling mode.
+    """Run lengths, replication count and master seed.
 
     ``warmup=None`` resolves to 10% of the horizon.
     """
@@ -95,7 +75,6 @@ class SimConfig:
     warmup: float | None = None
     replications: int = 20
     seed: int = 12345
-    coupling: str = SHARED
 
     def __post_init__(self) -> None:
         if not self.horizon > 0.0:
@@ -108,8 +87,6 @@ class SimConfig:
             )
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
-        if self.coupling not in (SHARED, INDEPENDENT):
-            raise ValueError(f"unknown coupling mode {self.coupling!r}")
 
 
 class TablePolicy:
@@ -588,15 +565,11 @@ def coupled_compare(
 ) -> CoupledReport:
     """Run both policies on identical arrival times and job triplets.
 
-    Requires the shared coupling mode: replication r of both systems uses
-    the same two substreams, so job j sees the same arrival instant and
-    the same service triplet in both systems, and any difference in the
-    reports is attributable to the policies alone.
+    Replication r of both systems uses the same two substreams, so job j
+    sees the same arrival instant and the same service triplet in both
+    systems, and any difference in the reports is attributable to the
+    policies alone.
     """
-    if cfg.coupling != SHARED:
-        raise ValueError(
-            f"coupled comparison requires coupling={SHARED!r}, got {cfg.coupling!r}"
-        )
     reps_a = []
     reps_b = []
     dom_hits = 0

@@ -13,6 +13,10 @@ iterates increase pointwise toward the fixed point.  Both solvers report
 the sup-norm Bellman residual of the returned table, which certifies the
 error bound ``alpha * residual / (1 - alpha)``.
 
+Every sweep and evaluation gathers one vector, the post-decision values
+``cost0 + alpha * E v`` plus a ``+inf`` sentinel, through a post-action
+map; value iteration and iterative evaluation share one residual loop.
+
 Long runs (small ``1 - alpha``, large spaces) can be checkpointed to disk
 and resumed; see :func:`save_checkpoint` for the layout.
 """
@@ -20,6 +24,7 @@ and resumed; see :func:`save_checkpoint` for the layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +40,10 @@ _TIE_ORDER = (Action.SM1_THEN_SM2, Action.SM1, Action.SM2, Action.IDLE)
 # Bellman sweeps behind each policy-iteration improvement step; 25-200
 # all take 2-4 steps at n_max 60, alpha 0.999, and 50 was fastest overall
 LOOKAHEAD = 50
+# default policy-iteration step budget; the reference solves take 2-4 steps
+MAX_STEPS = 1_000
+# value_iterate with a checkpoint path saves its table every this many sweeps
+CHECKPOINT_EVERY = 50_000
 
 CHECKPOINT_FORMAT = 1
 VALUE_ITERATION = "value_iteration"
@@ -95,36 +104,60 @@ def _sweeps_of(v) -> int:
     return v.iterations if isinstance(v, ValueTable) and v.method == VALUE_ITERATION else 0
 
 
+def _post_values(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
+    """``cost0 + alpha * E v``, the value of each post-decision state, then ``+inf``."""
+    w = kernel.cost0 + kernel.discount.alpha * (kernel.events @ values)
+    return np.concatenate((w, [np.inf]))
+
+
+def _converge(step, values, tol, max_iters, discount, method, done=0, save=None) -> ValueTable:
+    """Apply ``step`` until one application moves no entry by more than ``tol``.
+
+    ``done`` counts earlier applications; ``save(table)``, when given, runs
+    every ``CHECKPOINT_EVERY`` applications of this call.
+    """
+    residual, k = float("inf"), 0
+    while k < max_iters:
+        k += 1
+        v_new = step(values)
+        residual = float(np.max(np.abs(v_new - values)))
+        values = v_new
+        if save is not None and k % CHECKPOINT_EVERY == 0:
+            save(ValueTable(values, discount, done + k, residual, False, tol, method))
+        if residual <= tol:
+            return ValueTable(values, discount, done + k, residual, True, tol, method)
+    return ValueTable(values, discount, done + k, residual, False, tol, method)
+
+
 def q_table(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
     """Action-value table of a value vector, one row per action; +inf on inadmissible pairs.
 
     The value of every post-action state, ``cost0 + alpha * E v``, is
-    computed once and gathered through the post-action map.
+    computed once and gathered through ``kernel.sentinel_post``.
     """
     n = kernel.space.size
     if values.shape != (n,):
         raise ValueError(f"value table has shape {values.shape}, kernel expects ({n},)")
-    w = kernel.cost0 + kernel.discount.alpha * (kernel.events @ values)
-    q = w[kernel.post]
-    np.copyto(q, np.inf, where=~kernel.admissible)
-    return q
+    return _post_values(kernel, values)[kernel.sentinel_post]
 
 
-def _greedy_of_q(kernel: TransitionKernel, q: np.ndarray, v_new: np.ndarray) -> np.ndarray:
+def _greedy(kernel: TransitionKernel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Bellman sweep ``T v`` and the tie-ordered greedy actions of ``values``."""
+    q = q_table(kernel, values)
+    best = q.min(axis=0)
     greedy = np.zeros(q.shape[1], dtype=np.int8)
     unset = np.ones(q.shape[1], dtype=bool)
     for a in _TIE_ORDER:
-        hit = unset & kernel.admissible[int(a)] & (q[int(a)] <= v_new + TIE_EPS)
+        hit = unset & kernel.admissible[int(a)] & (q[int(a)] <= best + TIE_EPS)
         greedy[hit] = int(a)
         unset &= ~hit
-    return greedy
+    return best, greedy
 
 
 def bellman_backup(kernel: TransitionKernel, v) -> tuple[ValueTable, PolicyTable]:
     """One synchronous sweep of the optimality operator with greedy extraction."""
     values = _values_of(v)
-    q = q_table(kernel, values)
-    v_new = q.min(axis=0)
+    v_new, greedy = _greedy(kernel, values)
     residual = float(np.max(np.abs(v_new - values)))
     table = ValueTable(
         values=v_new,
@@ -134,7 +167,7 @@ def bellman_backup(kernel: TransitionKernel, v) -> tuple[ValueTable, PolicyTable
         converged=False,
         method=VALUE_ITERATION,
     )
-    return table, PolicyTable(_greedy_of_q(kernel, q, v_new))
+    return table, PolicyTable(greedy)
 
 
 def value_iterate(
@@ -143,7 +176,6 @@ def value_iterate(
     max_iters: int = 2_000_000,
     v0: ValueTable | None = None,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 50_000,
 ) -> tuple[ValueTable, PolicyTable]:
     """Iterate Bellman sweeps to a sup-norm residual of ``tol``.
 
@@ -152,7 +184,9 @@ def value_iterate(
     checkpoint of one) carries over; a table from another solver starts
     the count at 0, since its ``iterations`` are not sweeps.  Hitting
     ``max_iters`` returns the last table with ``converged=False`` rather
-    than raising.
+    than raising.  With ``checkpoint_path``, the table is saved there
+    every ``CHECKPOINT_EVERY`` sweeps of this call and, with its greedy
+    policy, at the end.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -160,36 +194,13 @@ def value_iterate(
     if v0 is not None and v0.values.shape != (n,):
         raise ValueError(f"resume table has shape {v0.values.shape}, kernel expects ({n},)")
     values = np.zeros(n) if v0 is None else v0.values.astype(float, copy=True)
-    done = _sweeps_of(v0)
-    residual = float("inf")
-    converged = False
-    for k in range(max_iters):
-        q = q_table(kernel, values)
-        v_new = q.min(axis=0)
-        residual = float(np.max(np.abs(v_new - values)))
-        values = v_new
-        done += 1
-        if checkpoint_path and checkpoint_every and (k + 1) % checkpoint_every == 0:
-            save_checkpoint(
-                checkpoint_path,
-                ValueTable(values, kernel.discount, done, residual, False, tol, VALUE_ITERATION),
-                params=kernel.params,
-                n_max=kernel.space.n_max,
-            )
-        if residual <= tol:
-            converged = True
-            break
-    table = ValueTable(
-        values=values,
-        discount=kernel.discount,
-        iterations=done,
-        residual=residual,
-        converged=converged,
-        tol=tol,
-        method=VALUE_ITERATION,
-    )
-    q = q_table(kernel, values)
-    policy = PolicyTable(_greedy_of_q(kernel, q, q.min(axis=0)))
+    save = None
+    if checkpoint_path:
+        save = partial(save_checkpoint, checkpoint_path, params=kernel.params,
+                       n_max=kernel.space.n_max)
+    table = _converge(lambda v: q_table(kernel, v).min(axis=0), values, tol, max_iters,
+                      kernel.discount, VALUE_ITERATION, _sweeps_of(v0), save)
+    policy = PolicyTable(_greedy(kernel, table.values)[1])
     if checkpoint_path:
         save_checkpoint(checkpoint_path, table, policy, kernel.params, kernel.space.n_max)
     return table, policy
@@ -207,7 +218,8 @@ def evaluate_policy(
 
     ``direct`` solves a linear system (refused above ``direct_size_limit``
     states, when one is given); ``iterative`` applies the policy's own
-    backup ``v <- c + alpha * P v`` until the residual drops below ``tol``.
+    backup ``v <- c + alpha * P v``, the post-decision values gathered
+    through ``post_pi`` below, until the residual drops below ``tol``.
 
     The direct solve works on post-decision states only.  With
     ``post_pi[s] = post[pi(s), s]``, ``v(s) = u(post_pi[s])``, where ``u``
@@ -221,7 +233,6 @@ def evaluate_policy(
     """
     pi.validate(kernel)
     n = kernel.space.size
-    alpha = kernel.discount.alpha
     post_pi = kernel.post[pi.actions, np.arange(n)]
     if method == "direct":
         if direct_size_limit is not None and n > direct_size_limit:
@@ -233,37 +244,22 @@ def evaluate_policy(
         e_x = kernel.events[x]
         e_r = sp.csr_matrix((e_x.data, col[e_x.indices], e_x.indptr), shape=(x.size, x.size))
         e_r.sum_duplicates()
-        system = sp.eye(x.size, format="csr") - alpha * e_r
+        system = sp.eye(x.size, format="csr") - kernel.discount.alpha * e_r
         u = spla.spsolve(system.tocsc(), kernel.cost0[x])
         return ValueTable(
             u[col], kernel.discount, iterations=0, residual=0.0, converged=True,
             method=POLICY_EVALUATION,
         )
     if method == "iterative":
-        p_pi = kernel.events[post_pi]
-        c_pi = kernel.cost0[post_pi]
-        values = np.zeros(n)
-        residual = float("inf")
-        converged = False
-        done = 0
-        for _ in range(max_iters):
-            v_new = c_pi + alpha * (p_pi @ values)
-            residual = float(np.max(np.abs(v_new - values)))
-            values = v_new
-            done += 1
-            if residual <= tol:
-                converged = True
-                break
-        return ValueTable(
-            values, kernel.discount, done, residual, converged, tol, POLICY_EVALUATION
-        )
+        return _converge(lambda v: _post_values(kernel, v)[post_pi], np.zeros(n), tol,
+                         max_iters, kernel.discount, POLICY_EVALUATION)
     raise ValueError(f"unknown evaluation method {method!r}")
 
 
 def policy_iterate(
     kernel: TransitionKernel,
     tol: float = 1e-9,
-    max_iters: int = 1_000,
+    max_iters: int = MAX_STEPS,
     pi0: PolicyTable | None = None,
 ) -> tuple[ValueTable, PolicyTable]:
     """Policy iteration: exact evaluation, then a lookahead improvement.
@@ -292,9 +288,8 @@ def policy_iterate(
     n = kernel.space.size
     sids = np.arange(n)
     values = np.zeros(n)
-    q = q_table(kernel, values)
     if pi0 is None:
-        actions = _greedy_of_q(kernel, q, q.min(axis=0))
+        actions = _greedy(kernel, values)[1]
     else:
         pi0.validate(kernel)
         actions = pi0.actions.copy()
@@ -311,7 +306,7 @@ def policy_iterate(
             for _ in range(LOOKAHEAD - 2):
                 u = q_table(kernel, u).min(axis=0)
             actions = q_table(kernel, u).argmin(axis=0).astype(np.int8)
-    best = q.min(axis=0)
+    best, greedy = _greedy(kernel, values)
     residual = float(np.max(np.abs(best - values)))
     table = ValueTable(
         values=values,
@@ -322,7 +317,7 @@ def policy_iterate(
         tol=tol,
         method=POLICY_ITERATION,
     )
-    return table, PolicyTable(_greedy_of_q(kernel, q, best))
+    return table, PolicyTable(greedy)
 
 
 def save_checkpoint(
@@ -406,4 +401,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                 float(data["local_fraction"]),
             )
         n_max = int(data["n_max"]) if "n_max" in data else None
+        size = None if n_max is None else 4 * (n_max + 1) ** 2
+        for name in ("values", "policy"):
+            if size is not None and name in data and data[name].shape != (size,):
+                raise ValueError(
+                    f"checkpoint {name} has shape {data[name].shape}, but its queue cap "
+                    f"{n_max} needs ({size},)"
+                )
     return Checkpoint(table=table, policy=policy, params=params, n_max=n_max)

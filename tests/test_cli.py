@@ -202,6 +202,21 @@ def test_analyze_flags_planted_violation_with_exit_2(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_grid_and_analyze_reject_artifact_whose_cap_disagrees_with_its_table(
+    tmp_path, capsys
+):
+    ck = load_checkpoint(str(_solve_fast(tmp_path)))  # tables for n_max 6
+    wrong = tmp_path / "wrong_cap.npz"
+    save_checkpoint(str(wrong), ck.table, ck.policy, ck.params, n_max=7)
+    capsys.readouterr()
+    for argv in (["grid", "--solution", str(wrong), "--i2", "0", "--i1", "0"],
+                 ["analyze", "--solution", str(wrong)]):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: checkpoint values") and "queue cap 7" in err[0]
+
+
 def test_simulate_writes_report(tmp_path, capsys):
     rc = main(["simulate", *FAST, *SIM_FAST, "--policy", "offload_only",
                "--out-dir", str(tmp_path)])

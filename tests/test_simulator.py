@@ -16,13 +16,11 @@ from offloadq.simulator import (
     TRIPLETS,
     _CHUNK,
     EVENT_KINDS,
-    INDEPENDENT,
     SimConfig,
     SimulationError,
     TablePolicy,
     baseline,
     coupled_compare,
-    gen_triplet,
     mm1_reference,
     simulate,
     substream,
@@ -48,11 +46,9 @@ def test_substream_reproducible_and_distinct():
 
 
 def test_triplet_marginals_and_coupling():
-    rng = substream(4242, 0, TRIPLETS)
-    trips = [gen_triplet(rng, CONFIG_A) for _ in range(20_000)]
-    c1 = np.array([tr.sigma_c1 for tr in trips])
-    l2 = np.array([tr.sigma_l2 for tr in trips])
-    c2 = np.array([tr.sigma_c2 for tr in trips])
+    # the triplets the event loop draws; the log replays below pin them to it
+    _, trips = _drawn_jobs(4242, 20_000, CONFIG_A)
+    c1, l2, c2 = np.array(trips).T
 
     ratio = CONFIG_A.mu_c1 / CONFIG_A.mu_l2
     assert np.array_equal(l2, ratio * c1)  # comonotone pair, exact
@@ -82,8 +78,6 @@ def test_sim_config_defaults_and_validation():
         SimConfig(horizon=10.0, warmup=-1.0)
     with pytest.raises(ValueError):
         SimConfig(replications=0)
-    with pytest.raises(ValueError):
-        SimConfig(coupling="telepathy")
 
 
 def test_mm1_reference_values_and_stability():
@@ -346,13 +340,6 @@ def test_eager_offloading_dominates_lazy_pathwise():
     assert cr.dominance_fraction == 1.0
     assert (cr.rep_dominance == 1.0).all()
     assert cr.diff_mean < 0.0  # B (eager) finishes jobs sooner on average
-
-
-def test_coupled_compare_requires_shared_streams():
-    cfg = SimConfig(horizon=10.0, coupling=INDEPENDENT)
-    with pytest.raises(ValueError, match="coupled comparison"):
-        coupled_compare(baseline("offload_only"), baseline("non_idling"),
-                        CONFIG_A, cfg)
 
 
 # ---------------------------------------------------------------- sample paths

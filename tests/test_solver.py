@@ -218,6 +218,48 @@ def test_factored_q_table_equals_the_stacked_kernel():
         assert q_table(k, v).tobytes() == stacked.tobytes()
 
 
+def _stacked_loop(step, n, tol):
+    """Reference residual loop: sweeps, values and residual at the first sweep within tol."""
+    values = np.zeros(n)
+    sweeps = 0
+    while True:
+        v_new = step(values)
+        sweeps += 1
+        residual = float(np.max(np.abs(v_new - values)))
+        values = v_new
+        if residual <= tol:
+            return values, sweeps, residual
+
+
+def test_value_iterate_equals_the_stacked_kernel_loop():
+    k = _kernel(CONFIG_B, n_max=8, alpha=0.99)
+    alpha = k.discount.alpha
+    values, sweeps, residual = _stacked_loop(
+        lambda v: (k.costs + alpha * (k.probs @ v).reshape(k.costs.shape)).min(axis=0),
+        k.space.size, 1e-9,
+    )
+    table, _ = value_iterate(k, tol=1e-9)
+    assert table.converged
+    assert (table.iterations, table.residual) == (sweeps, residual)
+    assert table.values.tobytes() == values.tobytes()
+
+
+def test_iterative_evaluation_equals_the_stacked_kernel_loop():
+    k = _kernel(CONFIG_B, n_max=8, alpha=0.99)
+    n = k.space.size
+    sids = np.arange(n)
+    pi = _random_admissible_policy(k, np.random.default_rng(3))
+    p_pi = k.probs[pi.actions.astype(np.int64) * n + sids]
+    c_pi = k.costs[pi.actions, sids]
+    values, sweeps, residual = _stacked_loop(
+        lambda v: c_pi + k.discount.alpha * (p_pi @ v), n, 1e-13
+    )
+    table = evaluate_policy(k, pi, method="iterative", tol=1e-13)
+    assert table.converged
+    assert (table.iterations, table.residual) == (sweeps, residual)
+    assert table.values.tobytes() == values.tobytes()
+
+
 def test_evaluate_policy_matches_vi_fixed_point():
     k = _kernel(n_max=3, alpha=0.9)
     tol = 1e-12
