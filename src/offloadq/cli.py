@@ -178,59 +178,45 @@ _HETERO_RATES = ("mu_c1", "mu_l2", "mu_c2")
 
 def _apply_overrides(args, model: dict, solver: dict, sim: dict) -> None:
     """Fold CLI flags into the config blocks; a flag replaces its counterpart."""
-    if getattr(args, "rho", None) is not None and getattr(args, "lam", None) is None:
-        model.pop("lam", None)
-    if getattr(args, "lam", None) is not None and getattr(args, "rho", None) is None:
-        model.pop("rho", None)
-    flagged_simple = any(getattr(args, k, None) is not None for k in _SIMPLE_RATES)
-    flagged_hetero = any(getattr(args, k, None) is not None for k in _HETERO_RATES)
-    if flagged_simple and not flagged_hetero:
-        for k in _HETERO_RATES:
-            model.pop(k, None)
-    if flagged_hetero and not flagged_simple:
-        for k in _SIMPLE_RATES:
-            model.pop(k, None)
-    if getattr(args, "alpha", None) is not None and getattr(args, "beta", None) is None:
-        solver.pop("beta", None)
-    if getattr(args, "beta", None) is not None and getattr(args, "alpha", None) is None:
-        solver.pop("alpha", None)
 
-    for key in ("rho", "lam", *_SIMPLE_RATES, *_HETERO_RATES):
-        value = getattr(args, key, None)
-        if value is not None:
-            model[key] = value
-    for key in ("n_max", "alpha", "beta", "tol", "max_iters", "margin"):
-        value = getattr(args, key, None)
-        if value is not None:
-            solver[key] = value
-    for key in ("horizon", "warmup", "replications", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            sim[key] = value
+    def flagged(keys):
+        return any(getattr(args, k, None) is not None for k in keys)
+
+    # setting one side of a pair, and not the other, drops the stored other
+    for block, one, other in ((model, ("rho",), ("lam",)),
+                              (model, _SIMPLE_RATES, _HETERO_RATES),
+                              (solver, ("alpha",), ("beta",))):
+        for mine, theirs in ((one, other), (other, one)):
+            if flagged(mine) and not flagged(theirs):
+                for k in theirs:
+                    block.pop(k, None)
+
+    for block, keys in ((model, ("rho", "lam", *_SIMPLE_RATES, *_HETERO_RATES)),
+                        (solver, ("n_max", "alpha", "beta", "tol", "max_iters", "margin")),
+                        (sim, ("horizon", "warmup", "replications", "seed"))):
+        for key in keys:
+            value = getattr(args, key, None)
+            if value is not None:
+                block[key] = value
 
 
 def _parse_rates(model: dict) -> tuple[float, float, float]:
-    has_simple = [k for k in _SIMPLE_RATES if k in model]
-    has_hetero = [k for k in _HETERO_RATES if k in model]
+    has_simple = any(k in model for k in _SIMPLE_RATES)
+    has_hetero = any(k in model for k in _HETERO_RATES)
     if has_simple and has_hetero:
         raise ConfigError(
             "model block mixes (mu0, K, f) with (mu_c1, mu_l2, mu_c2); pick one"
         )
-    if has_simple:
-        if len(has_simple) < 3:
-            missing = sorted(set(_SIMPLE_RATES) - set(has_simple))
-            raise ConfigError(f"model block is missing {', '.join(missing)}")
-        return float(model["mu0"]), float(model["K"]), float(model["f"])
-    if has_hetero:
-        if len(has_hetero) < 3:
-            missing = sorted(set(_HETERO_RATES) - set(has_hetero))
-            raise ConfigError(f"model block is missing {', '.join(missing)}")
-        return from_heterogeneous(
-            float(model["mu_c1"]), float(model["mu_l2"]), float(model["mu_c2"])
+    if not has_simple and not has_hetero:
+        raise ConfigError(
+            "model block must provide (mu0, K, f) or (mu_c1, mu_l2, mu_c2)"
         )
-    raise ConfigError(
-        "model block must provide (mu0, K, f) or (mu_c1, mu_l2, mu_c2)"
-    )
+    family = _SIMPLE_RATES if has_simple else _HETERO_RATES
+    missing = sorted(set(family) - set(model))
+    if missing:
+        raise ConfigError(f"model block is missing {', '.join(missing)}")
+    rates = tuple(float(model[k]) for k in family)
+    return rates if has_simple else from_heterogeneous(*rates)
 
 
 def _resolve_out_dir(args, output: dict) -> Path:
@@ -303,6 +289,14 @@ def _solve(params: ModelParams, cfg: RunConfig, pi0: PolicyTable | None = None):
     return space, table, policy
 
 
+def _load_policy_artifact(path):
+    """A solution artifact that must carry a policy table."""
+    ck = load_checkpoint(path)
+    if ck.policy is None or ck.n_max is None:
+        raise ConfigError(f"artifact {path} lacks a stored policy table")
+    return ck
+
+
 def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
     """A policy argument is a baseline name, 'optimal', or an artifact path."""
     if spec in cache:
@@ -323,9 +317,7 @@ def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
                     f"unknown policy {spec!r}: use 'optimal', a baseline name, "
                     "or a solution artifact path"
                 ) from None
-            ck = load_checkpoint(spec)
-            if ck.policy is None or ck.n_max is None:
-                raise ConfigError(f"artifact {spec} lacks a stored policy table")
+            ck = _load_policy_artifact(spec)
             if ck.params is not None and not params_close(ck.params, cfg.params):
                 rates = "lam={0.lam:g}, mu0={0.mu0:g}, K={0.K:g}, f={0.f:g}".format
                 raise ConfigError(
@@ -373,9 +365,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    ck = load_checkpoint(args.solution)
-    if ck.policy is None or ck.n_max is None:
-        raise ConfigError(f"artifact {args.solution} lacks a stored policy table")
+    ck = _load_policy_artifact(args.solution)
     space = ck.space()
     acts = ck.policy.actions
     rows = []
@@ -392,9 +382,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ck = load_checkpoint(args.solution)
-    if ck.policy is None or ck.n_max is None:
-        raise ConfigError(f"artifact {args.solution} lacks a stored policy table")
+    ck = _load_policy_artifact(args.solution)
     space = ck.space()
     # with the stored model the checks can screen violations against their
     # action-value margins instead of trusting tie-broken actions verbatim
@@ -629,10 +617,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError, SimulationError) as exc:
+    except (OSError, ValueError, SimulationError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

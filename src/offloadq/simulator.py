@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -183,8 +184,7 @@ class _RepResult:
     saturation_events: int
     inadmissible_stops: int
     events: list | None = None
-    traj_t: np.ndarray | None = None
-    traj_n: np.ndarray | None = None
+    event_times: tuple | None = None
 
 
 def _run_replication(
@@ -193,9 +193,13 @@ def _run_replication(
     cfg: SimConfig,
     rep: int,
     collect_events: bool = False,
-    collect_traj: bool = False,
+    collect_times: bool = False,
 ) -> _RepResult:
-    """Replication ``rep`` on the substreams (cfg.seed, rep, ARRIVALS/TRIPLETS)."""
+    """Replication ``rep`` on the substreams (cfg.seed, rep, ARRIVALS/TRIPLETS).
+
+    ``collect_times`` logs the event instants in one list per event kind,
+    unless ``collect_events`` logs the full records instead.
+    """
     act = policy.action if hasattr(policy, "action") else policy
     sat_before = getattr(policy, "saturation_events", 0)
 
@@ -248,10 +252,10 @@ def _run_replication(
     area = 0.0
     inadmissible = 0
     pending_kind = -1
-    collect = collect_events or collect_traj
+    collect = collect_events or collect_times
     events: list = []
-    traj_t: list = [0.0]
-    traj_n: list = [0]
+    # lists, not arrays: CPython runs list.append without a general call
+    times = tuple([] for _ in EVENT_KINDS)
 
     try:
         while True:
@@ -305,9 +309,8 @@ def _run_replication(
             if collect and pending_kind >= 0:
                 if collect_events:
                     events.append((t, EVENT_KINDS[pending_kind], n0, i2, i1, n2))
-                if collect_traj:
-                    traj_t.append(t)
-                    traj_n.append(n_tot)
+                else:
+                    times[pending_kind].append(t)
 
             # ---- next event; an arrival wins ties ----
             if next_arrival <= t_srv:
@@ -405,8 +408,7 @@ def _run_replication(
         saturation_events=getattr(policy, "saturation_events", 0) - sat_before,
         inadmissible_stops=inadmissible,
         events=events if collect_events else None,
-        traj_t=np.asarray(traj_t) if collect_traj else None,
-        traj_n=np.asarray(traj_n) if collect_traj else None,
+        event_times=times if collect_times else None,
     )
 
 
@@ -521,8 +523,12 @@ class CoupledReport:
 
     ``diff_mean`` is the mean over replications of (mean sojourn under B -
     mean sojourn under A); ``dominance_fraction`` is the fraction of event
-    times, pooled over replications, at which system B holds at most as
-    many jobs as system A.
+    instants, pooled over replications, at which system B holds at most as
+    many jobs as system A, and ``rep_dominance`` the same per replication
+    (NaN when a replication has no events).  The instants are every event
+    <= horizon of either system: arrivals, local-preprocessing completions
+    and both kinds of cloud completion.  Equal instants count once, and the
+    state compared is the one after all events at that instant.
     """
 
     report_a: DelayReport
@@ -545,16 +551,24 @@ class CoupledReport:
         }
 
 
-def _dominance_counts(ra: _RepResult, rb: _RepResult) -> tuple[int, int]:
-    """Count merged event times where system B holds at most as many jobs as A."""
-    times = np.union1d(ra.traj_t[1:], rb.traj_t[1:])
-    na = np.concatenate(([ra.traj_n[0]], ra.traj_n))[
-        np.searchsorted(ra.traj_t, times, side="right")
-    ]
-    nb = np.concatenate(([rb.traj_n[0]], rb.traj_n))[
-        np.searchsorted(rb.traj_t, times, side="right")
-    ]
-    return int(np.count_nonzero(nb <= na)), int(times.size)
+def _dominance_counts(times_a: tuple, times_b: tuple) -> tuple[int, int]:
+    """(instants where B holds at most as many jobs as A, instants).
+
+    Takes each system's per-kind event-time logs; the instants are those
+    ``CoupledReport`` describes.  The arrivals are shared, so B holds at
+    most as many jobs exactly when it has completed at least as many: the
+    sorted logs are merged, and a sum of +1 per completion in A and -1 per
+    completion in B is read after the last event at each instant.
+    """
+    runs = (*times_a, *times_b[1:])  # B's arrivals are A's
+    sizes = [len(r) for r in runs]
+    t = np.fromiter(chain.from_iterable(runs), float, sum(sizes))
+    step = np.repeat([0, 0, 1, 1, 0, -1, -1], sizes)
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    lead = np.cumsum(step[order])
+    last = np.diff(t, append=np.inf) != 0  # the last event at each instant
+    return int(np.count_nonzero(lead[last] <= 0)), int(np.count_nonzero(last))
 
 
 def coupled_compare(
@@ -576,13 +590,13 @@ def coupled_compare(
     dom_total = 0
     rep_dom = []
     for r in range(cfg.replications):
-        ra = _run_replication(policy_a, p, cfg, r, collect_traj=True)
-        rb = _run_replication(policy_b, p, cfg, r, collect_traj=True)
-        hits, total = _dominance_counts(ra, rb)
+        ra = _run_replication(policy_a, p, cfg, r, collect_times=True)
+        rb = _run_replication(policy_b, p, cfg, r, collect_times=True)
+        hits, total = _dominance_counts(ra.event_times, rb.event_times)
         dom_hits += hits
         dom_total += total
         rep_dom.append(hits / total if total else float("nan"))
-        ra.traj_t = ra.traj_n = rb.traj_t = rb.traj_n = None
+        ra.event_times = rb.event_times = None
         reps_a.append(ra)
         reps_b.append(rb)
     report_a = _aggregate(reps_a, cfg, False)

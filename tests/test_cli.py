@@ -217,6 +217,19 @@ def test_grid_and_analyze_reject_artifact_whose_cap_disagrees_with_its_table(
         assert err[0].startswith("error: checkpoint values") and "queue cap 7" in err[0]
 
 
+def test_artifact_without_policy_table_rejected(tmp_path, capsys):
+    ck = load_checkpoint(str(_solve_fast(tmp_path)))
+    bare = tmp_path / "values_only.npz"
+    save_checkpoint(str(bare), ck.table, params=ck.params, n_max=ck.n_max)
+    capsys.readouterr()
+    for argv in (["grid", "--solution", str(bare), "--i2", "0", "--i1", "0"],
+                 ["analyze", "--solution", str(bare)],
+                 ["simulate", *FAST, *SIM_FAST, "--policy", str(bare)]):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: artifact {bare} lacks a stored policy table"]
+
+
 def test_simulate_writes_report(tmp_path, capsys):
     rc = main(["simulate", *FAST, *SIM_FAST, "--policy", "offload_only",
                "--out-dir", str(tmp_path)])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from offloadq.kernel import build_state_space
@@ -19,6 +21,7 @@ from offloadq.simulator import (
     SimConfig,
     SimulationError,
     TablePolicy,
+    _dominance_counts,
     baseline,
     coupled_compare,
     mm1_reference,
@@ -414,16 +417,113 @@ def test_sample_path_pinned(config, policy, path, saturation, inadmissible):
 
 
 @pytest.mark.parametrize(
-    "config, dominance",
+    "config, policy_a, path_a, dominance",
     [
-        ("a", [0.7027843005702784, 0.6986301369863014]),
-        ("heavy", [0.9996360989810772, 0.9949791819740387]),
+        ("a", "offload_only", "offload_only", [0.7027843005702784, 0.6986301369863014]),
+        ("heavy", "offload_only", "offload_only", [0.9996360989810772, 0.9949791819740387]),
+        # the cap-1 table follows non_idling's path, so every instant is a
+        # tie between the systems
+        ("a", "table1", "non_idling", [1.0, 1.0]),
+        ("heavy", "table1", "non_idling", [1.0, 1.0]),
     ],
+    ids=["a-dominance0", "heavy-dominance1", "a-table1", "heavy-table1"],
 )
-def test_coupled_sample_path_pinned(config, dominance):
+def test_coupled_sample_path_pinned(config, policy_a, path_a, dominance):
     p = CONFIG_A if config == "a" else HEAVY
-    cr = coupled_compare(baseline("offload_only"), baseline("non_idling"), p, PIN_CFG)
+    cr = coupled_compare(_pin_policy(policy_a), baseline("non_idling"), p, PIN_CFG)
     assert cr.rep_dominance.tolist() == dominance
-    a, b = PINNED_PATHS[(config, "offload_only")], PINNED_PATHS[(config, "non_idling")]
+    a, b = PINNED_PATHS[(config, path_a)], PINNED_PATHS[(config, "non_idling")]
     assert cr.report_a.rep_mean_sojourn.tolist() == a[0]
     assert cr.report_b.rep_mean_sojourn.tolist() == b[0]
+
+
+# ---------------------------------------------------------------- dominance count
+
+
+def _trajectory(log):
+    """Event times and N(t) after each event, from an event log."""
+    t = np.array([0.0] + [r[0] for r in log])
+    n = np.array([0] + [r[2] + r[3] + r[4] + r[5] for r in log])
+    return t, n
+
+
+def _reference_dominance(policy_a, policy_b, p, cfg):
+    """rep_dominance from full trajectories: union of instants, N read by search."""
+    logs_a = simulate(policy_a, p, cfg, collect_events=True).event_logs
+    logs_b = simulate(policy_b, p, cfg, collect_events=True).event_logs
+    out = []
+    for log_a, log_b in zip(logs_a, logs_b):
+        ta, na = _trajectory(log_a)
+        tb, nb = _trajectory(log_b)
+        times = np.union1d(ta[1:], tb[1:])
+        at_a = na[np.searchsorted(ta, times, side="right") - 1]
+        at_b = nb[np.searchsorted(tb, times, side="right") - 1]
+        out.append(np.count_nonzero(at_b <= at_a) / times.size)
+    return out
+
+
+@pytest.mark.parametrize(
+    "policy_a, policy_b",
+    [
+        ("offload_only", "non_idling"),
+        ("non_idling", "offload_only"),
+        ("table1", "offload_only"),  # saturates at every queue above one
+        ("non_idling", "non_idling"),
+    ],
+)
+@pytest.mark.parametrize("config", ["a", "heavy"])
+def test_dominance_equals_trajectory_reference(config, policy_a, policy_b):
+    p = CONFIG_A if config == "a" else HEAVY
+    cfg = SimConfig(horizon=600.0, replications=3, seed=19)
+    cr = coupled_compare(_pin_policy(policy_a), _pin_policy(policy_b), p, cfg)
+    ref = _reference_dominance(_pin_policy(policy_a), _pin_policy(policy_b), p, cfg)
+    assert cr.rep_dominance.tolist() == ref
+    if policy_a == policy_b:
+        assert ref == [1.0] * 3
+
+
+def test_dominance_undefined_without_arrivals():
+    p = derive_rates(0.0, 1.0, 8.0, 0.4)
+    cr = coupled_compare(baseline("offload_only"), baseline("non_idling"), p,
+                         SimConfig(horizon=100.0, replications=2, seed=1))
+    assert np.isnan(cr.rep_dominance).all() and len(cr.rep_dominance) == 2
+    assert math.isnan(cr.dominance_fraction)
+
+
+def _brute_dominance(times_a, times_b):
+    """Instants where B holds at most as many jobs as A, one by one."""
+    arrivals = times_a[0]
+    instants = sorted(set(arrivals).union(*times_a[1:], *times_b[1:]))
+    hits = 0
+    for t in instants:
+        arrived = sum(x <= t for x in arrivals)
+        n_a = arrived - sum(x <= t for x in times_a[2] + times_a[3])
+        n_b = arrived - sum(x <= t for x in times_b[2] + times_b[3])
+        hits += n_b <= n_a
+    return hits, len(instants)
+
+
+# few distinct instants, so ties within and across systems are common
+_instants = st.lists(st.integers(0, 12).map(lambda k: k / 4), max_size=12).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_instants] * 7))
+@example(([1.0], [2.0], [3.0], [], [2.0], [], [2.0]))  # a local done ties B's exit
+@example(([1.0, 1.0], [], [1.0], [1.0], [], [1.0, 1.0], []))  # all at one instant
+def test_merge_count_equals_brute_force(runs):
+    arrivals, *rest = runs
+    times_a = (arrivals, *rest[:3])
+    times_b = (arrivals, *rest[3:])
+    assert _dominance_counts(times_a, times_b) == _brute_dominance(times_a, times_b)
+
+
+def test_local_done_instants_are_counted():
+    # A's job leaves by full offload at 1.5; B's is preprocessed until 2,
+    # then leaves the cloud at 3: at 2 B holds more than A
+    times_a = ([1.0], [], [], [1.5])
+    times_b = ([1.0], [2.0], [3.0], [])
+    assert _dominance_counts(times_a, times_b) == (2, 4)
+    without_local = ([1.0], [], [3.0], [])
+    assert _dominance_counts(times_a, without_local) == (2, 3)
+    assert _brute_dominance(times_a, times_b) == (2, 4)
