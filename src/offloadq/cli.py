@@ -29,7 +29,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,15 +137,6 @@ class RunConfig:
             "mu_c2": p.mu_c2,
             "utilization": p.utilization,
             "rho": self.rho,
-        }
-
-    def sim_dict(self) -> dict:
-        cfg = self.sim_config()
-        return {
-            "horizon": cfg.horizon,
-            "warmup": cfg.warmup,
-            "replications": cfg.replications,
-            "seed": cfg.seed,
         }
 
 
@@ -404,7 +395,7 @@ def _write_sim_json(cfg: RunConfig, name: str, report, **policies: str) -> None:
     """One simulation artifact: the policy names, model, sim block and report."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": SCHEMA_VERSION, "model": cfg.model_dict(),
-               "sim": cfg.sim_dict(), "report": report.to_json_dict(), **policies}
+               "sim": asdict(cfg.sim_config()), "report": report.to_json_dict(), **policies}
     _write_json(cfg.out_dir / name, payload)
 
 
@@ -443,6 +434,7 @@ def cmd_sweep(args) -> int:
     policies = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
     if not rhos or not policies:
         raise ConfigError("sweep needs at least one rho and one policy")
+    bases = {name: baseline(name) for name in policies if name != "optimal"}
     if "optimal" in policies:
         cfg.discount_for(cfg.params)  # fail before the long run if unset
     rows = []
@@ -466,7 +458,7 @@ def cmd_sweep(args) -> int:
                 rows.append((_fmt(rho), name, "", "", "", "unstable"))
                 print(f"rho={rho:g} {name}: unstable")
                 continue
-            policy = table_policy if name == "optimal" else baseline(name)
+            policy = table_policy if name == "optimal" else bases[name]
             report = simulate(policy, params, cfg.sim_config())
             _warn_saturation(f"{name} at rho={rho:g}", report)
             rows.append(

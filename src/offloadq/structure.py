@@ -16,7 +16,9 @@ the interior region only: states whose queue content n0 + n2 is at most
 the deep corner of the index box out of scope — there both queues hold up
 to twice the buffer limit, blocked arrivals make idling artificially
 attractive, and the computed policy genuinely deviates from the
-infinite-space structure.
+infinite-space structure.  The margin must lie in ``[0, n_max - 2]``: a
+wider one leaves no interior (n0, 0, 1, 0) / (n0, 0, 0, 1) pair for the
+cloud-mode gap, and every entry point rejects it with ``ValueError``.
 
 A solved table only pins action preferences down to its numerical
 resolution, and in large indifference regions (for example, committing a
@@ -34,7 +36,7 @@ returned as counterexample lists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,6 +50,7 @@ SCHEMA_VERSION = 1
 # composite double assignment
 _ASSIGNS_SM2 = (int(Action.SM2), int(Action.SM1_THEN_SM2))
 _CLOUD_FIRST_OK = (int(Action.SM1), int(Action.SM1_THEN_SM2))
+_ACTING = (int(Action.SM1), int(Action.SM2), int(Action.SM1_THEN_SM2))
 
 
 def _action_name(code: int) -> str:
@@ -67,15 +70,6 @@ class CheckResult:
     checked: int
     counterexamples: tuple = ()
     indeterminate: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checked": self.checked,
-            "counterexamples": [list(c) for c in self.counterexamples],
-            "indeterminate": self.indeterminate,
-        }
 
 
 @dataclass(frozen=True)
@@ -156,28 +150,39 @@ class ValueGaps:
     min_arrival_gap: float
     checked: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min_cloud_mode_gap": self.min_cloud_mode_gap,
-            "min_arrival_gap": self.min_arrival_gap,
-            "checked": self.checked,
-        }
-
 
 def _interior_cap(space: StateSpace, margin: int) -> int:
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    """Bound on n0 + n2 of the interior; the one place the margin is validated."""
+    if not 0 <= margin <= space.n_max - 2:
+        raise ValueError(
+            f"margin must lie in [0, n_max - 2] = [0, {space.n_max - 2}], got {margin}"
+        )
     return space.n_max - margin
 
 
-def _acting_advantage(q: np.ndarray) -> np.ndarray:
-    """Per state, how much cheaper the best non-idle action is than idling."""
-    return q[0] - np.minimum(np.minimum(q[1], q[2]), q[3])
+def _steps(space: StateSpace, cap: int) -> tuple[np.ndarray, int]:
+    """Interior states whose one-more-queued-job neighbour is interior, and that id offset."""
+    return np.flatnonzero(space.n0 + space.n2 + 1 <= cap), 4 * (space.n_max + 1)
 
 
-def _assign_advantage(q: np.ndarray) -> np.ndarray:
-    """Per state, how much cheaper the best split-assigning action is than not assigning."""
-    return np.minimum(q[0], q[1]) - np.minimum(q[2], q[3])
+def _advantage(q: np.ndarray, family) -> np.ndarray:
+    """Per state, how much cheaper the best action in ``family`` is than the best outside it."""
+    inside = np.isin(np.arange(q.shape[0]), family)
+    return q[~inside].min(axis=0) - q[inside].min(axis=0)
+
+
+def _screen(broken: np.ndarray, q, family, floor: float, *partner_offsets: int):
+    """Decided candidate violations and the count of indeterminate ones.
+
+    A candidate is decided only if ``family`` and the other actions are
+    separated by more than ``floor`` at the state and at each partner
+    ``state + offset``; without ``q`` every candidate is decided.
+    """
+    if q is None:
+        return broken, 0
+    adv = np.abs(_advantage(q, family))
+    strict = np.logical_and.reduce([adv[broken + d] > floor for d in (0, *partner_offsets)])
+    return broken[strict], int(broken.size - strict.sum())
 
 
 def check_cloud_first(
@@ -189,24 +194,13 @@ def check_cloud_first(
 ) -> CheckResult:
     """Full offload must be started whenever the cloud is completely free."""
     cap = _interior_cap(space, margin)
-    acts = pi.actions
-    bad = []
-    checked = 0
-    indeterminate = 0
-    for i2 in (0, 1):
-        for n0 in range(1, cap + 1):
-            sid = space.id_of(n0, i2, 0, 0)
-            checked += 1
-            if int(acts[sid]) in _CLOUD_FIRST_OK:
-                continue
-            if q is not None:
-                offload = min(q[1, sid], q[3, sid])
-                keep = min(q[0, sid], q[2, sid])
-                if abs(keep - offload) <= floor:
-                    indeterminate += 1
-                    continue
-            bad.append(((n0, i2, 0, 0), _action_name(acts[sid])))
-    return CheckResult("cloud_first", not bad, checked, tuple(bad), indeterminate)
+    acts = np.asarray(pi.actions)
+    sids = np.concatenate([space.ids_of(np.arange(1, cap + 1), i2, 0, 0) for i2 in (0, 1)])
+    broken, indeterminate = _screen(
+        sids[~np.isin(acts[sids], _CLOUD_FIRST_OK)], q, _CLOUD_FIRST_OK, floor
+    )
+    bad = tuple((space.state_of(int(s)), _action_name(acts[s])) for s in broken)
+    return CheckResult("cloud_first", not bad, int(sids.size), bad, indeterminate)
 
 
 def check_switch_type(
@@ -221,36 +215,26 @@ def check_switch_type(
     Unit steps suffice: violations of larger shifts always contain a
     violating unit step on the path between the two states.
     """
-    cap = _interior_cap(space, margin)
     acts = np.asarray(pi.actions)
     assigns = np.isin(acts, _ASSIGNS_SM2)
-    adv = None if q is None else _assign_advantage(q)
-    # source and its +1 neighbour must both be interior: n0 + n2 < cap
-    room = space.n0 + space.n2 + 1 <= cap
-    stride_n0 = 4 * (space.n_max + 1)
+    src, up = _steps(space, _interior_cap(space, margin))
+    src = src[assigns[src]]
     bad = []
-    checked = 0
     indeterminate = 0
-    for stride in (stride_n0, 1):
-        src = np.flatnonzero(assigns & room)
-        checked += src.size
-        broken = src[~assigns[src + stride]]
-        if adv is not None:
-            # a real hole needs both ends strictly decided
-            strict = (np.abs(adv[broken]) > floor) & (np.abs(adv[broken + stride]) > floor)
-            indeterminate += int(broken.size - strict.sum())
-            broken = broken[strict]
-        for sid in broken:
-            bad.append(
-                (
-                    space.state_of(int(sid)),
-                    space.state_of(int(sid + stride)),
-                    _action_name(acts[sid]),
-                    _action_name(acts[sid + stride]),
-                )
+    for step in (up, 1):
+        broken, undecided = _screen(src[~assigns[src + step]], q, _ASSIGNS_SM2, floor, step)
+        indeterminate += undecided
+        bad += [
+            (
+                space.state_of(int(s)),
+                space.state_of(int(s + step)),
+                _action_name(acts[s]),
+                _action_name(acts[s + step]),
             )
+            for s in broken
+        ]
     bad.sort()
-    return CheckResult("switch_type", not bad, checked, tuple(bad), indeterminate)
+    return CheckResult("switch_type", not bad, 2 * src.size, tuple(bad), indeterminate)
 
 
 def extract_thresholds(pi: PolicyTable, space: StateSpace, margin: int = 5) -> ThresholdProfile:
@@ -261,8 +245,6 @@ def extract_thresholds(pi: PolicyTable, space: StateSpace, margin: int = 5) -> T
     that many queued jobs on the slice assigns SM2 (composite included).
     """
     cap = _interior_cap(space, margin)
-    if cap < 1:
-        return ThresholdProfile()
     acts = np.asarray(pi.actions)
     assigns = np.isin(acts, _ASSIGNS_SM2)
 
@@ -281,25 +263,6 @@ def extract_thresholds(pi: PolicyTable, space: StateSpace, margin: int = 5) -> T
     return ThresholdProfile(sm1_busy=sm1_busy, sm1_free=sm1_free, cap=cap)
 
 
-def reconstruct_sm2_region(
-    profile: ThresholdProfile, space: StateSpace, margin: int = 5
-) -> np.ndarray:
-    """Boolean mask over state ids: SM2 assigned according to the thresholds.
-
-    Covers exactly the slices the profile describes; states outside them
-    (local slot busy, or the all-free slice n2 = 0, i1 = 0) are False.
-    """
-    cap = _interior_cap(space, margin)
-    mask = np.zeros(space.size, dtype=bool)
-    for family, i1 in ((profile.sm1_busy, 1), (profile.sm1_free, 0)):
-        for k, thr in family.items():
-            if thr is None:
-                continue
-            sids = space.ids_of(np.arange(thr, cap - k + 1), 0, i1, k)
-            mask[sids] = True
-    return mask
-
-
 def check_urgency_monotonicity(
     pi: PolicyTable,
     space: StateSpace,
@@ -308,47 +271,29 @@ def check_urgency_monotonicity(
     floor: float = 0.0,
 ) -> CheckResult:
     """Idling with an extra queued job implies idling without it."""
-    cap = _interior_cap(space, margin)
     acts = np.asarray(pi.actions)
-    stride_n0 = 4 * (space.n_max + 1)
-    src = np.flatnonzero(space.n0 + space.n2 + 1 <= cap)
-    idle_up = acts[src + stride_n0] == int(Action.IDLE)
-    busy_here = acts[src] != int(Action.IDLE)
-    broken = src[idle_up & busy_here]
-    indeterminate = 0
-    if q is not None:
-        adv = _acting_advantage(q)
-        strict = (np.abs(adv[broken]) > floor) & (np.abs(adv[broken + stride_n0]) > floor)
-        indeterminate = int(broken.size - strict.sum())
-        broken = broken[strict]
-    bad = []
-    for sid in broken:
-        bad.append(
-            (
-                space.state_of(int(sid)),
-                _action_name(acts[sid]),
-                space.state_of(int(sid + stride_n0)),
-            )
-        )
-    bad.sort()
+    src, up = _steps(space, _interior_cap(space, margin))
+    idle = acts == int(Action.IDLE)
+    broken, indeterminate = _screen(src[idle[src + up] & ~idle[src]], q, _ACTING, floor, up)
+    bad = sorted(
+        (space.state_of(int(s)), _action_name(acts[s]), space.state_of(int(s + up)))
+        for s in broken
+    )
     return CheckResult("urgency_monotonicity", not bad, int(src.size), tuple(bad), indeterminate)
 
 
-def check_value_inequalities(
-    v: ValueTable, space: StateSpace, margin: int = 5
-) -> ValueGaps:
+def check_value_inequalities(v: ValueTable, space: StateSpace, margin: int = 5) -> ValueGaps:
     """Minimum gaps of the two comparison inequalities on a solved table."""
     cap = _interior_cap(space, margin)
     values = v.values
     # the (n,0,0,1) partner holds n + 1 jobs, so stop one short of the cap
     ns = np.arange(1, cap)
     mode_gap = values[space.ids_of(ns, 0, 1, 0)] - values[space.ids_of(ns, 0, 0, 1)]
-    stride_n0 = 4 * (space.n_max + 1)
-    src = np.flatnonzero(space.n0 + space.n2 + 1 <= cap)
-    arrival_gap = values[src + stride_n0] - values[src]
+    src, up = _steps(space, cap)
+    arrival_gap = values[src + up] - values[src]
     return ValueGaps(
-        min_cloud_mode_gap=float(mode_gap.min()) if mode_gap.size else float("nan"),
-        min_arrival_gap=float(arrival_gap.min()) if arrival_gap.size else float("nan"),
+        min_cloud_mode_gap=float(mode_gap.min()),
+        min_arrival_gap=float(arrival_gap.min()),
         checked=int(ns.size + src.size),
     )
 
@@ -384,20 +329,19 @@ class StructureReport:
         return ok
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "n_max": self.n_max,
             "margin": self.margin,
             "decision_floor": self.decision_floor,
-            "cloud_first": self.cloud_first.to_json_dict(),
-            "switch_type": self.switch_type.to_json_dict(),
-            "urgency_monotonicity": self.urgency_monotone.to_json_dict(),
+            "cloud_first": asdict(self.cloud_first),
+            "switch_type": asdict(self.switch_type),
+            "urgency_monotonicity": asdict(self.urgency_monotone),
             "thresholds": self.thresholds.to_json_dict(),
             "thresholds_non_increasing": self.thresholds_non_increasing,
-            "value_gaps": None if self.value_gaps is None else self.value_gaps.to_json_dict(),
+            "value_gaps": None if self.value_gaps is None else asdict(self.value_gaps),
             "all_passed": self.all_passed(),
         }
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -409,25 +353,21 @@ class StructureReport:
         def ties(result: CheckResult) -> str:
             return f", {result.indeterminate} indeterminate" if result.indeterminate else ""
 
+        checks = (("cloud_first", self.cloud_first, "states"),
+                  ("switch_type", self.switch_type, "steps"),
+                  ("urgency_monotone", self.urgency_monotone, "states"))
         lines = [
             f"queue cap          : {self.n_max}",
             f"boundary margin    : {self.margin}",
             f"decision floor     : {self.decision_floor:.3e}",
-            f"cloud_first        : {verdict(self.cloud_first.passed)}"
-            f" ({self.cloud_first.checked} states{ties(self.cloud_first)})",
-            f"switch_type        : {verdict(self.switch_type.passed)}"
-            f" ({self.switch_type.checked} steps{ties(self.switch_type)})",
-            f"urgency_monotone   : {verdict(self.urgency_monotone.passed)}"
-            f" ({self.urgency_monotone.checked} states{ties(self.urgency_monotone)})",
-            f"thresholds_monotone: {verdict(self.thresholds_non_increasing)}",
         ]
-        for result in (self.cloud_first, self.switch_type, self.urgency_monotone):
-            for ce in result.counterexamples[:10]:
-                lines.append(f"  counterexample {result.name}: {ce}")
-            if len(result.counterexamples) > 10:
-                lines.append(
-                    f"  ... {len(result.counterexamples) - 10} more {result.name} counterexamples"
-                )
+        for label, r, unit in checks:
+            lines.append(f"{label:<19}: {verdict(r.passed)} ({r.checked} {unit}{ties(r)})")
+        lines.append(f"thresholds_monotone: {verdict(self.thresholds_non_increasing)}")
+        for _, r, _ in checks:
+            lines += [f"  counterexample {r.name}: {ce}" for ce in r.counterexamples[:10]]
+            if len(r.counterexamples) > 10:
+                lines.append(f"  ... {len(r.counterexamples) - 10} more {r.name} counterexamples")
         if self.value_gaps is not None:
             g = self.value_gaps
             lines.append(
@@ -455,19 +395,15 @@ def run_structure_checks(
     the floor — ``alpha / (1 - alpha) * residual`` unless overridden — are
     indeterminate tie-breaking artifacts, not failures.
     """
-    q = None
-    floor = 0.0
+    q, floor = None, 0.0
     if kernel is not None:
         if values is None:
             raise ValueError("margin screening needs the solved value table")
         q = q_table(kernel, values.values)
-        if decision_floor is None:
-            alpha = kernel.discount.alpha
-            amplification = alpha / (1.0 - alpha)
-            res = values.residual
-            floor = max(TIE_EPS, amplification * res) if np.isfinite(res) else TIE_EPS
-        else:
-            floor = decision_floor
+        alpha, res = kernel.discount.alpha, values.residual
+        floor = decision_floor
+        if floor is None:
+            floor = max(TIE_EPS, alpha / (1.0 - alpha) * res) if np.isfinite(res) else TIE_EPS
     thresholds = extract_thresholds(pi, space, margin)
     return StructureReport(
         n_max=space.n_max,

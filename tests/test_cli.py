@@ -202,6 +202,21 @@ def test_analyze_flags_planted_violation_with_exit_2(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_analyze_rejects_a_margin_that_leaves_no_interior(tmp_path, capsys):
+    sol = _solve_fast(tmp_path / "solved")  # n_max 6: the widest margin is 4
+    capsys.readouterr()
+    rc = main(["analyze", "--solution", str(sol), "--margin", "5",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: margin")
+    assert not (tmp_path / "structure.json").exists()
+    assert main(["analyze", "--solution", str(sol), "--margin", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "structure.json").exists()
+
+
 def test_grid_and_analyze_reject_artifact_whose_cap_disagrees_with_its_table(
     tmp_path, capsys
 ):
@@ -346,6 +361,16 @@ def test_sweep_resolves_optimal_per_rho(tmp_path, capsys):
     rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().split("\n")[1:-1]]
     assert [r[0] for r in rows] == ["0.2", "0.4"]
     assert all(r[5] == "ok" for r in rows)
+
+
+def test_sweep_rejects_unknown_policy_before_any_work(tmp_path, capsys):
+    rc = main(["sweep", *FAST[2:], *SIM_FAST, "--rhos", "0.2,0.4",
+               "--policies", "optimal,bogus", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "unknown baseline 'bogus'" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_requires_discount_only_for_optimal(tmp_path, capsys):

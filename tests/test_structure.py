@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offloadq.kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
 from offloadq.model import Action, derive_rates
 from offloadq.simulator import baseline, tabulate_policy
-from offloadq.solver import PolicyTable, ValueTable, value_iterate
+from offloadq.solver import PolicyTable, ValueTable, q_table, value_iterate
 from offloadq.structure import (
     ThresholdProfile,
     check_cloud_first,
@@ -17,7 +19,6 @@ from offloadq.structure import (
     check_value_inequalities,
     extract_thresholds,
     profile_leq,
-    reconstruct_sm2_region,
     run_structure_checks,
 )
 
@@ -116,27 +117,6 @@ def test_threshold_none_when_top_state_does_not_split(space):
         acts[space.id_of(n0, 0, 1, 0)] = int(Action.SM2)
     prof = extract_thresholds(PolicyTable(actions=acts), space, margin=MARGIN)
     assert prof.sm1_busy[0] is None
-
-
-def test_reconstruction_round_trip(space):
-    acts = tabulate_policy(baseline("non_idling"), space)
-    table = PolicyTable(actions=acts)
-    prof = extract_thresholds(table, space, margin=MARGIN)
-    mask = reconstruct_sm2_region(prof, space, margin=MARGIN)
-    # agreement on every slice the profile describes
-    assigns = np.isin(acts, (int(Action.SM2), int(Action.SM1_THEN_SM2)))
-    for k in range(0, CAP):
-        sids = space.ids_of(np.arange(1, CAP - k + 1), 0, 1, k)
-        assert (mask[sids] == assigns[sids]).all()
-    for k in range(1, CAP):
-        sids = space.ids_of(np.arange(1, CAP - k + 1), 0, 0, k)
-        assert (mask[sids] == assigns[sids]).all()
-    # nothing outside the described slices
-    covered = np.zeros(space.size, dtype=bool)
-    for i1, lo in ((1, 0), (0, 1)):
-        for k in range(lo, CAP):
-            covered[space.ids_of(np.arange(1, CAP - k + 1), 0, i1, k)] = True
-    assert not mask[~covered].any()
 
 
 def test_profile_leq_none_is_infinite():
@@ -245,3 +225,162 @@ def test_solved_small_instance_passes_with_screening(space, solved):
     kernel, table, policy = solved
     report = run_structure_checks(policy, space, margin=MARGIN, values=table, kernel=kernel)
     assert report.all_passed()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_cloud_first, check_switch_type, check_urgency_monotonicity,
+     check_value_inequalities, extract_thresholds, run_structure_checks],
+    ids=lambda f: f.__name__,
+)
+def test_margin_must_leave_an_interior(space, check):
+    if check is check_value_inequalities:
+        table = ValueTable(values=np.ones(space.size), discount=DiscountSpec.from_alpha(10.0, 0.99))
+    else:
+        table = _table(space, "non_idling")
+    for margin in (N_MAX - 1, N_MAX, -1):
+        with pytest.raises(ValueError, match="margin"):
+            check(table, space, margin)
+    # the widest accepted margin still leaves one cloud-mode pair and one step
+    result = check(table, space, N_MAX - 2)
+    if check is check_value_inequalities:
+        assert result.min_cloud_mode_gap == 0.0  # flat table, not NaN
+
+
+# ----------------------------------------------- brute-force reference checks
+
+REF_N_MAX = 8
+
+
+@pytest.fixture(scope="module")
+def ref_solved():
+    space = build_state_space(REF_N_MAX)
+    p = derive_rates(3.0, 1.0, 8.0, 0.4)
+    kernel = build_kernel(p, space, DiscountSpec.from_alpha(uniformization_rate(p), 0.99))
+    table, policy = value_iterate(kernel, tol=1e-10)
+    return space, kernel, table, policy
+
+
+def _reference_checks(acts, space, margin, q, floor):
+    """Each check's definition applied state by state, as (passed, checked, ces, indet)."""
+    cap = space.n_max - margin
+
+    def code(s):
+        return int(acts[space.id_of(*s)])
+
+    def name(s):
+        return Action(code(s)).name.lower()
+
+    def undecided(family, *states):
+        # the screen: the best action in the family and the best outside it
+        # must differ by more than the floor at every state involved
+        if q is None:
+            return False
+        for s in states:
+            sid = space.id_of(*s)
+            inside = min(q[a, sid] for a in range(4) if a in family)
+            outside = min(q[a, sid] for a in range(4) if a not in family)
+            if not abs(outside - inside) > floor:
+                return True
+        return False
+
+    def result(bad, checked, indeterminate, order=sorted):
+        return (not bad, checked, tuple(order(bad)), indeterminate)
+
+    interior = [
+        (n0, i2, i1, n2)
+        for n0 in range(space.n_max + 1)
+        for i2 in (0, 1)
+        for i1 in (0, 1)
+        for n2 in range(space.n_max + 1)
+        if n0 + n2 + 1 <= cap
+    ]
+    offload, assign, acting = (1, 3), (2, 3), (1, 2, 3)
+
+    bad, checked, indet = [], 0, 0
+    for i2 in (0, 1):
+        for n0 in range(1, cap + 1):
+            s = (n0, i2, 0, 0)
+            checked += 1
+            if code(s) in offload:
+                continue
+            if undecided(offload, s):
+                indet += 1
+            else:
+                bad.append((s, name(s)))
+    cloud_first = result(bad, checked, indet, order=list)
+
+    bad, checked, indet = [], 0, 0
+    for s in interior:
+        if code(s) not in assign:
+            continue
+        n0, i2, i1, n2 = s
+        for t in ((n0 + 1, i2, i1, n2), (n0, i2, i1, n2 + 1)):
+            checked += 1
+            if code(t) in assign:
+                continue
+            if undecided(assign, s, t):
+                indet += 1
+            else:
+                bad.append((s, t, name(s), name(t)))
+    switch_type = result(bad, checked, indet)
+
+    bad, checked, indet = [], 0, 0
+    for s in interior:
+        t = (s[0] + 1, *s[1:])
+        checked += 1
+        if code(t) != 0 or code(s) == 0:
+            continue
+        if undecided(acting, s, t):
+            indet += 1
+        else:
+            bad.append((s, name(s), t))
+    urgency = result(bad, checked, indet)
+    return cloud_first, switch_type, urgency
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    flip_share=st.sampled_from([0.02, 0.2, 1.0]),
+    margin=st.integers(0, REF_N_MAX - 2),
+    floor=st.sampled_from([None, 0.0, 1e-6, 1e-2, 0.1]),
+)
+def test_checks_match_brute_force_reference(ref_solved, seed, flip_share, margin, floor):
+    space, kernel, table, policy = ref_solved
+    # the optimum with a share of its states redrawn among their admissible
+    # actions; a share of 1 is a uniformly random admissible policy
+    rng = np.random.default_rng(seed)
+    acts = policy.actions.copy()
+    for sid in np.flatnonzero(rng.random(space.size) < flip_share):
+        acts[sid] = rng.choice(np.flatnonzero(kernel.admissible[:, sid]))
+    pi = PolicyTable(actions=acts)
+    if floor is None:
+        report = run_structure_checks(pi, space, margin)
+        q = None
+    else:
+        report = run_structure_checks(
+            pi, space, margin, values=table, kernel=kernel, decision_floor=floor
+        )
+        q = q_table(kernel, table.values)
+    got = [
+        (r.passed, r.checked, r.counterexamples, r.indeterminate)
+        for r in (report.cloud_first, report.switch_type, report.urgency_monotone)
+    ]
+    assert got == list(_reference_checks(acts, space, margin, q, 0.0 if floor is None else floor))
+
+
+def test_screen_counts_a_margin_equal_to_the_floor_as_indeterminate(ref_solved):
+    space, kernel, table, policy = ref_solved
+    acts = policy.actions.copy()
+    sid = space.id_of(1, 0, 0, 0)
+    acts[sid] = int(Action.IDLE)
+    q = q_table(kernel, table.values)
+    gap = abs(min(q[0, sid], q[2, sid]) - min(q[1, sid], q[3, sid]))
+    for floor, indeterminate in ((gap, 1), (np.nextafter(gap, 0.0), 0)):
+        report = run_structure_checks(
+            PolicyTable(actions=acts), space, 2, values=table, kernel=kernel,
+            decision_floor=floor,
+        )
+        assert report.cloud_first.indeterminate == indeterminate
+        assert report.cloud_first.passed == bool(indeterminate)
