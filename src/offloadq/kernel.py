@@ -37,6 +37,17 @@ from .model import Action, ModelParams
 N_ACTIONS = len(Action)
 
 
+def check_action_codes(actions: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of a policy array is an Action code."""
+    bad = np.flatnonzero((actions < 0) | (actions >= N_ACTIONS))
+    if bad.size:
+        sid = int(bad[0])
+        raise ValueError(
+            f"policy table holds action code {actions[sid]} at state id {sid}; "
+            f"the codes are 0-{N_ACTIONS - 1}"
+        )
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Dense enumeration of all states with both queue counts capped at n_max.

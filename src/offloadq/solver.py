@@ -30,7 +30,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .kernel import DiscountSpec, StateSpace, TransitionKernel, build_state_space
+from .kernel import (
+    DiscountSpec,
+    StateSpace,
+    TransitionKernel,
+    build_state_space,
+    check_action_codes,
+)
 from .model import Action, ModelParams, derive_rates
 
 # preference order used to resolve near-ties in the greedy argmin: assign
@@ -83,7 +89,9 @@ class PolicyTable:
     actions: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", np.asarray(self.actions, dtype=np.int8))
+        actions = np.asarray(self.actions)
+        check_action_codes(actions)  # before the int8 cast, which would wrap
+        object.__setattr__(self, "actions", np.asarray(actions, dtype=np.int8))
 
     def validate(self, kernel: TransitionKernel) -> None:
         ok = kernel.admissible[self.actions, np.arange(kernel.space.size)]

@@ -232,6 +232,27 @@ def test_grid_and_analyze_reject_artifact_whose_cap_disagrees_with_its_table(
         assert err[0].startswith("error: checkpoint values") and "queue cap 7" in err[0]
 
 
+@pytest.mark.parametrize("code", [7, -1])
+def test_artifact_with_unknown_action_code_rejected(tmp_path, capsys, code):
+    sol = _solve_fast(tmp_path / "solved")
+    with np.load(sol) as data:
+        payload = dict(data)
+    payload["policy"][build_state_space(6).id_of(6, 1, 1, 6)] = code
+    bad = tmp_path / "bad_code.npz"
+    np.savez(bad, **payload)
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    for argv in (["grid", "--solution", str(bad), "--i2", "1", "--i1", "1"],
+                 ["analyze", "--solution", str(bad)],
+                 ["simulate", *FAST, *SIM_FAST, "--policy", str(bad)]):
+        assert main([*argv, "--out-dir", str(out_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: policy table holds action code {code} ")
+        assert not out_dir.exists()
+
+
 def test_artifact_without_policy_table_rejected(tmp_path, capsys):
     ck = load_checkpoint(str(_solve_fast(tmp_path)))
     bare = tmp_path / "values_only.npz"

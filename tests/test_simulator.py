@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator and the coupling machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,14 @@ from offloadq.kernel import build_state_space
 from offloadq.model import derive_rates, lambda_from_utilization
 from offloadq.simulator import (
     ARRIVALS,
+    BASELINE_CAP,
     IDLE,
     SM1,
     SM2,
     TRIPLETS,
     _CHUNK,
     EVENT_KINDS,
+    DelayReport,
     SimConfig,
     SimulationError,
     TablePolicy,
@@ -29,6 +32,7 @@ from offloadq.simulator import (
     substream,
     tabulate_policy,
 )
+from offloadq.solver import PolicyTable
 
 CONFIG_A = derive_rates(3.6, 1.0, 8.0, 0.4)
 
@@ -106,6 +110,17 @@ def test_table_policy_shape_check_and_saturation():
     assert pol.saturation_events == 0
     assert pol.action(5, 0, 0, 3) == SM1  # clamped to (1, 0, 0, 1)
     assert pol.saturation_events == 1
+
+
+@pytest.mark.parametrize("code", [-1, 4, 7, 259])
+def test_policy_tables_reject_unknown_action_codes(code):
+    # the event loop reads a TablePolicy's rows without the unknown-action
+    # check a call gets; 259 would wrap to the valid 3 in PolicyTable's int8
+    acts = np.zeros(4 * 7**2, dtype=np.int64)
+    acts[build_state_space(6).id_of(6, 1, 1, 6)] = code
+    for make in (PolicyTable, lambda a: TablePolicy(a, n_max=6)):
+        with pytest.raises(ValueError, match=f"action code {code} at state id"):
+            make(acts)
 
 
 def test_saturated_table_still_simulates():
@@ -435,6 +450,32 @@ def test_coupled_sample_path_pinned(config, policy_a, path_a, dominance):
     a, b = PINNED_PATHS[(config, path_a)], PINNED_PATHS[(config, "non_idling")]
     assert cr.report_a.rep_mean_sojourn.tolist() == a[0]
     assert cr.report_b.rep_mean_sojourn.tolist() == b[0]
+
+
+@pytest.mark.parametrize("policy", ["offload_only", "non_idling", "table8", "table1"])
+@pytest.mark.parametrize("config", ["a", "heavy"])
+def test_row_lookup_equals_calling_the_policy(config, policy):
+    # the loop reads rows within the cap and calls beyond it; the wrapper
+    # has no rows, so the loop calls it in every state
+    p = CONFIG_A if config == "a" else HEAVY
+    looked_up, called = _pin_policy(policy), _pin_policy(policy)
+    act = getattr(called, "action", called)
+    widest = [0]
+
+    def call(n0, i2, i1, n2):
+        widest[0] = max(widest[0], n0, n2)
+        return act(n0, i2, i1, n2)
+
+    rep = simulate(looked_up, p, PIN_CFG)
+    ref = simulate(call, p, PIN_CFG)
+    for field in dataclasses.fields(DelayReport):
+        x, y = getattr(rep, field.name), getattr(ref, field.name)
+        if field.name != "saturation_events":  # the wrapper counts none
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
+    # a table's clamped lookups are counted as often as when it is called
+    assert rep.saturation_events == getattr(called, "saturation_events", 0)
+    if config == "heavy":  # states beyond the rows were visited
+        assert widest[0] > getattr(looked_up, "n_max", BASELINE_CAP)
 
 
 # ---------------------------------------------------------------- dominance count
