@@ -19,8 +19,10 @@ numbers at 9 significant digits, lines terminated with "\\n".  JSON
 reports carry a ``schema_version`` field.  A simulated table policy that
 saturated at its queue cap gets a ``warning:`` line on stderr.  Exit
 codes: 0 success (and all checks passed), 1 usage or configuration
-error, 2 structure-check failure, 3 solver non-convergence (artifacts
-are still written).
+error, 2 structure-check failure, 3 solver non-convergence (``solve``
+still writes its artifacts; ``simulate``, ``sweep`` and ``couple`` stop
+with one ``error:`` line when the optimal policy they need did not
+converge).
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ class ConfigError(ValueError):
     """Invalid configuration or command usage."""
 
 
+class NotConverged(RuntimeError):
+    """Policy iteration used up its step budget where an optimal policy is needed."""
+
+
 def _fmt(x: float) -> str:
     return "%.9g" % float(x)
 
@@ -102,7 +108,6 @@ class RunConfig:
     beta: float | None
     tol: float
     max_iters: int
-    margin: int
     horizon: float
     warmup: float | None
     replications: int
@@ -183,7 +188,7 @@ def _apply_overrides(args, model: dict, solver: dict, sim: dict) -> None:
                     block.pop(k, None)
 
     for block, keys in ((model, ("rho", "lam", *_SIMPLE_RATES, *_HETERO_RATES)),
-                        (solver, ("n_max", "alpha", "beta", "tol", "max_iters", "margin")),
+                        (solver, ("n_max", "alpha", "beta", "tol", "max_iters")),
                         (sim, ("horizon", "warmup", "replications", "seed"))):
         for key in keys:
             value = getattr(args, key, None)
@@ -257,7 +262,6 @@ def _run_config(args, allow_missing_rate: bool = False) -> RunConfig:
             beta=beta,
             tol=float(solver.get("tol", 1e-9)),
             max_iters=int(solver.get("max_iters", MAX_STEPS)),
-            margin=int(solver.get("margin", 5)),
             horizon=float(sim.get("horizon", 1e5)),
             warmup=None if sim.get("warmup") is None else float(sim["warmup"]),
             replications=int(sim.get("replications", 20)),
@@ -280,6 +284,17 @@ def _solve(params: ModelParams, cfg: RunConfig, pi0: PolicyTable | None = None):
     return space, table, policy
 
 
+def _optimum(params: ModelParams, cfg: RunConfig, pi0: PolicyTable | None = None,
+             where: str = "") -> PolicyTable:
+    """The solved optimal policy; ``NotConverged`` if the step budget ran out."""
+    _, table, policy = _solve(params, cfg, pi0=pi0)
+    if not table.converged:
+        raise NotConverged(
+            f"policy iteration did not converge{where} within {cfg.max_iters} steps"
+        )
+    return policy
+
+
 def _load_policy_artifact(path):
     """A solution artifact that must carry a policy table."""
     ck = load_checkpoint(path)
@@ -293,12 +308,7 @@ def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
     if spec in cache:
         return cache[spec]
     if spec == "optimal":
-        _, table, policy = _solve(cfg.params, cfg)
-        if not table.converged:
-            raise ConfigError(
-                f"policy iteration did not converge within {cfg.max_iters} steps"
-            )
-        resolved = TablePolicy(policy.actions, cfg.n_max)
+        resolved = TablePolicy(_optimum(cfg.params, cfg).actions, cfg.n_max)
     else:
         try:
             resolved = baseline(spec)
@@ -339,7 +349,6 @@ def cmd_solve(args) -> int:
         "error_bound": table.error_bound,
         "tol": table.tol,
         "n_max": cfg.n_max,
-        "margin": cfg.margin,
         "states": space.size,
         "nu": table.discount.nu,
         "alpha": table.discount.alpha,
@@ -444,14 +453,7 @@ def cmd_sweep(args) -> int:
         params = derive_rates(lam, cfg.params.mu0, cfg.params.K, cfg.params.f)
         table_policy = None
         if "optimal" in policies and _policy_stable("optimal", rho, params):
-            _, table, optimum = _solve(params, cfg, pi0=optimum)
-            if not table.converged:
-                print(
-                    f"error: policy iteration did not converge at rho={rho:g} "
-                    f"within {cfg.max_iters} steps",
-                    file=sys.stderr,
-                )
-                return EXIT_NO_CONVERGENCE
+            optimum = _optimum(params, cfg, pi0=optimum, where=f" at rho={rho:g}")
             table_policy = TablePolicy(optimum.actions, cfg.n_max)
         for name in policies:
             if not _policy_stable(name, rho, params):
@@ -532,7 +534,6 @@ def _add_solver_flags(sub) -> None:
     g.add_argument("--tol", type=float, help="sup-norm residual target")
     g.add_argument("--max-iters", dest="max_iters", type=int,
                    help=f"policy-iteration step budget (default {MAX_STEPS})")
-    g.add_argument("--margin", type=int, help="boundary margin for checks")
 
 
 def _add_sim_flags(sub) -> None:
@@ -609,6 +610,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
+    except NotConverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (OSError, ValueError, SimulationError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,16 +32,25 @@ substreams, ``substream(s, r, ARRIVALS)`` and ``substream(s, r,
 TRIPLETS)``.  Statistics exclude a warmup period: a job contributes to
 sojourn statistics when it arrives after warmup and completes within the
 horizon.
+
+A replication is a generator.  When it logs event instants it pauses at
+every refill of the arrival gaps, that is every ``_CHUNK`` arrivals, and
+once more when the run is over; ``coupled_compare`` advances two systems
+one such window at a time and counts each window before the next is
+logged, so its memory does not grow with the horizon.  Without logs a
+replication never pauses, and ``simulate`` runs the same event loop to its
+end.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 from scipy.special import stdtrit
@@ -212,7 +221,6 @@ class _RepResult:
     saturation_events: int
     inadmissible_stops: int
     events: list | None = None
-    event_times: tuple | None = None
 
 
 def _run_replication(
@@ -221,12 +229,18 @@ def _run_replication(
     cfg: SimConfig,
     rep: int,
     collect_events: bool = False,
-    collect_times: bool = False,
-) -> _RepResult:
+    times: tuple | None = None,
+) -> Generator[float, None, _RepResult]:
     """Replication ``rep`` on the substreams (cfg.seed, rep, ARRIVALS/TRIPLETS).
 
-    ``collect_times`` logs the event instants in one list per event kind,
-    unless ``collect_events`` logs the full records instead.
+    ``times`` holds one log per entry of ``EVENT_KINDS``, anything with an
+    ``append``; the loop appends each event instant to its kind's log,
+    unless ``collect_events`` logs the full records instead.  With
+    ``times`` the generator yields at every refill of the arrival gaps the
+    instant of the arrival just drawn, and ``INF`` after the last event:
+    every instant logged by then lies at or before the yielded value, and
+    any instant logged later lies at or after it.  Its return value is the
+    replication's result.
     """
     rows, cap, act = _lookup(policy)
     sat_before = getattr(policy, "saturation_events", 0)
@@ -280,10 +294,8 @@ def _run_replication(
     area = 0.0
     inadmissible = 0
     pending_kind = -1
-    collect = collect_events or collect_times
+    collect = collect_events or times is not None
     events: list = []
-    # lists, not arrays: CPython runs list.append without a general call
-    times = tuple([] for _ in EVENT_KINDS)
 
     try:
         while True:
@@ -366,6 +378,10 @@ def _run_replication(
                 nf += 1.0
                 arrived += 1
                 if gap_i == _CHUNK:
+                    if times is not None:
+                        # this arrival is logged after the pause: a window
+                        # ends before the instant that opens the next one
+                        yield t
                     gaps = (rng_arrivals.standard_exponential(_CHUNK) / lam).tolist()
                     gap_i = 0
                 next_arrival = t + gaps[gap_i]
@@ -426,6 +442,8 @@ def _run_replication(
             f"replication aborted at t={t:.6g} in state ({n0},{i2},{i1},{n2}): {exc}"
         ) from exc
 
+    if times is not None:
+        yield INF
     span = horizon - warmup
     return _RepResult(
         jobs_arrived=arrived,
@@ -438,8 +456,16 @@ def _run_replication(
         saturation_events=getattr(policy, "saturation_events", 0) - sat_before,
         inadmissible_stops=inadmissible,
         events=events if collect_events else None,
-        event_times=times if collect_times else None,
     )
+
+
+def _finish(run: Generator[float, None, _RepResult]) -> _RepResult:
+    """Run a replication to its end and return its result."""
+    try:
+        while True:
+            next(run)
+    except StopIteration as done:
+        return done.value
 
 
 @dataclass(frozen=True)
@@ -541,7 +567,7 @@ def simulate(
     report is a deterministic function of (policy, params, config).
     """
     reps = [
-        _run_replication(policy, p, cfg, r, collect_events=collect_events)
+        _finish(_run_replication(policy, p, cfg, r, collect_events=collect_events))
         for r in range(cfg.replications)
     ]
     return _aggregate(reps, cfg, collect_events)
@@ -581,14 +607,15 @@ class CoupledReport:
         }
 
 
-def _dominance_counts(times_a: tuple, times_b: tuple) -> tuple[int, int]:
+def _dominance_counts(times_a: tuple, times_b: tuple, lead: int = 0) -> tuple[int, int]:
     """(instants where B holds at most as many jobs as A, instants).
 
     Takes each system's per-kind event-time logs; the instants are those
     ``CoupledReport`` describes.  The arrivals are shared, so B holds at
     most as many jobs exactly when it has completed at least as many: the
     sorted logs are merged, and a sum of +1 per completion in A and -1 per
-    completion in B is read after the last event at each instant.
+    completion in B, starting from ``lead``, is read after the last event
+    at each instant.  B's arrival log is not read.
     """
     runs = (*times_a, *times_b[1:])  # B's arrivals are A's
     sizes = [len(r) for r in runs]
@@ -596,9 +623,26 @@ def _dominance_counts(times_a: tuple, times_b: tuple) -> tuple[int, int]:
     step = np.repeat([0, 0, 1, 1, 0, -1, -1], sizes)
     order = np.argsort(t, kind="stable")
     t = t[order]
-    lead = np.cumsum(step[order])
+    lead = lead + np.cumsum(step[order])
     last = np.diff(t, append=np.inf) != 0  # the last event at each instant
     return int(np.count_nonzero(lead[last] <= 0)), int(np.count_nonzero(last))
+
+
+def _count_window(times_a: tuple, times_b: tuple, until: float, lead: int) -> tuple[int, int, int]:
+    """Count the instants before ``until`` and drop their entries from the logs.
+
+    Returns the ``_dominance_counts`` pair and the lead, A's completions
+    minus B's, carried into the next window.  Entries at or after ``until``
+    stay in the logs for the next window, since more events may follow at
+    that instant.
+    """
+    runs = (*times_a, *times_b[1:])
+    cuts = [bisect_left(r, until) for r in runs]
+    heads = [r[:k] for r, k in zip(runs, cuts)]
+    hits, instants = _dominance_counts(heads[:4], [None, *heads[4:]], lead)
+    for r, k in zip(runs, cuts):
+        del r[:k]
+    return hits, instants, lead + cuts[2] + cuts[3] - cuts[5] - cuts[6]
 
 
 def coupled_compare(
@@ -612,7 +656,11 @@ def coupled_compare(
     Replication r of both systems uses the same two substreams, so job j
     sees the same arrival instant and the same service triplet in both
     systems, and any difference in the reports is attributable to the
-    policies alone.
+    policies alone.  Both systems see the same arrivals, so they pause at
+    the same instants: each replication advances A and B one window of
+    ``_CHUNK`` arrivals at a time and counts the dominance instants of that
+    window before the next is logged.  The logs never hold more than one
+    window, and B's arrivals, which are A's, are not kept at all.
     """
     reps_a = []
     reps_b = []
@@ -620,15 +668,23 @@ def coupled_compare(
     dom_total = 0
     rep_dom = []
     for r in range(cfg.replications):
-        ra = _run_replication(policy_a, p, cfg, r, collect_times=True)
-        rb = _run_replication(policy_b, p, cfg, r, collect_times=True)
-        hits, total = _dominance_counts(ra.event_times, rb.event_times)
+        times_a = tuple([] for _ in EVENT_KINDS)
+        times_b = (deque(maxlen=0), [], [], [])  # B's arrivals are discarded
+        run_a = _run_replication(policy_a, p, cfg, r, times=times_a)
+        run_b = _run_replication(policy_b, p, cfg, r, times=times_b)
+        hits = instants = lead = 0
+        until = 0.0
+        while until < INF:
+            until = next(run_a)
+            next(run_b)
+            h, n, lead = _count_window(times_a, times_b, until, lead)
+            hits += h
+            instants += n
         dom_hits += hits
-        dom_total += total
-        rep_dom.append(hits / total if total else float("nan"))
-        ra.event_times = rb.event_times = None
-        reps_a.append(ra)
-        reps_b.append(rb)
+        dom_total += instants
+        rep_dom.append(hits / instants if instants else float("nan"))
+        reps_a.append(_finish(run_a))
+        reps_b.append(_finish(run_b))
     report_a = _aggregate(reps_a, cfg, False)
     report_b = _aggregate(reps_b, cfg, False)
     diff = report_b.rep_mean_sojourn - report_a.rep_mean_sojourn

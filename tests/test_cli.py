@@ -49,6 +49,47 @@ def test_solve_nonconvergence_exits_3_but_writes(tmp_path):
     assert (tmp_path / "solution.npz").exists()
 
 
+@pytest.mark.parametrize(
+    "command, policy, artifact",
+    [
+        ("simulate", ["--policy", "optimal"], "simulation.json"),
+        ("couple", ["--policy-a", "optimal", "--policy-b", "non_idling"], "couple.json"),
+        ("sweep", ["--policies", "optimal", "--rhos", "0.3"], "sweep.csv"),
+    ],
+)
+def test_optimal_policy_nonconvergence_exits_3(tmp_path, capsys, command, policy, artifact):
+    rc = main([command, *FAST, *SIM_FAST, "--max-iters", "1", *policy,
+               "--out-dir", str(tmp_path)])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: policy iteration did not converge")
+    assert not (tmp_path / artifact).exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "couple"])
+def test_solver_flags_have_no_margin(tmp_path, capsys, command):
+    extra = {"simulate": [*SIM_FAST, "--policy", "non_idling"],
+             "sweep": [*SIM_FAST, "--rhos", "0.3"],
+             "couple": [*SIM_FAST, "--policy-a", "non_idling", "--policy-b", "offload_only"]}
+    rc = main([command, *FAST, *extra.get(command, []), "--margin", "100",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "unrecognized arguments: --margin 100" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_with_solver_margin_still_loads(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "model": {"rho": 0.3, "mu0": 1, "K": 8, "f": 0.4},
+        "solver": {"n_max": 6, "alpha": 0.9, "tol": 1e-7, "margin": 100},
+    }))
+    assert main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert "margin" not in json.loads((tmp_path / "solution.json").read_text())
+
+
 def test_solve_requires_discount(tmp_path, capsys):
     args = [a for a in FAST if a not in ("--alpha", "0.9")]
     rc = main(["solve", *args, "--out-dir", str(tmp_path)])

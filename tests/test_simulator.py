@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator and the coupling machinery."""
 
+import bisect
 import dataclasses
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from offloadq import simulator
 from offloadq.kernel import build_state_space
 from offloadq.model import derive_rates, lambda_from_utilization
 from offloadq.simulator import (
@@ -24,6 +26,7 @@ from offloadq.simulator import (
     SimConfig,
     SimulationError,
     TablePolicy,
+    _count_window,
     _dominance_counts,
     baseline,
     coupled_compare,
@@ -515,8 +518,10 @@ def _reference_dominance(policy_a, policy_b, p, cfg):
 @pytest.mark.parametrize("config", ["a", "heavy"])
 def test_dominance_equals_trajectory_reference(config, policy_a, policy_b):
     p = CONFIG_A if config == "a" else HEAVY
-    cfg = SimConfig(horizon=600.0, replications=3, seed=19)
+    # long enough that every replication is counted over four windows or more
+    cfg = SimConfig(horizon=4000.0 if config == "a" else 2000.0, replications=3, seed=19)
     cr = coupled_compare(_pin_policy(policy_a), _pin_policy(policy_b), p, cfg)
+    assert (cr.report_a.rep_jobs_arrived > 3 * _CHUNK).all()
     ref = _reference_dominance(_pin_policy(policy_a), _pin_policy(policy_b), p, cfg)
     assert cr.rep_dominance.tolist() == ref
     if policy_a == policy_b:
@@ -568,3 +573,54 @@ def test_local_done_instants_are_counted():
     without_local = ([1.0], [], [3.0], [])
     assert _dominance_counts(times_a, without_local) == (2, 3)
     assert _brute_dominance(times_a, times_b) == (2, 4)
+
+
+_bounds = st.lists(st.integers(0, 13).map(lambda k: k / 4), max_size=4).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_instants] * 7), _bounds, st.lists(st.booleans(), min_size=7, max_size=7))
+@example(([1.0], [2.0], [3.0], [], [2.0], [], [2.0]), [2.0], [True, False] * 3 + [True])
+@example(([1.0, 1.0], [], [1.0], [1.0], [], [1.0, 1.0], []), [1.0, 1.0], [True] * 7)
+def test_window_counts_add_up_to_the_one_shot_count(runs, bounds, early):
+    # logs are fed window by window, as a replication logs them: before a
+    # pause at `until` a log holds every entry below it, and the runs marked
+    # early also hold their entries at it, the rest of which come later
+    arrivals, *rest = runs
+    whole = _dominance_counts((arrivals, *rest[:3]), (arrivals, *rest[3:]))
+    logs = [[] for _ in runs]
+    fed = [0] * len(runs)
+    hits = instants = lead = 0
+    for until in (*bounds, math.inf):
+        for i, run in enumerate(runs):
+            end = (bisect.bisect_right if early[i] else bisect.bisect_left)(run, until)
+            logs[i].extend(run[fed[i]:end])
+            fed[i] = end
+        h, n, lead = _count_window(tuple(logs[:4]), ([], *logs[4:]), until, lead)
+        hits += h
+        instants += n
+        # only entries at or after the boundary are carried to the next window
+        assert all(x >= until for log in logs for x in log)
+    assert (hits, instants) == whole
+    assert not any(logs)
+
+
+def test_dominance_is_counted_one_window_at_a_time(monkeypatch):
+    seen = []
+    count = simulator._dominance_counts
+
+    def record(times_a, times_b, *lead):
+        seen.append([len(log) for log in (*times_a, *times_b[1:])])
+        return count(times_a, times_b, *lead)
+
+    monkeypatch.setattr(simulator, "_dominance_counts", record)
+    cfg = SimConfig(horizon=2000.0, replications=2, seed=19)
+    cr = coupled_compare(baseline("offload_only"), baseline("non_idling"), HEAVY, cfg)
+    arrived = cr.report_a.rep_jobs_arrived
+    assert (arrived > 3 * _CHUNK).all()
+    sizes = np.array(seen)
+    # no call sees more than one chunk of arrivals, and nothing is lost
+    assert sizes[:, 0].max() <= _CHUNK
+    assert sizes[:, 0].sum() == arrived.sum()
+    assert sizes[:, 2:4].sum() == cr.report_a.rep_jobs_completed.sum()
+    assert sizes[:, 5:7].sum() == cr.report_b.rep_jobs_completed.sum()
