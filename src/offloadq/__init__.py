@@ -25,15 +25,9 @@ from .kernel import (
 from .model import (
     Action,
     ModelParams,
-    Op,
-    State,
-    admissible_actions,
-    apply_action,
-    apply_operator,
     derive_rates,
     from_heterogeneous,
     lambda_from_utilization,
-    total_jobs,
 )
 from .simulator import (
     CoupledReport,
@@ -74,20 +68,15 @@ __all__ = [
     "DelayReport",
     "DiscountSpec",
     "ModelParams",
-    "Op",
     "PolicyTable",
     "SimConfig",
     "SimulationError",
-    "State",
     "StateSpace",
     "StructureReport",
     "TablePolicy",
     "ThresholdProfile",
     "TransitionKernel",
     "ValueTable",
-    "admissible_actions",
-    "apply_action",
-    "apply_operator",
     "baseline",
     "bellman_backup",
     "build_kernel",
@@ -107,7 +96,6 @@ __all__ = [
     "save_checkpoint",
     "simulate",
     "tabulate_policy",
-    "total_jobs",
     "uniformization_rate",
     "value_iterate",
 ]

@@ -18,11 +18,11 @@ All CSV output is byte-stable for fixed inputs: fixed column order,
 numbers at 9 significant digits, lines terminated with "\\n".  JSON
 reports carry a ``schema_version`` field.  A simulated table policy that
 saturated at its queue cap gets a ``warning:`` line on stderr.  Exit
-codes: 0 success (and all checks passed), 1 usage or configuration
-error, 2 structure-check failure, 3 solver non-convergence (``solve``
-still writes its artifacts; ``simulate``, ``sweep`` and ``couple`` stop
-with one ``error:`` line when the optimal policy they need did not
-converge).
+codes: 0 success (and all checks passed), 1 usage, configuration or
+artifact error, 2 structure-check failure, 3 solver non-convergence
+(``solve`` still writes its artifacts; ``simulate``, ``sweep`` and
+``couple`` stop with one ``error:`` line when the optimal policy they
+need did not converge).
 """
 
 from __future__ import annotations
@@ -295,14 +295,6 @@ def _optimum(params: ModelParams, cfg: RunConfig, pi0: PolicyTable | None = None
     return policy
 
 
-def _load_policy_artifact(path):
-    """A solution artifact that must carry a policy table."""
-    ck = load_checkpoint(path)
-    if ck.policy is None or ck.n_max is None:
-        raise ConfigError(f"artifact {path} lacks a stored policy table")
-    return ck
-
-
 def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
     """A policy argument is a baseline name, 'optimal', or an artifact path."""
     if spec in cache:
@@ -318,8 +310,8 @@ def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
                     f"unknown policy {spec!r}: use 'optimal', a baseline name, "
                     "or a solution artifact path"
                 ) from None
-            ck = _load_policy_artifact(spec)
-            if ck.params is not None and not params_close(ck.params, cfg.params):
+            ck = load_checkpoint(spec)
+            if not params_close(ck.params, cfg.params):
                 rates = "lam={0.lam:g}, mu0={0.mu0:g}, K={0.K:g}, f={0.f:g}".format
                 raise ConfigError(
                     f"artifact {spec} was solved for {rates(ck.params)}, "
@@ -365,7 +357,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    ck = _load_policy_artifact(args.solution)
+    ck = load_checkpoint(args.solution)
     space = ck.space()
     acts = ck.policy.actions
     rows = []
@@ -382,13 +374,11 @@ def cmd_grid(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ck = _load_policy_artifact(args.solution)
+    ck = load_checkpoint(args.solution)
     space = ck.space()
-    # with the stored model the checks can screen violations against their
+    # with the stored model the checks screen violations against their
     # action-value margins instead of trusting tie-broken actions verbatim
-    kernel = None
-    if ck.params is not None:
-        kernel = build_kernel(ck.params, space, ck.table.discount)
+    kernel = build_kernel(ck.params, space, ck.table.discount)
     report = run_structure_checks(
         ck.policy, space, margin=args.margin, values=ck.table, kernel=kernel
     )

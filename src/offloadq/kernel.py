@@ -38,8 +38,12 @@ N_ACTIONS = len(Action)
 
 
 def check_action_codes(actions: np.ndarray) -> None:
-    """Raise ``ValueError`` unless every entry of a policy array is an Action code."""
-    bad = np.flatnonzero((actions < 0) | (actions >= N_ACTIONS))
+    """Raise ``ValueError`` unless every entry of a policy array is an Action code.
+
+    A code must equal one of the integers ``0..N_ACTIONS-1``: 2.0 passes,
+    while 1.5 and NaN fail rather than being truncated by an integer cast.
+    """
+    bad = np.flatnonzero(~np.isin(actions, np.arange(N_ACTIONS)))
     if bad.size:
         sid = int(bad[0])
         raise ValueError(
@@ -70,19 +74,12 @@ class StateSpace:
         m = self.n_max
         if not (0 <= n0 <= m and 0 <= n2 <= m and i2 in (0, 1) and i1 in (0, 1)):
             raise ValueError(f"state ({n0},{i2},{i1},{n2}) outside the truncated space")
-        return ((n0 * 2 + i2) * 2 + i1) * (m + 1) + n2
+        return self.ids_of(n0, i2, i1, n2)
 
     def state_of(self, sid: int) -> tuple[int, int, int, int]:
         if not 0 <= sid < self.size:
             raise ValueError(f"state id {sid} out of range")
-        m1 = self.n_max + 1
-        n2 = sid % m1
-        rest = sid // m1
-        i1 = rest % 2
-        rest //= 2
-        i2 = rest % 2
-        n0 = rest // 2
-        return n0, i2, i1, n2
+        return int(self.n0[sid]), int(self.i2[sid]), int(self.i1[sid]), int(self.n2[sid])
 
     def ids_of(self, n0, i2, i1, n2) -> np.ndarray:
         """Vectorized index of component arrays (assumed in range)."""
@@ -149,7 +146,7 @@ class TransitionKernel:
     matrix of the idle dynamics: row ``x`` holds the distribution of the
     next state id when no job is assigned in ``x``.  ``cost0[x]`` is the
     expected discounted holding cost accrued until the next epoch from
-    ``x``, ``total_jobs(x)/(beta+nu)``.
+    ``x``, the number of jobs in ``x`` over ``beta + nu``.
 
     Derived on first use and read-only: ``sentinel_post`` is ``post`` with
     inadmissible pairs sent to id ``N`` (one past the last state), so

@@ -17,14 +17,14 @@ Every sweep and evaluation gathers one vector, the post-decision values
 ``cost0 + alpha * E v`` plus a ``+inf`` sentinel, through a post-action
 map; value iteration and iterative evaluation share one residual loop.
 
-Long runs (small ``1 - alpha``, large spaces) can be checkpointed to disk
-and resumed; see :func:`save_checkpoint` for the layout.
+A solve is stored as one complete artifact, written by
+:func:`save_checkpoint` and read back and validated by
+:func:`load_checkpoint`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,8 +48,6 @@ _TIE_ORDER = (Action.SM1_THEN_SM2, Action.SM1, Action.SM2, Action.IDLE)
 LOOKAHEAD = 50
 # default policy-iteration step budget; the reference solves take 2-4 steps
 MAX_STEPS = 1_000
-# value_iterate with a checkpoint path saves its table every this many sweeps
-CHECKPOINT_EVERY = 50_000
 
 CHECKPOINT_FORMAT = 1
 VALUE_ITERATION = "value_iteration"
@@ -118,11 +116,10 @@ def _post_values(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
     return np.concatenate((w, [np.inf]))
 
 
-def _converge(step, values, tol, max_iters, discount, method, done=0, save=None) -> ValueTable:
+def _converge(step, values, tol, max_iters, discount, method, done=0) -> ValueTable:
     """Apply ``step`` until one application moves no entry by more than ``tol``.
 
-    ``done`` counts earlier applications; ``save(table)``, when given, runs
-    every ``CHECKPOINT_EVERY`` applications of this call.
+    ``done`` counts earlier applications.
     """
     residual, k = float("inf"), 0
     while k < max_iters:
@@ -130,8 +127,6 @@ def _converge(step, values, tol, max_iters, discount, method, done=0, save=None)
         v_new = step(values)
         residual = float(np.max(np.abs(v_new - values)))
         values = v_new
-        if save is not None and k % CHECKPOINT_EVERY == 0:
-            save(ValueTable(values, discount, done + k, residual, False, tol, method))
         if residual <= tol:
             return ValueTable(values, discount, done + k, residual, True, tol, method)
     return ValueTable(values, discount, done + k, residual, False, tol, method)
@@ -183,7 +178,6 @@ def value_iterate(
     tol: float = 1e-9,
     max_iters: int = 2_000_000,
     v0: ValueTable | None = None,
-    checkpoint_path: str | None = None,
 ) -> tuple[ValueTable, PolicyTable]:
     """Iterate Bellman sweeps to a sup-norm residual of ``tol``.
 
@@ -192,9 +186,7 @@ def value_iterate(
     checkpoint of one) carries over; a table from another solver starts
     the count at 0, since its ``iterations`` are not sweeps.  Hitting
     ``max_iters`` returns the last table with ``converged=False`` rather
-    than raising.  With ``checkpoint_path``, the table is saved there
-    every ``CHECKPOINT_EVERY`` sweeps of this call and, with its greedy
-    policy, at the end.
+    than raising.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -202,16 +194,9 @@ def value_iterate(
     if v0 is not None and v0.values.shape != (n,):
         raise ValueError(f"resume table has shape {v0.values.shape}, kernel expects ({n},)")
     values = np.zeros(n) if v0 is None else v0.values.astype(float, copy=True)
-    save = None
-    if checkpoint_path:
-        save = partial(save_checkpoint, checkpoint_path, params=kernel.params,
-                       n_max=kernel.space.n_max)
     table = _converge(lambda v: q_table(kernel, v).min(axis=0), values, tol, max_iters,
-                      kernel.discount, VALUE_ITERATION, _sweeps_of(v0), save)
-    policy = PolicyTable(_greedy(kernel, table.values)[1])
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, table, policy, kernel.params, kernel.space.n_max)
-    return table, policy
+                      kernel.discount, VALUE_ITERATION, _sweeps_of(v0))
+    return table, PolicyTable(_greedy(kernel, table.values)[1])
 
 
 def evaluate_policy(
@@ -328,23 +313,26 @@ def policy_iterate(
     return table, PolicyTable(greedy)
 
 
+# every field save_checkpoint writes; load_checkpoint requires them all
+_ARTIFACT_FIELDS = (
+    "format_version", "values", "iterations", "residual", "converged", "tol", "method",
+    "nu", "alpha", "beta", "policy", "lam", "mu0", "cloud_speedup", "local_fraction", "n_max",
+)
+
+
 def save_checkpoint(
-    path: str,
-    table: ValueTable,
-    policy: PolicyTable | None = None,
-    params: ModelParams | None = None,
-    n_max: int | None = None,
+    path: str, table: ValueTable, policy: PolicyTable, params: ModelParams, n_max: int
 ) -> None:
-    """Write a resumable solve artifact.
+    """Write a solve artifact: values, greedy policy, model and queue cap.
 
     Layout (npz, format 1): ``format_version``; the value table under
     ``values`` with scalars ``iterations``, ``residual``, ``converged``,
-    ``tol`` and the string ``method``; the discount under ``nu``/``alpha``/``beta``; optionally the
-    greedy policy under ``policy`` (Action codes), the model under
-    ``lam``/``mu0``/``cloud_speedup``/``local_fraction``, and the queue
-    cap under ``n_max``.
+    ``tol`` and the string ``method``; the discount under
+    ``nu``/``alpha``/``beta``; the greedy policy under ``policy`` (Action
+    codes); the model under ``lam``/``mu0``/``cloud_speedup``/
+    ``local_fraction``; and the queue cap under ``n_max``.
     """
-    payload: dict[str, np.ndarray | float | int] = {
+    payload = {
         "format_version": CHECKPOINT_FORMAT,
         "values": table.values,
         "iterations": table.iterations,
@@ -355,16 +343,13 @@ def save_checkpoint(
         "nu": table.discount.nu,
         "alpha": table.discount.alpha,
         "beta": table.discount.beta,
+        "policy": policy.actions,
+        "lam": params.lam,
+        "mu0": params.mu0,
+        "cloud_speedup": params.K,
+        "local_fraction": params.f,
+        "n_max": n_max,
     }
-    if policy is not None:
-        payload["policy"] = policy.actions
-    if params is not None:
-        payload["lam"] = params.lam
-        payload["mu0"] = params.mu0
-        payload["cloud_speedup"] = params.K
-        payload["local_fraction"] = params.f
-    if n_max is not None:
-        payload["n_max"] = n_max
     with open(path, "wb") as fh:
         np.savez(fh, **payload)
 
@@ -372,18 +357,31 @@ def save_checkpoint(
 @dataclass(frozen=True)
 class Checkpoint:
     table: ValueTable
-    policy: PolicyTable | None
-    params: ModelParams | None
-    n_max: int | None
+    policy: PolicyTable
+    params: ModelParams
+    n_max: int
 
     def space(self) -> StateSpace:
-        if self.n_max is None:
-            raise ValueError("checkpoint does not record the queue cap")
         return build_state_space(self.n_max)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with np.load(path) as data:
+    """Read and validate an artifact of :func:`save_checkpoint`.
+
+    Raises ``ValueError`` when the file is not an npz archive, a field is
+    missing, the format is unknown, or a field is inconsistent: bad rates
+    or discount, an unknown action code, or tables whose length does not
+    fit the queue cap.
+    """
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"artifact {path} is not an npz archive")
+    with data:
+        for name in _ARTIFACT_FIELDS:
+            if name not in data:
+                if name == "policy":
+                    raise ValueError(f"artifact {path} lacks a stored policy table")
+                raise ValueError(f"artifact {path} lacks the field {name!r}")
         version = int(data["format_version"])
         if version != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {version}")
@@ -397,21 +395,19 @@ def load_checkpoint(path: str) -> Checkpoint:
             residual=float(data["residual"]),
             converged=bool(data["converged"]),
             tol=float(data["tol"]),
-            method=str(data["method"]) if "method" in data else "",
+            method=str(data["method"]),
         )
-        policy = PolicyTable(data["policy"]) if "policy" in data else None
-        params = None
-        if "lam" in data:
-            params = derive_rates(
-                float(data["lam"]),
-                float(data["mu0"]),
-                float(data["cloud_speedup"]),
-                float(data["local_fraction"]),
-            )
-        n_max = int(data["n_max"]) if "n_max" in data else None
-        size = None if n_max is None else 4 * (n_max + 1) ** 2
+        policy = PolicyTable(data["policy"])
+        params = derive_rates(
+            float(data["lam"]),
+            float(data["mu0"]),
+            float(data["cloud_speedup"]),
+            float(data["local_fraction"]),
+        )
+        n_max = int(data["n_max"])
+        size = 4 * (n_max + 1) ** 2
         for name in ("values", "policy"):
-            if size is not None and name in data and data[name].shape != (size,):
+            if data[name].shape != (size,):
                 raise ValueError(
                     f"checkpoint {name} has shape {data[name].shape}, but its queue cap "
                     f"{n_max} needs ({size},)"

@@ -179,14 +179,16 @@ def test_grid_contract_and_byte_stability(tmp_path):
     space = build_state_space(3)
     acts = tabulate_policy(baseline("non_idling"), space)
     art = tmp_path / "sol.npz"
-    from offloadq.kernel import DiscountSpec
+    from offloadq.kernel import DiscountSpec, uniformization_rate
+    from offloadq.model import derive_rates
     from offloadq.solver import ValueTable
 
+    params = derive_rates(2.7, 1.0, 8.0, 0.4)
     table = ValueTable(
         values=np.zeros(space.size),
-        discount=DiscountSpec.from_alpha(10.0, 0.9),
+        discount=DiscountSpec.from_alpha(uniformization_rate(params), 0.9),
     )
-    save_checkpoint(str(art), table, PolicyTable(acts), n_max=3)
+    save_checkpoint(str(art), table, PolicyTable(acts), params, n_max=3)
     out = tmp_path / "grid.csv"
     assert main(["grid", "--solution", str(art), "--i2", "0", "--i1", "0",
                  "--out", str(out)]) == 0
@@ -273,11 +275,12 @@ def test_grid_and_analyze_reject_artifact_whose_cap_disagrees_with_its_table(
         assert err[0].startswith("error: checkpoint values") and "queue cap 7" in err[0]
 
 
-@pytest.mark.parametrize("code", [7, -1])
+@pytest.mark.parametrize("code", [7, -1, 1.5, 2.9999, np.nan])
 def test_artifact_with_unknown_action_code_rejected(tmp_path, capsys, code):
     sol = _solve_fast(tmp_path / "solved")
     with np.load(sol) as data:
         payload = dict(data)
+    payload["policy"] = payload["policy"].astype(type(code))
     payload["policy"][build_state_space(6).id_of(6, 1, 1, 6)] = code
     bad = tmp_path / "bad_code.npz"
     np.savez(bad, **payload)
@@ -295,9 +298,10 @@ def test_artifact_with_unknown_action_code_rejected(tmp_path, capsys, code):
 
 
 def test_artifact_without_policy_table_rejected(tmp_path, capsys):
-    ck = load_checkpoint(str(_solve_fast(tmp_path)))
+    with np.load(_solve_fast(tmp_path)) as data:
+        payload = {k: data[k] for k in data.files if k != "policy"}
     bare = tmp_path / "values_only.npz"
-    save_checkpoint(str(bare), ck.table, params=ck.params, n_max=ck.n_max)
+    np.savez(bare, **payload)
     capsys.readouterr()
     for argv in (["grid", "--solution", str(bare), "--i2", "0", "--i1", "0"],
                  ["analyze", "--solution", str(bare)],
@@ -305,6 +309,30 @@ def test_artifact_without_policy_table_rejected(tmp_path, capsys):
         assert main([*argv, "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: artifact {bare} lacks a stored policy table"]
+
+
+@pytest.mark.parametrize("fault", ["format_version", "nu", "lam", "n_max", "npy"])
+def test_malformed_artifact_rejected(tmp_path, capsys, fault):
+    with np.load(_solve_fast(tmp_path / "solved")) as data:
+        payload = {k: data[k] for k in data.files if k != fault}
+    bad = tmp_path / "malformed.npz"
+    if fault == "npy":  # a bare array, not an archive
+        with open(bad, "wb") as fh:
+            np.save(fh, payload["values"])
+        expected = f"error: artifact {bad} is not an npz archive"
+    else:  # an archive that lacks one field
+        np.savez(bad, **payload)
+        expected = f"error: artifact {bad} lacks the field '{fault}'"
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    for argv in (["grid", "--solution", str(bad), "--i2", "0", "--i1", "0"],
+                 ["analyze", "--solution", str(bad)],
+                 ["simulate", *FAST, *SIM_FAST, "--policy", str(bad)]):
+        assert main([*argv, "--out-dir", str(out_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [expected]
+        assert not out_dir.exists()
 
 
 def test_simulate_writes_report(tmp_path, capsys):

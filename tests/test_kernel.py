@@ -9,14 +9,13 @@ from offloadq.kernel import (
     build_state_space,
     uniformization_rate,
 )
-from offloadq.model import (
-    Action,
+from offloadq.model import Action, derive_rates
+from scalar_model import (
     Op,
     State,
     admissible_actions,
     apply_action,
     apply_operator,
-    derive_rates,
     total_jobs,
 )
 

@@ -5,16 +5,13 @@ import random
 
 import pytest
 
-from offloadq.model import (
-    Action,
+from offloadq.model import Action, derive_rates, from_heterogeneous, lambda_from_utilization
+from scalar_model import (
     Op,
     State,
     admissible_actions,
     apply_action,
     apply_operator,
-    derive_rates,
-    from_heterogeneous,
-    lambda_from_utilization,
     total_jobs,
 )
 

@@ -115,15 +115,19 @@ def test_table_policy_shape_check_and_saturation():
     assert pol.saturation_events == 1
 
 
-@pytest.mark.parametrize("code", [-1, 4, 7, 259])
+@pytest.mark.parametrize("code", [-1, 4, 7, 259, 1.5, 2.9999, np.nan])
 def test_policy_tables_reject_unknown_action_codes(code):
     # the event loop reads a TablePolicy's rows without the unknown-action
-    # check a call gets; 259 would wrap to the valid 3 in PolicyTable's int8
-    acts = np.zeros(4 * 7**2, dtype=np.int64)
-    acts[build_state_space(6).id_of(6, 1, 1, 6)] = code
+    # check a call gets; 259 would wrap to the valid 3 in PolicyTable's int8,
+    # and an integer cast would truncate 1.5 and 2.9999 and turn NaN into 0
+    acts = np.zeros(4 * 7**2, dtype=type(code))
+    sid = build_state_space(6).id_of(6, 1, 1, 6)
     for make in (PolicyTable, lambda a: TablePolicy(a, n_max=6)):
+        acts[sid] = code
         with pytest.raises(ValueError, match=f"action code {code} at state id"):
             make(acts)
+        acts[sid] = 3  # integral codes pass in either dtype
+        make(acts)
 
 
 def test_saturated_table_still_simulates():

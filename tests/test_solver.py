@@ -6,13 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from offloadq.kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
-from offloadq.model import (
-    Action,
-    State,
-    admissible_actions,
-    derive_rates,
-    lambda_from_utilization,
-)
+from offloadq.model import Action, derive_rates, lambda_from_utilization
 from offloadq.solver import (
     PolicyTable,
     ValueTable,
@@ -25,6 +19,7 @@ from offloadq.solver import (
     value_iterate,
 )
 from offloadq.structure import run_structure_checks
+from scalar_model import State, admissible_actions
 
 CONFIG_A = derive_rates(3.6, 1.0, 8.0, 0.4)
 CONFIG_B = derive_rates(7.2, 1.0, 8.0, 0.4)
@@ -139,12 +134,12 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     k = _kernel(n_max=4, alpha=0.99)
     straight, _ = value_iterate(k, tol=0.0 + 1e-300, max_iters=300)
 
-    first, _ = value_iterate(k, tol=1e-300, max_iters=150)
+    first, greedy = value_iterate(k, tol=1e-300, max_iters=150)
     path = tmp_path / "resume.npz"
-    save_checkpoint(str(path), first, params=k.params, n_max=k.space.n_max)
+    save_checkpoint(str(path), first, greedy, k.params, k.space.n_max)
     loaded = load_checkpoint(str(path))
     assert loaded.n_max == 4
-    assert loaded.params is not None and loaded.params.lam == pytest.approx(3.6)
+    assert loaded.params.lam == pytest.approx(3.6)
     assert loaded.table.iterations == 150
     resumed, _ = value_iterate(k, tol=1e-300, max_iters=150, v0=loaded.table)
     assert resumed.iterations == 300
@@ -153,10 +148,10 @@ def test_checkpoint_resume_bit_identical(tmp_path):
 
 def test_value_iterate_does_not_count_policy_iteration_steps_as_sweeps(tmp_path):
     k = _kernel(CONFIG_B, n_max=6, alpha=0.99)
-    pi_table, _ = policy_iterate(k, tol=1e-9)
+    pi_table, pi_policy = policy_iterate(k, tol=1e-9)
     assert pi_table.iterations > 1
     path = tmp_path / "solution.npz"
-    save_checkpoint(str(path), pi_table, params=k.params, n_max=k.space.n_max)
+    save_checkpoint(str(path), pi_table, pi_policy, k.params, k.space.n_max)
     for v0 in (pi_table, load_checkpoint(str(path)).table):
         one, _ = value_iterate(k, tol=1e-300, max_iters=1, v0=v0)
         assert one.iterations == 1
@@ -167,12 +162,21 @@ def test_value_iterate_does_not_count_policy_iteration_steps_as_sweeps(tmp_path)
 
 def test_checkpoint_stores_policy(tmp_path):
     k = _kernel(n_max=2, alpha=0.5)
-    table, policy = value_iterate(k, tol=1e-9, checkpoint_path=str(tmp_path / "sol.npz"))
-    loaded = load_checkpoint(str(tmp_path / "sol.npz"))
-    assert loaded.policy is not None
-    assert np.array_equal(loaded.policy.actions, policy.actions)
-    assert np.array_equal(loaded.table.values, table.values)
-    assert loaded.table.converged
+    path = str(tmp_path / "sol.npz")
+    for solve in (value_iterate, policy_iterate):
+        table, policy = solve(k, tol=1e-9)
+        save_checkpoint(path, table, policy, k.params, k.space.n_max)
+        loaded = load_checkpoint(path)
+        assert loaded.table.converged
+        # every field of the artifact comes back unchanged
+        assert np.array_equal(loaded.table.values, table.values)
+        assert loaded.table.values.dtype == table.values.dtype
+        for name in ("iterations", "residual", "converged", "tol", "method", "discount"):
+            assert getattr(loaded.table, name) == getattr(table, name), name
+        assert np.array_equal(loaded.policy.actions, policy.actions)
+        assert loaded.policy.actions.dtype == policy.actions.dtype
+        assert loaded.params == k.params
+        assert loaded.n_max == k.space.n_max
 
 
 def test_evaluate_policy_oracle_agreement():
