@@ -16,6 +16,7 @@ pipeline is scriptable through the ``offloadq`` command line (see
 
 from .kernel import (
     DiscountSpec,
+    PolicyTable,
     StateSpace,
     TransitionKernel,
     build_kernel,
@@ -43,7 +44,6 @@ from .simulator import (
 )
 from .solver import (
     Checkpoint,
-    PolicyTable,
     ValueTable,
     bellman_backup,
     evaluate_policy,

@@ -48,7 +48,6 @@ from .model import (
 from .simulator import (
     SimConfig,
     SimulationError,
-    TablePolicy,
     baseline,
     coupled_compare,
     simulate,
@@ -300,7 +299,7 @@ def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
     if spec in cache:
         return cache[spec]
     if spec == "optimal":
-        resolved = TablePolicy(_optimum(cfg.params, cfg).actions, cfg.n_max)
+        resolved = _optimum(cfg.params, cfg)
     else:
         try:
             resolved = baseline(spec)
@@ -317,7 +316,7 @@ def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
                     f"artifact {spec} was solved for {rates(ck.params)}, "
                     f"but the config gives {rates(cfg.params)}"
                 )
-            resolved = TablePolicy(ck.policy.actions, ck.n_max)
+            resolved = ck.policy
     cache[spec] = resolved
     return resolved
 
@@ -441,16 +440,14 @@ def cmd_sweep(args) -> int:
     for rho in rhos:
         lam = lambda_from_utilization(rho, cfg.params.mu0, cfg.params.K)
         params = derive_rates(lam, cfg.params.mu0, cfg.params.K, cfg.params.f)
-        table_policy = None
         if "optimal" in policies and _policy_stable("optimal", rho, params):
             optimum = _optimum(params, cfg, pi0=optimum, where=f" at rho={rho:g}")
-            table_policy = TablePolicy(optimum.actions, cfg.n_max)
         for name in policies:
             if not _policy_stable(name, rho, params):
                 rows.append((_fmt(rho), name, "", "", "", "unstable"))
                 print(f"rho={rho:g} {name}: unstable")
                 continue
-            policy = table_policy if name == "optimal" else bases[name]
+            policy = optimum if name == "optimal" else bases[name]
             report = simulate(policy, params, cfg.sim_config())
             _warn_saturation(f"{name} at rho={rho:g}", report)
             rows.append(

@@ -52,6 +52,50 @@ def check_action_codes(actions: np.ndarray) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False)  # == and hash by identity: an array field has neither
+class PolicyTable:
+    """One action per state id of the space of cap ``n_max``, as Action codes.
+
+    ``n_max`` is derived from the length of ``actions``, or checked against
+    it when given.  ``rows`` holds the table as nested lists indexed
+    ``[n0][i2][i1][n2]``, built on first use, which the simulator's event
+    loop reads directly.  ``action`` reads one state, clamping n0 and n2 to
+    the cap, so it answers for the untruncated system too.
+    """
+
+    actions: np.ndarray
+    n_max: int | None = None
+
+    def __post_init__(self) -> None:
+        actions = np.asarray(self.actions)
+        check_action_codes(actions)  # before the int8 cast, which would wrap
+        m1 = math.isqrt(actions.size // 4) if self.n_max is None else self.n_max + 1
+        if m1 < 1 or actions.shape != (4 * m1 * m1,):
+            why = ("which fits no queue cap" if self.n_max is None
+                   else f"but cap {self.n_max} needs ({4 * m1 * m1},)")
+            raise ValueError(f"policy table has shape {actions.shape}, {why}")
+        object.__setattr__(self, "actions", np.asarray(actions, dtype=np.int8))
+        object.__setattr__(self, "n_max", m1 - 1)
+
+    @cached_property
+    def rows(self) -> list:
+        m1 = self.n_max + 1
+        return self.actions.reshape(m1, 2, 2, m1).tolist()
+
+    def action(self, n0: int, i2: int, i1: int, n2: int) -> int:
+        m = self.n_max
+        return self.rows[min(n0, m)][i2][i1][min(n2, m)]
+
+    def validate(self, kernel: TransitionKernel) -> None:
+        ok = kernel.admissible[self.actions, np.arange(kernel.space.size)]
+        if not ok.all():
+            bad = int(np.flatnonzero(~ok)[0])
+            raise ValueError(
+                f"policy prescribes inadmissible action {Action(int(self.actions[bad]))!r} "
+                f"in state {kernel.space.state_of(bad)}"
+            )
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Dense enumeration of all states with both queue counts capped at n_max.

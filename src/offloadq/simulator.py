@@ -1,22 +1,24 @@
 """Continuous-time discrete-event simulation of the offloading system.
 
 The simulated system is untruncated; table policies saturate their lookup
-at the solved cap and count how often that happened.  At every arrival or
-completion instant the policy is applied repeatedly (full offload before
-split, honoring the composite) until it idles or prescribes something
-inadmissible.  The cloud serves split jobs ahead of a full-offload job
-with preemptive-resume priority: the interrupted job keeps its remaining
-service requirement and no fresh randomness is drawn, so a replication is
-a deterministic function of the seed, and two coupled systems share
-exactly the arrival and service-triplet streams and nothing else.
+at the solved cap, and each run counts how often that happened.  At every
+arrival or completion instant the policy is applied repeatedly (full
+offload before split, honoring the composite) until it idles or
+prescribes something inadmissible.  The cloud serves split jobs ahead of
+a full-offload job with preemptive-resume priority: the interrupted job
+keeps its remaining service requirement and no fresh randomness is
+drawn, so a replication is a deterministic function of the seed, and two
+coupled systems share exactly the arrival and service-triplet streams
+and nothing else.
 
 The event loop reads each action from nested lists while both queue
 counts are within a cap, and calls the policy beyond it.  A
-``TablePolicy`` supplies its own rows and cap; the two baselines supply
+``PolicyTable`` supplies its own rows and cap; the two baselines supply
 rows tabulated over ``BASELINE_CAP``; any other callable has no rows and
 is always called.  Inside the cap the rows equal the call, so the lookup
-changes no sample path, and every clamped lookup of a table still goes
-through its ``action`` and is counted.
+changes no sample path.  Each call beyond a table's cap clamps the state
+to the cap, and the replication counts it as a saturation event in its
+own counter: no run changes its policy, so two runs may share one.
 
 Every job carries a triplet of service times: an Exponential(mu_c1)
 full-offload cloud time; a local preprocessing time that is the same draw
@@ -55,7 +57,7 @@ from typing import Callable, Generator
 import numpy as np
 from scipy.special import stdtrit
 
-from .kernel import build_state_space, check_action_codes
+from .kernel import PolicyTable, build_state_space
 from .model import Action, ModelParams
 
 INF = math.inf
@@ -112,40 +114,8 @@ class SimConfig:
             raise ValueError(f"need at least one replication, got {self.replications}")
 
 
-class TablePolicy:
-    """Policy-table lookup with saturation at the solved queue cap.
-
-    ``actions`` is a policy array over the truncated state space of cap
-    ``n_max``, in state-id order, holding Action codes only.  It is held
-    as nested lists indexed ``[n0][i2][i1][n2]``, which the event loop
-    reads directly while n0 and n2 are within the cap.  Live simulation
-    states can exceed the cap; there the loop calls ``action``, which
-    clamps n0 and n2 to the cap and counts every clamped decision in
-    ``saturation_events``.
-    """
-
-    def __init__(self, actions, n_max: int):
-        acts = np.asarray(actions)
-        m1 = n_max + 1
-        if acts.shape != (4 * m1**2,):
-            raise ValueError(
-                f"policy table has {acts.shape[0]} entries, cap {n_max} needs "
-                f"{4 * m1**2}"
-            )
-        check_action_codes(acts)
-        self._rows = acts.astype(int).reshape(m1, 2, 2, m1).tolist()
-        self.n_max = n_max
-        self.saturation_events = 0
-
-    def action(self, n0: int, i2: int, i1: int, n2: int) -> int:
-        m = self.n_max
-        if n0 > m or n2 > m:
-            self.saturation_events += 1
-            if n0 > m:
-                n0 = m
-            if n2 > m:
-                n2 = m
-        return self._rows[n0][i2][i1][n2]
+# the older name, still used by callers that build TablePolicy(actions, n_max)
+TablePolicy = PolicyTable
 
 
 def _offload_only(n0: int, i2: int, i1: int, n2: int) -> int:
@@ -180,7 +150,7 @@ def baseline(name: str):
 
 def tabulate_policy(policy, space) -> np.ndarray:
     """Materialize any policy onto a truncated state space as an action array."""
-    act = policy.action if hasattr(policy, "action") else policy
+    act = policy.action if isinstance(policy, PolicyTable) else policy
     states = (space.n0.tolist(), space.i2.tolist(), space.i1.tolist(), space.n2.tolist())
     return np.fromiter(map(act, *states), np.int8, space.size)
 
@@ -188,18 +158,21 @@ def tabulate_policy(policy, space) -> np.ndarray:
 @cache  # keyed by the baseline function: two entries at most
 def _baseline_rows(fn) -> list:
     """A baseline's rows over ``BASELINE_CAP``, tabulated on first use."""
-    return TablePolicy(tabulate_policy(fn, build_state_space(BASELINE_CAP)), BASELINE_CAP)._rows
+    return PolicyTable(tabulate_policy(fn, build_state_space(BASELINE_CAP))).rows
 
 
 def _lookup(policy) -> tuple:
-    """``(rows, cap, act)`` with ``rows[n0][i2][i1][n2] == act(n0, i2, i1, n2)``
+    """``(rows, cap, act, clamps)`` with ``rows[n0][i2][i1][n2] == act(n0, i2, i1, n2)``
     whenever ``n0 <= cap and n2 <= cap``; ``cap`` is -1 when there are no rows.
+
+    ``clamps`` is 1 for a table, whose ``act`` clamps every state beyond the
+    cap to it, and 0 for a function, defined in every state.
     """
-    if type(policy) is TablePolicy:
-        return policy._rows, policy.n_max, policy.action
+    if isinstance(policy, PolicyTable):
+        return policy.rows, policy.n_max, policy.action, 1
     if policy is _offload_only or policy is _non_idling:
-        return _baseline_rows(policy), BASELINE_CAP, policy
-    return None, -1, policy.action if hasattr(policy, "action") else policy
+        return _baseline_rows(policy), BASELINE_CAP, policy, 0
+    return None, -1, policy, 0
 
 
 def mm1_reference(lam: float, mu: float) -> float:
@@ -214,7 +187,6 @@ class _RepResult:
     jobs_arrived: int
     jobs_completed: int
     jobs_in_system: int
-    counted_jobs: int
     mean_sojourn: float
     time_avg_jobs: float
     lambda_eff: float
@@ -242,8 +214,7 @@ def _run_replication(
     any instant logged later lies at or after it.  Its return value is the
     replication's result.
     """
-    rows, cap, act = _lookup(policy)
-    sat_before = getattr(policy, "saturation_events", 0)
+    rows, cap, act, clamps = _lookup(policy)
 
     horizon = cfg.horizon
     warmup = cfg.warmup
@@ -293,6 +264,7 @@ def _run_replication(
     sojourn_sum = 0.0
     area = 0.0
     inadmissible = 0
+    saturation = 0
     pending_kind = -1
     collect = collect_events or times is not None
     events: list = []
@@ -306,6 +278,7 @@ def _run_replication(
                     a = rows[n0][i2][i1][n2]
                 else:
                     a = act(n0, i2, i1, n2)
+                    saturation += clamps
                 if a == IDLE:
                     break
                 if a == SM1 or a == SM1_THEN_SM2:
@@ -449,11 +422,10 @@ def _run_replication(
         jobs_arrived=arrived,
         jobs_completed=completed,
         jobs_in_system=int(nf),
-        counted_jobs=counted,
         mean_sojourn=sojourn_sum / counted if counted else 0.0,
         time_avg_jobs=area / span,
         lambda_eff=counted / span,
-        saturation_events=getattr(policy, "saturation_events", 0) - sat_before,
+        saturation_events=saturation,
         inadmissible_stops=inadmissible,
         events=events if collect_events else None,
     )
@@ -490,7 +462,6 @@ class DelayReport:
     rep_jobs_completed: np.ndarray
     rep_jobs_arrived: np.ndarray
     rep_jobs_in_system: np.ndarray
-    rep_counted_jobs: np.ndarray
     rep_lambda_eff: np.ndarray
     saturation_events: int
     inadmissible_stops: int
@@ -546,7 +517,6 @@ def _aggregate(reps: list[_RepResult], cfg: SimConfig, keep_events: bool) -> Del
         rep_jobs_completed=np.array([r.jobs_completed for r in reps]),
         rep_jobs_arrived=np.array([r.jobs_arrived for r in reps]),
         rep_jobs_in_system=np.array([r.jobs_in_system for r in reps]),
-        rep_counted_jobs=np.array([r.counted_jobs for r in reps]),
         rep_lambda_eff=np.array([r.lambda_eff for r in reps]),
         saturation_events=int(sum(r.saturation_events for r in reps)),
         inadmissible_stops=int(sum(r.inadmissible_stops for r in reps)),

@@ -11,7 +11,8 @@ previous table, which keeps results independent of state order and
 bit-reproducible.  Iteration starts from the all-zero table, so the
 iterates increase pointwise toward the fixed point.  Both solvers report
 the sup-norm Bellman residual of the returned table, which certifies the
-error bound ``alpha * residual / (1 - alpha)``.
+error bound ``alpha * residual / (1 - alpha)``.  Each returns its policy
+as a ``kernel.PolicyTable``, the object the simulator runs as it is.
 
 Every sweep and evaluation gathers one vector, the post-decision values
 ``cost0 + alpha * E v`` plus a ``+inf`` sentinel, through a post-action
@@ -24,6 +25,7 @@ A solve is stored as one complete artifact, written by
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +34,10 @@ import scipy.sparse.linalg as spla
 
 from .kernel import (
     DiscountSpec,
+    PolicyTable,
     StateSpace,
     TransitionKernel,
     build_state_space,
-    check_action_codes,
 )
 from .model import Action, ModelParams, derive_rates
 
@@ -78,27 +80,6 @@ class ValueTable:
         """Sup-norm distance to the fixed point implied by the last residual."""
         a = self.discount.alpha
         return a * self.residual / (1.0 - a)
-
-
-@dataclass(frozen=True)
-class PolicyTable:
-    """One action per state id, stored as the Action integer codes."""
-
-    actions: np.ndarray
-
-    def __post_init__(self) -> None:
-        actions = np.asarray(self.actions)
-        check_action_codes(actions)  # before the int8 cast, which would wrap
-        object.__setattr__(self, "actions", np.asarray(actions, dtype=np.int8))
-
-    def validate(self, kernel: TransitionKernel) -> None:
-        ok = kernel.admissible[self.actions, np.arange(kernel.space.size)]
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            raise ValueError(
-                f"policy prescribes inadmissible action {Action(int(self.actions[bad]))!r} "
-                f"in state {kernel.space.state_of(bad)}"
-            )
 
 
 def _values_of(v) -> np.ndarray:
@@ -373,43 +354,48 @@ def load_checkpoint(path: str) -> Checkpoint:
     or discount, an unknown action code, or tables whose length does not
     fit the queue cap.
     """
-    data = np.load(path)
-    if not isinstance(data, np.lib.npyio.NpzFile):
+    # np.load leaves a file it opened open when the archive is unreadable,
+    # and reads members lazily: read them all while the file is open
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh)
+            data = dict(data) if isinstance(data, np.lib.npyio.NpzFile) else None
+        except (ValueError, EOFError, zipfile.BadZipFile):  # not numpy's, cut short or corrupt
+            data = None
+    if data is None:
         raise ValueError(f"artifact {path} is not an npz archive")
-    with data:
-        for name in _ARTIFACT_FIELDS:
-            if name not in data:
-                if name == "policy":
-                    raise ValueError(f"artifact {path} lacks a stored policy table")
-                raise ValueError(f"artifact {path} lacks the field {name!r}")
-        version = int(data["format_version"])
-        if version != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {version}")
-        discount = DiscountSpec(
-            nu=float(data["nu"]), alpha=float(data["alpha"]), beta=float(data["beta"])
+    for name in _ARTIFACT_FIELDS:
+        if name not in data:
+            if name == "policy":
+                raise ValueError(f"artifact {path} lacks a stored policy table")
+            raise ValueError(f"artifact {path} lacks the field {name!r}")
+    version = int(data["format_version"])
+    if version != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format {version}")
+    discount = DiscountSpec(
+        nu=float(data["nu"]), alpha=float(data["alpha"]), beta=float(data["beta"])
+    )
+    table = ValueTable(
+        values=data["values"],
+        discount=discount,
+        iterations=int(data["iterations"]),
+        residual=float(data["residual"]),
+        converged=bool(data["converged"]),
+        tol=float(data["tol"]),
+        method=str(data["method"]),
+    )
+    n_max = int(data["n_max"])
+    size = 4 * (n_max + 1) ** 2
+    if table.values.shape != (size,):
+        raise ValueError(
+            f"checkpoint values has shape {table.values.shape}, but its queue cap "
+            f"{n_max} needs ({size},)"
         )
-        table = ValueTable(
-            values=data["values"],
-            discount=discount,
-            iterations=int(data["iterations"]),
-            residual=float(data["residual"]),
-            converged=bool(data["converged"]),
-            tol=float(data["tol"]),
-            method=str(data["method"]),
-        )
-        policy = PolicyTable(data["policy"])
-        params = derive_rates(
-            float(data["lam"]),
-            float(data["mu0"]),
-            float(data["cloud_speedup"]),
-            float(data["local_fraction"]),
-        )
-        n_max = int(data["n_max"])
-        size = 4 * (n_max + 1) ** 2
-        for name in ("values", "policy"):
-            if data[name].shape != (size,):
-                raise ValueError(
-                    f"checkpoint {name} has shape {data[name].shape}, but its queue cap "
-                    f"{n_max} needs ({size},)"
-                )
+    policy = PolicyTable(data["policy"], n_max)
+    params = derive_rates(
+        float(data["lam"]),
+        float(data["mu0"]),
+        float(data["cloud_speedup"]),
+        float(data["local_fraction"]),
+    )
     return Checkpoint(table=table, policy=policy, params=params, n_max=n_max)

@@ -17,3 +17,11 @@ def test_scalar_model_is_not_exported():
     for name in SCALAR_MODEL:
         assert name not in offloadq.__all__, name
         assert not hasattr(offloadq, name), name
+
+
+def test_one_policy_table_type():
+    # the simulator's older name for the table is the solver's type itself
+    from offloadq import kernel, simulator, solver
+
+    assert offloadq.TablePolicy is offloadq.PolicyTable
+    assert simulator.TablePolicy is solver.PolicyTable is kernel.PolicyTable

@@ -311,15 +311,26 @@ def test_artifact_without_policy_table_rejected(tmp_path, capsys):
         assert err == [f"error: artifact {bare} lacks a stored policy table"]
 
 
-@pytest.mark.parametrize("fault", ["format_version", "nu", "lam", "n_max", "npy"])
+@pytest.mark.parametrize(
+    "fault", ["format_version", "nu", "lam", "n_max", "npy", "text", "truncated", "corrupt"]
+)
 def test_malformed_artifact_rejected(tmp_path, capsys, fault):
-    with np.load(_solve_fast(tmp_path / "solved")) as data:
+    sol = _solve_fast(tmp_path / "solved")
+    with np.load(sol) as data:
         payload = {k: data[k] for k in data.files if k != fault}
     bad = tmp_path / "malformed.npz"
-    if fault == "npy":  # a bare array, not an archive
+    expected = f"error: artifact {bad} is not an npz archive"
+    whole = bytearray(sol.read_bytes())
+    if fault == "npy":  # a bare array
         with open(bad, "wb") as fh:
             np.save(fh, payload["values"])
-        expected = f"error: artifact {bad} is not an npz archive"
+    elif fault == "text":
+        bad.write_text("lam,mu0,K,f\n3.6,1,8,0.4\n")
+    elif fault == "truncated":  # the first half of a good archive
+        bad.write_bytes(whole[: len(whole) // 2])
+    elif fault == "corrupt":  # one byte of the stored values flipped: its checksum fails
+        whole[whole.index(b"values.npy") + 200] ^= 0xFF
+        bad.write_bytes(whole)
     else:  # an archive that lacks one field
         np.savez(bad, **payload)
         expected = f"error: artifact {bad} lacks the field '{fault}'"
@@ -389,6 +400,13 @@ def test_saturated_table_warns_on_stderr(tmp_path, capsys):
     assert rc == 0
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and sol in err and "non_idling" not in err
+
+    # both sides run the same table object, and each counts only its own
+    rc = main(["couple", *heavy, *SIM_FAST, "--policy-a", sol, "--policy-b", sol,
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(f"{sol}: {count} saturation events" in e for e in err)
 
     rc = main(["sweep", *heavy[2:], *SIM_FAST, "--rhos", "0.9",
                "--policies", "optimal,non_idling", "--out-dir", str(tmp_path)])

@@ -110,9 +110,7 @@ def test_table_policy_shape_check_and_saturation():
     space = build_state_space(1)
     pol = TablePolicy(tabulate_policy(baseline("offload_only"), space), n_max=1)
     assert pol.action(1, 0, 0, 0) == SM1
-    assert pol.saturation_events == 0
     assert pol.action(5, 0, 0, 3) == SM1  # clamped to (1, 0, 0, 1)
-    assert pol.saturation_events == 1
 
 
 @pytest.mark.parametrize("code", [-1, 4, 7, 259, 1.5, 2.9999, np.nan])
@@ -459,6 +457,16 @@ def test_coupled_sample_path_pinned(config, policy_a, path_a, dominance):
     assert cr.report_b.rep_mean_sojourn.tolist() == b[0]
 
 
+def test_coupling_a_table_with_itself_counts_each_side_once():
+    # each run counts its own clamps, so two runs of one table object do not
+    # count each other's
+    table = _pin_policy("table8")
+    alone = simulate(table, HEAVY, PIN_CFG).saturation_events
+    cr = coupled_compare(table, table, HEAVY, PIN_CFG)
+    assert alone == 10326
+    assert cr.report_a.saturation_events == cr.report_b.saturation_events == alone
+
+
 @pytest.mark.parametrize("policy", ["offload_only", "non_idling", "table8", "table1"])
 @pytest.mark.parametrize("config", ["a", "heavy"])
 def test_row_lookup_equals_calling_the_policy(config, policy):
@@ -467,10 +475,14 @@ def test_row_lookup_equals_calling_the_policy(config, policy):
     p = CONFIG_A if config == "a" else HEAVY
     looked_up, called = _pin_policy(policy), _pin_policy(policy)
     act = getattr(called, "action", called)
+    cap = getattr(called, "n_max", None)  # a table's cap; a function has none
     widest = [0]
+    beyond_cap = [0]
 
     def call(n0, i2, i1, n2):
         widest[0] = max(widest[0], n0, n2)
+        if cap is not None and max(n0, n2) > cap:
+            beyond_cap[0] += 1
         return act(n0, i2, i1, n2)
 
     rep = simulate(looked_up, p, PIN_CFG)
@@ -479,8 +491,8 @@ def test_row_lookup_equals_calling_the_policy(config, policy):
         x, y = getattr(rep, field.name), getattr(ref, field.name)
         if field.name != "saturation_events":  # the wrapper counts none
             assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
-    # a table's clamped lookups are counted as often as when it is called
-    assert rep.saturation_events == getattr(called, "saturation_events", 0)
+    # a run counts one saturation event per decision beyond a table's cap
+    assert rep.saturation_events == beyond_cap[0]
     if config == "heavy":  # states beyond the rows were visited
         assert widest[0] > getattr(looked_up, "n_max", BASELINE_CAP)
 
