@@ -11,7 +11,12 @@ and ``output`` blocks; every CLI flag overrides the corresponding file
 value.  The model block needs exactly one of rho/lambda and exactly one
 rate parameterization, (mu0, K, f) or (mu_c1, mu_l2, mu_c2); the solver
 block accepts at most one of alpha/beta (required when a command has to
-solve).  The output directory resolves flag, then the OFFLOADQ_OUT_DIR
+solve).  Every model, solver and sim key is a number (an integer for
+n_max, max_iters, replications and seed) and ``output.out_dir`` a
+string; a null ``sim.warmup`` means 10% of the horizon.  Each command
+checks its inputs before its first solve or simulation, and any command
+that reads a config file rejects an invalid ``sim`` block, ``solve``
+included.  The output directory resolves flag, then the OFFLOADQ_OUT_DIR
 environment variable, then the config file, then the working directory.
 
 All CSV output is byte-stable for fixed inputs: fixed column order,
@@ -34,24 +39,15 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
 from .model import (
-    Action,
     ModelParams,
     derive_rates,
     from_heterogeneous,
     lambda_from_utilization,
     params_close,
 )
-from .simulator import (
-    SimConfig,
-    SimulationError,
-    baseline,
-    coupled_compare,
-    simulate,
-)
+from .simulator import SimConfig, SimulationError, baseline, coupled_compare, simulate
 from .solver import MAX_STEPS, PolicyTable, load_checkpoint, policy_iterate, save_checkpoint
 from .structure import run_structure_checks
 
@@ -63,16 +59,13 @@ EXIT_CONFIG = 1
 EXIT_CHECK = 2
 EXIT_NO_CONVERGENCE = 3
 
+DEFAULT_N_MAX = 60
 DEFAULT_SWEEP_RHOS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DEFAULT_SWEEP_POLICIES = ("optimal", "offload_only", "non_idling")
 
 # grid CSV alphabet: idle 0, full offload 1, split 2; the composite keeps
 # code 1 and raises the companion flag instead
 _GRID_ACTION = {0: 0, 1: 1, 2: 2, 3: 1}
-
-
-class ConfigError(ValueError):
-    """Invalid configuration or command usage."""
 
 
 class NotConverged(RuntimeError):
@@ -96,6 +89,20 @@ def _write_json(path: Path, payload: dict) -> None:
 # ------------------------------------------------------------------ config
 
 
+# the type of every config key the CLI reads, by block; each flag that
+# overrides a key has the key's name as its dest
+_CONFIG_KEYS = {
+    "model": {"rho": float, "lambda": float, "mu0": float, "K": float, "f": float,
+              "mu_c1": float, "mu_l2": float, "mu_c2": float},
+    "solver": {"n_max": int, "alpha": float, "beta": float, "tol": float, "max_iters": int},
+    "sim": {"horizon": float, "warmup": float, "replications": int, "seed": int},
+    "output": {"out_dir": str},
+}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+_SIMPLE_RATES = ("mu0", "K", "f")
+_HETERO_RATES = ("mu_c1", "mu_l2", "mu_c2")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved configuration for one command invocation."""
@@ -107,10 +114,7 @@ class RunConfig:
     beta: float | None
     tol: float
     max_iters: int
-    horizon: float
-    warmup: float | None
-    replications: int
-    seed: int
+    sim: SimConfig
     out_dir: Path
 
     def discount_for(self, params: ModelParams) -> DiscountSpec:
@@ -119,15 +123,7 @@ class RunConfig:
             return DiscountSpec.from_alpha(nu, self.alpha)
         if self.beta is not None:
             return DiscountSpec.from_beta(nu, self.beta)
-        raise ConfigError("solving requires alpha or beta in the solver block")
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
-            horizon=self.horizon,
-            warmup=self.warmup,
-            replications=self.replications,
-            seed=self.seed,
-        )
+        raise ValueError("solving requires alpha or beta in the solver block")
 
     def model_dict(self) -> dict:
         p = self.params
@@ -144,73 +140,80 @@ class RunConfig:
         }
 
 
-def _load_blocks(config_path: str | None) -> tuple[dict, dict, dict, dict]:
+def _load_blocks(config_path: str | None) -> dict[str, dict]:
+    """The model, solver, sim and output blocks of the config file, by name."""
     if config_path is None:
-        return {}, {}, {}, {}
+        return {name: {} for name in _CONFIG_KEYS}
     try:
         raw = json.loads(Path(config_path).read_text())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {config_path}") from None
+        raise ValueError(f"config file not found: {config_path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a JSON object")
-    blocks = []
-    for name in ("model", "solver", "sim", "output"):
-        block = raw.get(name, {})
+        raise ValueError("config file must contain a JSON object")
+    blocks = {name: raw.get(name, {}) for name in _CONFIG_KEYS}
+    for name, block in blocks.items():
         if not isinstance(block, dict):
-            raise ConfigError(f"config block {name!r} must be a JSON object")
-        blocks.append(dict(block))
-    model = blocks[0]
-    if "lambda" in model:
-        model["lam"] = model.pop("lambda")
-    return tuple(blocks)
+            raise ValueError(f"config block {name!r} must be a JSON object")
+    return {name: dict(block) for name, block in blocks.items()}
 
 
-_SIMPLE_RATES = ("mu0", "K", "f")
-_HETERO_RATES = ("mu_c1", "mu_l2", "mu_c2")
+def _has_type(value, kind) -> bool:
+    """JSON typing: a number for float, an integral number for int, a string for str."""
+    if kind is str:
+        return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return kind is float or isinstance(value, int) or value.is_integer()
 
 
-def _apply_overrides(args, model: dict, solver: dict, sim: dict) -> None:
-    """Fold CLI flags into the config blocks; a flag replaces its counterpart."""
+def _config_blocks(args) -> dict[str, dict]:
+    """The config blocks, each flag replacing its key in the file, each key of its type."""
+    blocks = _load_blocks(getattr(args, "config", None))
 
     def flagged(keys):
         return any(getattr(args, k, None) is not None for k in keys)
 
     # setting one side of a pair, and not the other, drops the stored other
-    for block, one, other in ((model, ("rho",), ("lam",)),
-                              (model, _SIMPLE_RATES, _HETERO_RATES),
-                              (solver, ("alpha",), ("beta",))):
+    for name, one, other in (("model", ("rho",), ("lambda",)),
+                             ("model", _SIMPLE_RATES, _HETERO_RATES),
+                             ("solver", ("alpha",), ("beta",))):
         for mine, theirs in ((one, other), (other, one)):
             if flagged(mine) and not flagged(theirs):
                 for k in theirs:
-                    block.pop(k, None)
+                    blocks[name].pop(k, None)
 
-    for block, keys in ((model, ("rho", "lam", *_SIMPLE_RATES, *_HETERO_RATES)),
-                        (solver, ("n_max", "alpha", "beta", "tol", "max_iters")),
-                        (sim, ("horizon", "warmup", "replications", "seed"))):
-        for key in keys:
-            value = getattr(args, key, None)
-            if value is not None:
-                block[key] = value
+    for name, types in _CONFIG_KEYS.items():
+        block = blocks[name]
+        for key, kind in types.items():
+            if getattr(args, key, None) is not None:
+                block[key] = getattr(args, key)
+            if key not in block or (key == "warmup" and block[key] is None):  # null: default
+                continue
+            if not _has_type(block[key], kind):
+                raise ValueError(f"config key {name}.{key} must be {_TYPE_NAMES[kind]}, "
+                                 f"got {json.dumps(block[key])}")
+            block[key] = kind(block[key])
+    return blocks
 
 
 def _parse_rates(model: dict) -> tuple[float, float, float]:
     has_simple = any(k in model for k in _SIMPLE_RATES)
     has_hetero = any(k in model for k in _HETERO_RATES)
     if has_simple and has_hetero:
-        raise ConfigError(
+        raise ValueError(
             "model block mixes (mu0, K, f) with (mu_c1, mu_l2, mu_c2); pick one"
         )
     if not has_simple and not has_hetero:
-        raise ConfigError(
+        raise ValueError(
             "model block must provide (mu0, K, f) or (mu_c1, mu_l2, mu_c2)"
         )
     family = _SIMPLE_RATES if has_simple else _HETERO_RATES
     missing = sorted(set(family) - set(model))
     if missing:
-        raise ConfigError(f"model block is missing {', '.join(missing)}")
-    rates = tuple(float(model[k]) for k in family)
+        raise ValueError(f"model block is missing {', '.join(missing)}")
+    rates = tuple(model[k] for k in family)
     return rates if has_simple else from_heterogeneous(*rates)
 
 
@@ -226,51 +229,38 @@ def _resolve_out_dir(args, output: dict) -> Path:
 
 
 def _run_config(args, allow_missing_rate: bool = False) -> RunConfig:
-    model, solver, sim, output = _load_blocks(getattr(args, "config", None))
-    _apply_overrides(args, model, solver, sim)
+    """Every input of a run, typed and validated before any work starts."""
+    blocks = _config_blocks(args)
+    model, solver, sim = blocks["model"], blocks["solver"], blocks["sim"]
 
-    try:
-        mu0, K, f = _parse_rates(model)
-        has_rho = "rho" in model
-        has_lam = "lam" in model
-        rho = None
-        if has_rho and has_lam:
-            raise ConfigError("model block must provide exactly one of rho, lambda")
-        if has_rho:
-            rho = float(model["rho"])
-            lam = lambda_from_utilization(rho, mu0, K)
-        elif has_lam:
-            lam = float(model["lam"])
-            rho = lam / ((K + 1.0) * mu0)
-        elif allow_missing_rate:
-            lam = 0.0
-        else:
-            raise ConfigError("model block must provide exactly one of rho, lambda")
-        params = derive_rates(lam, mu0, K, f)
+    mu0, K, f = _parse_rates(model)
+    if "rho" in model and "lambda" in model:
+        raise ValueError("model block must provide exactly one of rho, lambda")
+    rho = model.get("rho")
+    if rho is not None:
+        lam = lambda_from_utilization(rho, mu0, K)
+    elif "lambda" in model:
+        lam = model["lambda"]
+        rho = lam / ((K + 1.0) * mu0)
+    elif allow_missing_rate:
+        lam = 0.0
+    else:
+        raise ValueError("model block must provide exactly one of rho, lambda")
+    params = derive_rates(lam, mu0, K, f)
 
-        if "alpha" in solver and "beta" in solver:
-            raise ConfigError("solver block must provide at most one of alpha, beta")
-        alpha = float(solver["alpha"]) if "alpha" in solver else None
-        beta = float(solver["beta"]) if "beta" in solver else None
-
-        return RunConfig(
-            params=params,
-            rho=rho,
-            n_max=int(solver.get("n_max", 60)),
-            alpha=alpha,
-            beta=beta,
-            tol=float(solver.get("tol", 1e-9)),
-            max_iters=int(solver.get("max_iters", MAX_STEPS)),
-            horizon=float(sim.get("horizon", 1e5)),
-            warmup=None if sim.get("warmup") is None else float(sim["warmup"]),
-            replications=int(sim.get("replications", 20)),
-            seed=int(sim.get("seed", 12345)),
-            out_dir=_resolve_out_dir(args, output),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if "alpha" in solver and "beta" in solver:
+        raise ValueError("solver block must provide at most one of alpha, beta")
+    return RunConfig(
+        params=params,
+        rho=rho,
+        n_max=solver.get("n_max", DEFAULT_N_MAX),
+        alpha=solver.get("alpha"),
+        beta=solver.get("beta"),
+        tol=solver.get("tol", 1e-9),
+        max_iters=solver.get("max_iters", MAX_STEPS),
+        sim=SimConfig(**{k: sim[k] for k in _CONFIG_KEYS["sim"] if k in sim}),
+        out_dir=_resolve_out_dir(args, blocks["output"]),
+    )
 
 
 # ------------------------------------------------------------------ solving
@@ -294,31 +284,36 @@ def _optimum(params: ModelParams, cfg: RunConfig, pi0: PolicyTable | None = None
     return policy
 
 
-def _resolve_policy(spec: str, cfg: RunConfig, cache: dict):
+def _resolve_policy(spec: str, cfg: RunConfig):
     """A policy argument is a baseline name, 'optimal', or an artifact path."""
-    if spec in cache:
-        return cache[spec]
     if spec == "optimal":
-        resolved = _optimum(cfg.params, cfg)
-    else:
-        try:
-            resolved = baseline(spec)
-        except ValueError:
-            if not Path(spec).exists():
-                raise ConfigError(
-                    f"unknown policy {spec!r}: use 'optimal', a baseline name, "
-                    "or a solution artifact path"
-                ) from None
-            ck = load_checkpoint(spec)
-            if not params_close(ck.params, cfg.params):
-                rates = "lam={0.lam:g}, mu0={0.mu0:g}, K={0.K:g}, f={0.f:g}".format
-                raise ConfigError(
-                    f"artifact {spec} was solved for {rates(ck.params)}, "
-                    f"but the config gives {rates(cfg.params)}"
-                )
-            resolved = ck.policy
-    cache[spec] = resolved
-    return resolved
+        return _optimum(cfg.params, cfg)
+    try:
+        return baseline(spec)
+    except ValueError:
+        if not Path(spec).exists():
+            raise ValueError(
+                f"unknown policy {spec!r}: use 'optimal', a baseline name, "
+                "or a solution artifact path"
+            ) from None
+    ck = load_checkpoint(spec)
+    if not params_close(ck.params, cfg.params):
+        rates = "lam={0.lam:g}, mu0={0.mu0:g}, K={0.K:g}, f={0.f:g}".format
+        raise ValueError(
+            f"artifact {spec} was solved for {rates(ck.params)}, "
+            f"but the config gives {rates(cfg.params)}"
+        )
+    return ck.policy
+
+
+def _resolve_policies(cfg: RunConfig, *specs: str) -> list:
+    """The policies the arguments name, each distinct one resolved once.
+
+    'optimal' resolves last, so a bad baseline or artifact fails before the solve.
+    """
+    order = sorted(dict.fromkeys(specs), key=lambda spec: spec == "optimal")
+    resolved = {spec: _resolve_policy(spec, cfg) for spec in order}
+    return [resolved[spec] for spec in specs]
 
 
 # -------------------------------------------------------------- subcommands
@@ -393,7 +388,7 @@ def _write_sim_json(cfg: RunConfig, name: str, report, **policies: str) -> None:
     """One simulation artifact: the policy names, model, sim block and report."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": SCHEMA_VERSION, "model": cfg.model_dict(),
-               "sim": asdict(cfg.sim_config()), "report": report.to_json_dict(), **policies}
+               "sim": asdict(cfg.sim), "report": report.to_json_dict(), **policies}
     _write_json(cfg.out_dir / name, payload)
 
 
@@ -406,8 +401,8 @@ def _warn_saturation(policy: str, report) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _run_config(args)
-    policy = _resolve_policy(args.policy, cfg, {})
-    report = simulate(policy, cfg.params, cfg.sim_config())
+    policy = _resolve_policy(args.policy, cfg)
+    report = simulate(policy, cfg.params, cfg.sim)
     _warn_saturation(args.policy, report)
     _write_sim_json(cfg, "simulation.json", report, policy=args.policy)
     print(
@@ -428,18 +423,18 @@ def _policy_stable(name: str, rho: float, params: ModelParams) -> bool:
 
 def cmd_sweep(args) -> int:
     cfg = _run_config(args, allow_missing_rate=True)
-    rhos = [float(tok) for tok in args.rhos.split(",") if tok.strip()]
+    mu0, K, f = cfg.params.mu0, cfg.params.K, cfg.params.f
+    loads = [(rho, derive_rates(lambda_from_utilization(rho, mu0, K), mu0, K, f))
+             for rho in (float(tok) for tok in args.rhos.split(",") if tok.strip())]
     policies = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
-    if not rhos or not policies:
-        raise ConfigError("sweep needs at least one rho and one policy")
+    if not loads or not policies:
+        raise ValueError("sweep needs at least one rho and one policy")
     bases = {name: baseline(name) for name in policies if name != "optimal"}
     if "optimal" in policies:
         cfg.discount_for(cfg.params)  # fail before the long run if unset
     rows = []
     optimum = None  # warm start for the next rho's solve
-    for rho in rhos:
-        lam = lambda_from_utilization(rho, cfg.params.mu0, cfg.params.K)
-        params = derive_rates(lam, cfg.params.mu0, cfg.params.K, cfg.params.f)
+    for rho, params in loads:
         if "optimal" in policies and _policy_stable("optimal", rho, params):
             optimum = _optimum(params, cfg, pi0=optimum, where=f" at rho={rho:g}")
         for name in policies:
@@ -448,7 +443,7 @@ def cmd_sweep(args) -> int:
                 print(f"rho={rho:g} {name}: unstable")
                 continue
             policy = optimum if name == "optimal" else bases[name]
-            report = simulate(policy, params, cfg.sim_config())
+            report = simulate(policy, params, cfg.sim)
             _warn_saturation(f"{name} at rho={rho:g}", report)
             rows.append(
                 (
@@ -475,10 +470,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_couple(args) -> int:
     cfg = _run_config(args)
-    cache: dict = {}
-    policy_a = _resolve_policy(args.policy_a, cfg, cache)
-    policy_b = _resolve_policy(args.policy_b, cfg, cache)
-    report = coupled_compare(policy_a, policy_b, cfg.params, cfg.sim_config())
+    policy_a, policy_b = _resolve_policies(cfg, args.policy_a, args.policy_b)
+    report = coupled_compare(policy_a, policy_b, cfg.params, cfg.sim)
     _warn_saturation(args.policy_a, report.report_a)
     _warn_saturation(args.policy_b, report.report_b)
     _write_sim_json(cfg, "couple.json", report, policy_a=args.policy_a,
@@ -497,14 +490,14 @@ def cmd_couple(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _add_model_flags(sub) -> None:
     sub.add_argument("--config", help="JSON config file (model/solver/sim/output)")
     g = sub.add_argument_group("model overrides")
     g.add_argument("--rho", type=float, help="utilization lambda/((K+1) mu0)")
-    g.add_argument("--lam", type=float, help="arrival rate")
+    g.add_argument("--lam", dest="lambda", metavar="LAM", type=float, help="arrival rate")
     g.add_argument("--mu0", type=float, help="local service rate scale")
     g.add_argument("--K", type=float, help="cloud speedup factor (> 1)")
     g.add_argument("--f", type=float, help="local fraction of split work (0, 1)")
@@ -515,7 +508,8 @@ def _add_model_flags(sub) -> None:
 
 def _add_solver_flags(sub) -> None:
     g = sub.add_argument_group("solver overrides")
-    g.add_argument("--n-max", dest="n_max", type=int, help="queue cap (default 60)")
+    g.add_argument("--n-max", dest="n_max", type=int,
+                   help=f"queue cap (default {DEFAULT_N_MAX})")
     g.add_argument("--alpha", type=float, help="discount factor in (0, 1)")
     g.add_argument("--beta", type=float, help="continuous-time discount rate")
     g.add_argument("--tol", type=float, help="sup-norm residual target")
@@ -541,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run policy iteration and write artifacts")
     _add_model_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("grid", help="dump a policy slice as CSV")
@@ -551,13 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i1", type=int, choices=(0, 1), required=True,
                    help="full-offload slot occupancy of the slice")
     p.add_argument("--out", help="CSV path (default grid_i2<i2>_i1<i1>.csv)")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
     p.set_defaults(handler=cmd_grid)
 
     p = sub.add_parser("analyze", help="run structure checks on a solved artifact")
     p.add_argument("--solution", required=True, help="solution artifact (.npz)")
     p.add_argument("--margin", type=int, default=5, help="boundary margin")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("simulate", help="estimate delay for one policy")
@@ -566,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(p)
     p.add_argument("--policy", required=True,
                    help="'optimal', a baseline name, or a solution artifact")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("sweep", help="delay vs utilization for several policies")
@@ -577,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated utilization values")
     p.add_argument("--policies", default=",".join(DEFAULT_SWEEP_POLICIES),
                    help="comma-separated policy names")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("couple", help="paired comparison on shared randomness")
@@ -586,9 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(p)
     p.add_argument("--policy-a", dest="policy_a", required=True)
     p.add_argument("--policy-b", dest="policy_b", required=True)
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
     p.set_defaults(handler=cmd_couple)
 
+    for p in sub.choices.values():
+        p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
     return parser
 
 
@@ -600,7 +590,7 @@ def main(argv=None) -> int:
     except NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (OSError, ValueError, SimulationError) as exc:  # ConfigError is a ValueError
+    except (OSError, ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -90,6 +90,83 @@ def test_config_with_solver_margin_still_loads(tmp_path):
     assert "margin" not in json.loads((tmp_path / "solution.json").read_text())
 
 
+_OPTIMAL = {"simulate": ["--policy", "optimal"],
+            "sweep": ["--rhos", "0.3", "--policies", "optimal"],
+            "couple": ["--policy-a", "optimal", "--policy-b", "non_idling"]}
+_BAD_SIM = [(["--horizon", "-1"], "horizon must be positive"),
+            (["--replications", "0"], "need at least one replication"),
+            (["--warmup", "200"], "warmup must lie in [0, horizon)")]  # SIM_FAST horizon 200
+
+
+def _config_with(block, key, value):
+    doc = {"model": {"rho": 0.3, "mu0": 1, "K": 8, "f": 0.4},
+           "solver": {"n_max": 6, "alpha": 0.9, "tol": 1e-7},
+           "sim": {"horizon": 200, "replications": 3, "seed": 7}, "output": {}}
+    doc[block][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        pytest.param(["sweep", *FAST, *SIM_FAST, "--rhos", "0.5,-0.1", "--policies", "optimal"],
+                     None, "utilization must be nonnegative, got -0.1", id="sweep-negative-rho"),
+        pytest.param(["couple", *FAST, *SIM_FAST, "--policy-a", "optimal", "--policy-b", "bogus"],
+                     None, "unknown policy 'bogus'", id="couple-bogus"),
+        *[pytest.param([cmd, *FAST, *SIM_FAST, *flag, *policy], None, message,
+                       id=f"{cmd}{flag[0]}={flag[1]}")
+          for cmd, policy in _OPTIMAL.items() for flag, message in _BAD_SIM],
+        *[pytest.param(["simulate", "--policy", "optimal"], _config_with(block, key, value),
+                       f"config key {block}.{key} must be {kind}, got {json.dumps(value)}",
+                       id=f"{block}.{key}={json.dumps(value)}")
+          for block, key, kind in (("model", "rho", "a number"),
+                                   ("solver", "n_max", "an integer"),
+                                   ("sim", "horizon", "a number"))
+          for value in (None, [4], {"x": 1})],
+    ],
+)
+def test_bad_input_rejected_before_any_work(tmp_path, capsys, monkeypatch, argv, config,
+                                            message):
+    monkeypatch.setattr("offloadq.cli.policy_iterate",
+                        lambda *a, **k: pytest.fail("solved before the input was checked"))
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "c.json")]
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+    assert not out_dir.exists()
+
+
+def test_config_keys_take_their_json_type(tmp_path, capsys):
+    config = tmp_path / "c.json"
+
+    def run(doc):
+        doc["output"].setdefault("out_dir", str(tmp_path))
+        config.write_text(json.dumps(doc))
+        return main(["simulate", "--config", str(config), "--policy", "offload_only"])
+
+    # a null warmup is the default, and an integral float is an integer
+    assert run(_config_with("sim", "warmup", None)) == 0
+    assert json.loads((tmp_path / "simulation.json").read_text())["sim"]["warmup"] == 20.0
+    assert run(_config_with("sim", "replications", 2.0)) == 0
+    capsys.readouterr()
+    lam_null = _config_with("model", "lambda", None)
+    del lam_null["model"]["rho"]
+    for doc, text in (
+        (_config_with("sim", "seed", 7.5), "sim.seed must be an integer, got 7.5"),
+        (_config_with("model", "f", "0.4"), 'model.f must be a number, got "0.4"'),
+        (_config_with("solver", "tol", True), "solver.tol must be a number, got true"),
+        (lam_null, "model.lambda must be a number, got null"),
+        (_config_with("output", "out_dir", 5), "output.out_dir must be a string, got 5"),
+    ):
+        assert run(doc) == 1
+        assert capsys.readouterr().err == f"error: config key {text}\n"
+
+
 def test_solve_requires_discount(tmp_path, capsys):
     args = [a for a in FAST if a not in ("--alpha", "0.9")]
     rc = main(["solve", *args, "--out-dir", str(tmp_path)])
