@@ -14,10 +14,12 @@ block accepts at most one of alpha/beta (required when a command has to
 solve).  Every model, solver and sim key is a number (an integer for
 n_max, max_iters, replications and seed) and ``output.out_dir`` a
 string; a null ``sim.warmup`` means 10% of the horizon.  Each command
-checks its inputs before its first solve or simulation, and any command
-that reads a config file rejects an invalid ``sim`` block, ``solve``
-included.  The output directory resolves flag, then the OFFLOADQ_OUT_DIR
-environment variable, then the config file, then the working directory.
+checks its inputs before its first solve or simulation, the solver's
+ranges included (n_max and max_iters at least 1, tol positive), and any
+command that reads a config file rejects an invalid ``sim`` block,
+``solve`` included.  The output directory resolves flag, then the
+OFFLOADQ_OUT_DIR environment variable, then the config file, then the
+working directory.
 
 All CSV output is byte-stable for fixed inputs: fixed column order,
 numbers at 9 significant digits, lines terminated with "\\n".  JSON
@@ -250,14 +252,20 @@ def _run_config(args, allow_missing_rate: bool = False) -> RunConfig:
 
     if "alpha" in solver and "beta" in solver:
         raise ValueError("solver block must provide at most one of alpha, beta")
+    solver = {"n_max": DEFAULT_N_MAX, "tol": 1e-9, "max_iters": MAX_STEPS, **solver}
+    for key, ok, bound in (("n_max", solver["n_max"] >= 1, "at least 1"),
+                           ("tol", solver["tol"] > 0.0, "positive"),
+                           ("max_iters", solver["max_iters"] >= 1, "at least 1")):
+        if not ok:
+            raise ValueError(f"solver.{key} must be {bound}, got {solver[key]}")
     return RunConfig(
         params=params,
         rho=rho,
-        n_max=solver.get("n_max", DEFAULT_N_MAX),
+        n_max=solver["n_max"],
         alpha=solver.get("alpha"),
         beta=solver.get("beta"),
-        tol=solver.get("tol", 1e-9),
-        max_iters=solver.get("max_iters", MAX_STEPS),
+        tol=solver["tol"],
+        max_iters=solver["max_iters"],
         sim=SimConfig(**{k: sim[k] for k in _CONFIG_KEYS["sim"] if k in sim}),
         out_dir=_resolve_out_dir(args, blocks["output"]),
     )
@@ -321,9 +329,8 @@ def _resolve_policies(cfg: RunConfig, *specs: str) -> list:
 
 def cmd_solve(args) -> int:
     cfg = _run_config(args)
-    cfg.discount_for(cfg.params)  # fail before the long run if unset
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     space, table, policy = _solve(cfg.params, cfg)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     solution = cfg.out_dir / "solution.npz"
     save_checkpoint(str(solution), table, policy, cfg.params, cfg.n_max)
     meta = {
@@ -424,8 +431,12 @@ def _policy_stable(name: str, rho: float, params: ModelParams) -> bool:
 def cmd_sweep(args) -> int:
     cfg = _run_config(args, allow_missing_rate=True)
     mu0, K, f = cfg.params.mu0, cfg.params.K, cfg.params.f
+    try:
+        rhos = [float(tok) for tok in args.rhos.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--rhos takes comma-separated numbers, got {args.rhos!r}") from None
     loads = [(rho, derive_rates(lambda_from_utilization(rho, mu0, K), mu0, K, f))
-             for rho in (float(tok) for tok in args.rhos.split(",") if tok.strip())]
+             for rho in rhos]
     policies = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
     if not loads or not policies:
         raise ValueError("sweep needs at least one rho and one policy")

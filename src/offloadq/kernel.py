@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,15 +52,24 @@ def check_action_codes(actions: np.ndarray) -> None:
         )
 
 
+@cache  # keyed by the queue cap: a process meets few caps
+def _admissible_mask(n_max: int) -> np.ndarray:
+    mask = _post_action_map(build_state_space(n_max))[1]
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass(frozen=True, eq=False)  # == and hash by identity: an array field has neither
 class PolicyTable:
-    """One action per state id of the space of cap ``n_max``, as Action codes.
+    """One admissible action per state id of the space of cap ``n_max``, as Action codes.
 
     ``n_max`` is derived from the length of ``actions``, or checked against
-    it when given.  ``rows`` holds the table as nested lists indexed
+    it when given, and every action must be admissible in its state by the
+    kernel's own rule.  ``rows`` holds the table as nested lists indexed
     ``[n0][i2][i1][n2]``, built on first use, which the simulator's event
     loop reads directly.  ``action`` reads one state, clamping n0 and n2 to
-    the cap, so it answers for the untruncated system too.
+    the cap, so it answers for the untruncated system too; a clamped answer
+    stays admissible, since admissibility asks at most ``n0 >= 2``.
     """
 
     actions: np.ndarray
@@ -74,7 +83,15 @@ class PolicyTable:
             why = ("which fits no queue cap" if self.n_max is None
                    else f"but cap {self.n_max} needs ({4 * m1 * m1},)")
             raise ValueError(f"policy table has shape {actions.shape}, {why}")
-        object.__setattr__(self, "actions", np.asarray(actions, dtype=np.int8))
+        actions = np.asarray(actions, dtype=np.int8)
+        ok = _admissible_mask(m1 - 1)[actions, np.arange(actions.size)]
+        if not ok.all():
+            bad = int(np.flatnonzero(~ok)[0])
+            raise ValueError(
+                f"policy prescribes inadmissible action {Action(int(actions[bad]))!r} "
+                f"in state {build_state_space(m1 - 1).state_of(bad)}"
+            )
+        object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "n_max", m1 - 1)
 
     @cached_property
@@ -85,15 +102,6 @@ class PolicyTable:
     def action(self, n0: int, i2: int, i1: int, n2: int) -> int:
         m = self.n_max
         return self.rows[min(n0, m)][i2][i1][min(n2, m)]
-
-    def validate(self, kernel: TransitionKernel) -> None:
-        ok = kernel.admissible[self.actions, np.arange(kernel.space.size)]
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            raise ValueError(
-                f"policy prescribes inadmissible action {Action(int(self.actions[bad]))!r} "
-                f"in state {kernel.space.state_of(bad)}"
-            )
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ evaluates each policy exactly by a sparse LU solve over its
 post-decision states and improves it by a ``LOOKAHEAD``-step lookahead
 (the next policy is greedy for ``T^(LOOKAHEAD-1) v``, not for ``v``),
 stopping when no state improves.
-:func:`value_iterate` is the oracle and the resume path.  Its sweeps are
-synchronous (Jacobi): each new table is computed from the complete
-previous table, which keeps results independent of state order and
-bit-reproducible.  Iteration starts from the all-zero table, so the
-iterates increase pointwise toward the fixed point.  Both solvers report
-the sup-norm Bellman residual of the returned table, which certifies the
-error bound ``alpha * residual / (1 - alpha)``.  Each returns its policy
-as a ``kernel.PolicyTable``, the object the simulator runs as it is.
+It is also the one way to continue or warm-start a solve: ``pi0`` takes
+the policy of an unfinished solve or the optimum of a neighbouring load.
+:func:`value_iterate` is the oracle.  Its sweeps are synchronous (Jacobi):
+each new table is computed from the complete previous table, which keeps
+results independent of state order and bit-reproducible.  Iteration
+always starts from the all-zero table, so the iterates increase pointwise
+toward the fixed point.  Both solvers report the sup-norm Bellman
+residual of the returned table, which certifies the error bound
+``alpha * residual / (1 - alpha)``.  Each returns its policy as a
+``kernel.PolicyTable``, the object the simulator runs as it is.
 
 Every sweep and evaluation gathers one vector, the post-decision values
 ``cost0 + alpha * E v`` plus a ``+inf`` sentinel, through a post-action
@@ -82,26 +84,14 @@ class ValueTable:
         return a * self.residual / (1.0 - a)
 
 
-def _values_of(v) -> np.ndarray:
-    return v.values if isinstance(v, ValueTable) else np.asarray(v, dtype=float)
-
-
-def _sweeps_of(v) -> int:
-    """Bellman sweeps behind ``v``; steps of other solvers are not sweeps."""
-    return v.iterations if isinstance(v, ValueTable) and v.method == VALUE_ITERATION else 0
-
-
 def _post_values(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
     """``cost0 + alpha * E v``, the value of each post-decision state, then ``+inf``."""
     w = kernel.cost0 + kernel.discount.alpha * (kernel.events @ values)
     return np.concatenate((w, [np.inf]))
 
 
-def _converge(step, values, tol, max_iters, discount, method, done=0) -> ValueTable:
-    """Apply ``step`` until one application moves no entry by more than ``tol``.
-
-    ``done`` counts earlier applications.
-    """
+def _converge(step, values, tol, max_iters, discount, method) -> ValueTable:
+    """Apply ``step`` until one application moves no entry by more than ``tol``."""
     residual, k = float("inf"), 0
     while k < max_iters:
         k += 1
@@ -109,8 +99,8 @@ def _converge(step, values, tol, max_iters, discount, method, done=0) -> ValueTa
         residual = float(np.max(np.abs(v_new - values)))
         values = v_new
         if residual <= tol:
-            return ValueTable(values, discount, done + k, residual, True, tol, method)
-    return ValueTable(values, discount, done + k, residual, False, tol, method)
+            return ValueTable(values, discount, k, residual, True, tol, method)
+    return ValueTable(values, discount, k, residual, False, tol, method)
 
 
 def q_table(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
@@ -138,15 +128,16 @@ def _greedy(kernel: TransitionKernel, values: np.ndarray) -> tuple[np.ndarray, n
     return best, greedy
 
 
-def bellman_backup(kernel: TransitionKernel, v) -> tuple[ValueTable, PolicyTable]:
+def bellman_backup(
+    kernel: TransitionKernel, values: np.ndarray
+) -> tuple[ValueTable, PolicyTable]:
     """One synchronous sweep of the optimality operator with greedy extraction."""
-    values = _values_of(v)
     v_new, greedy = _greedy(kernel, values)
     residual = float(np.max(np.abs(v_new - values)))
     table = ValueTable(
         values=v_new,
         discount=kernel.discount,
-        iterations=_sweeps_of(v) + 1,
+        iterations=1,
         residual=residual,
         converged=False,
         method=VALUE_ITERATION,
@@ -155,28 +146,17 @@ def bellman_backup(kernel: TransitionKernel, v) -> tuple[ValueTable, PolicyTable
 
 
 def value_iterate(
-    kernel: TransitionKernel,
-    tol: float = 1e-9,
-    max_iters: int = 2_000_000,
-    v0: ValueTable | None = None,
+    kernel: TransitionKernel, tol: float = 1e-9, max_iters: int = 2_000_000
 ) -> tuple[ValueTable, PolicyTable]:
-    """Iterate Bellman sweeps to a sup-norm residual of ``tol``.
+    """Iterate Bellman sweeps from the all-zero table to a sup-norm residual of ``tol``.
 
-    ``v0`` resumes from an earlier table; the default start is the
-    all-zero table.  The sweep count of a ``v0`` from this function (or a
-    checkpoint of one) carries over; a table from another solver starts
-    the count at 0, since its ``iterations`` are not sweeps.  Hitting
-    ``max_iters`` returns the last table with ``converged=False`` rather
-    than raising.
+    Hitting ``max_iters`` returns the last table with ``converged=False``
+    rather than raising.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    n = kernel.space.size
-    if v0 is not None and v0.values.shape != (n,):
-        raise ValueError(f"resume table has shape {v0.values.shape}, kernel expects ({n},)")
-    values = np.zeros(n) if v0 is None else v0.values.astype(float, copy=True)
-    table = _converge(lambda v: q_table(kernel, v).min(axis=0), values, tol, max_iters,
-                      kernel.discount, VALUE_ITERATION, _sweeps_of(v0))
+    table = _converge(lambda v: q_table(kernel, v).min(axis=0), np.zeros(kernel.space.size),
+                      tol, max_iters, kernel.discount, VALUE_ITERATION)
     return table, PolicyTable(_greedy(kernel, table.values)[1])
 
 
@@ -185,7 +165,6 @@ def evaluate_policy(
     pi: PolicyTable,
     method: str = "iterative",
     tol: float = 1e-13,
-    max_iters: int = 10_000_000,
     direct_size_limit: int | None = None,
 ) -> ValueTable:
     """Discounted cost-to-go of a fixed policy.
@@ -205,8 +184,9 @@ def evaluate_policy(
     of the 14,884 states, so the LU is that much smaller than one of
     ``(I - alpha * P_pi)``.
     """
-    pi.validate(kernel)
     n = kernel.space.size
+    if pi.n_max != kernel.space.n_max:
+        raise ValueError(f"policy table has cap {pi.n_max}, kernel has cap {kernel.space.n_max}")
     post_pi = kernel.post[pi.actions, np.arange(n)]
     if method == "direct":
         if direct_size_limit is not None and n > direct_size_limit:
@@ -226,7 +206,7 @@ def evaluate_policy(
         )
     if method == "iterative":
         return _converge(lambda v: _post_values(kernel, v)[post_pi], np.zeros(n), tol,
-                         max_iters, kernel.discount, POLICY_EVALUATION)
+                         10_000_000, kernel.discount, POLICY_EVALUATION)
     raise ValueError(f"unknown evaluation method {method!r}")
 
 
@@ -248,8 +228,12 @@ def policy_iterate(
     wherever the stop test failed, and policies cannot cycle.  A one-step
     (Howard) improvement moves the switching front about one queue level
     per step; the lookahead cuts 28-46 steps to 3 at n_max 60,
-    alpha 0.999.  The start is ``pi0`` (a warm start, e.g. the optimum of
-    a neighbouring load) or the greedy policy of the all-zero table.
+    alpha 0.999.  The start is ``pi0`` or the greedy policy of the all-zero
+    table.  ``pi0`` warm-starts a solve from the optimum of a neighbouring
+    load, or continues an unfinished one from its stored policy; resuming
+    a one-step artifact of reference config a or b (n_max 60,
+    alpha 0.999) takes 3 steps and returns the cold solve's values and
+    policy bit for bit.
     ``iterations`` counts evaluations and ``max_iters`` caps them.
     ``converged`` means the last step improved no state and the Bellman
     residual of the returned values is within ``tol``; hitting the cap
@@ -262,11 +246,7 @@ def policy_iterate(
     n = kernel.space.size
     sids = np.arange(n)
     values = np.zeros(n)
-    if pi0 is None:
-        actions = _greedy(kernel, values)[1]
-    else:
-        pi0.validate(kernel)
-        actions = pi0.actions.copy()
+    actions = _greedy(kernel, values)[1] if pi0 is None else pi0.actions
     done = 0
     stable = False
     while done < max_iters and not stable:
@@ -351,8 +331,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     Raises ``ValueError`` when the file is not an npz archive, a field is
     missing, the format is unknown, or a field is inconsistent: bad rates
-    or discount, an unknown action code, or tables whose length does not
-    fit the queue cap.
+    or discount, an unknown action code or one its state does not admit,
+    or tables whose length does not fit the queue cap.
     """
     # np.load leaves a file it opened open when the archive is unreadable,
     # and reads members lazily: read them all while the file is open

@@ -29,14 +29,16 @@ alongside the values, each check therefore measures the action-value
 margins behind a candidate violation and reports it as indeterminate
 rather than failed unless the competing action families are separated by
 more than the value-accuracy floor ``alpha / (1 - alpha) * residual`` at
-every state involved.  Checks never raise on failure; violations are
-returned as counterexample lists.
+every state involved.  :func:`run_structure_checks` always derives that
+floor from the value table; each ``check_*`` function takes the
+action-value table ``q`` and a ``floor`` of its own.  Checks never raise
+on failure; violations are returned as counterexample lists.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,27 +82,24 @@ class ThresholdProfile:
     offload in service at the cloud and k split jobs queued there;
     ``sm1_free[k]`` (k >= 1) covers the slice (n0, 0, 0, k).  Entries use
     the "for all larger n0" form, so they are well defined even for
-    non-monotone policies.  ``None`` means no threshold was witnessed on
-    the slice; with ``cap`` recorded, that only proves the threshold
-    exceeds the slice top ``cap - k``.
+    non-monotone policies.  ``cap`` bounds n0 + k on the interior the
+    profile was read from.  ``None`` means no threshold was witnessed on
+    the slice, which only proves the threshold exceeds the slice top
+    ``cap - k``.
     """
 
-    sm1_busy: dict[int, int | None] = field(default_factory=dict)
-    sm1_free: dict[int, int | None] = field(default_factory=dict)
-    cap: int | None = None
+    sm1_busy: dict[int, int | None]
+    sm1_free: dict[int, int | None]
+    cap: int
 
     def _non_increasing(self, seq: dict[int, int | None]) -> bool:
         bound = float("inf")
         for k in sorted(seq):
             t = seq[k]
             if t is None:
-                # unwitnessed: the threshold exceeds the slice top (when
-                # the cap is known) or does not exist at all; only a
+                # unwitnessed: the threshold exceeds the slice top; only a
                 # provable excess over the running bound is a violation
-                if self.cap is None:
-                    if bound < float("inf"):
-                        return False
-                elif self.cap - k >= bound:
+                if self.cap - k >= bound:
                     return False
                 continue
             if t > bound:
@@ -390,14 +389,15 @@ def run_structure_checks(
     margin: int = 5,
     values: ValueTable | None = None,
     kernel: TransitionKernel | None = None,
-    decision_floor: float | None = None,
 ) -> StructureReport:
     """Run every check and assemble the report.
 
     With ``kernel`` (which requires ``values``), candidate violations are
-    screened against the action-value margins: pairs decided by less than
-    the floor — ``alpha / (1 - alpha) * residual`` unless overridden — are
-    indeterminate tie-breaking artifacts, not failures.
+    screened against the action-value margins: pairs decided by no more
+    than the floor ``alpha / (1 - alpha) * residual`` (at least
+    ``TIE_EPS``) are indeterminate tie-breaking artifacts, not failures.
+    A caller that needs another floor calls the ``check_*`` functions with
+    ``q`` and ``floor`` directly.
     """
     q, floor = None, 0.0
     if kernel is not None:
@@ -405,12 +405,10 @@ def run_structure_checks(
             raise ValueError("margin screening needs the solved value table")
         q = q_table(kernel, values.values)
         alpha, res = kernel.discount.alpha, values.residual
-        floor = decision_floor
-        if floor is None:
-            # not values.error_bound: its alpha * res / (1 - alpha) can differ
-            # in the last bit (on reference config b, 7.950120561872603e-10
-            # where this gives ...602e-10), and structure.json records the floor
-            floor = max(TIE_EPS, alpha / (1.0 - alpha) * res) if np.isfinite(res) else TIE_EPS
+        # not values.error_bound: its alpha * res / (1 - alpha) can differ
+        # in the last bit (on reference config b, 7.950120561872603e-10
+        # where this gives ...602e-10), and structure.json records the floor
+        floor = max(TIE_EPS, alpha / (1.0 - alpha) * res) if np.isfinite(res) else TIE_EPS
     thresholds = extract_thresholds(pi, space, margin)
     return StructureReport(
         n_max=space.n_max,

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from offloadq.cli import main
-from offloadq.kernel import build_state_space
+from offloadq.kernel import build_kernel, build_state_space
 from offloadq.model import Action
 from offloadq.simulator import baseline, tabulate_policy
-from offloadq.solver import PolicyTable, load_checkpoint, save_checkpoint
+from offloadq.solver import PolicyTable, load_checkpoint, policy_iterate, save_checkpoint
 
 # small instance keeps every solve in this file well under a second
 FAST = [
@@ -47,6 +47,21 @@ def test_solve_nonconvergence_exits_3_but_writes(tmp_path):
     assert meta["status"] == "not_converged"
     assert meta["iterations"] == 1
     assert (tmp_path / "solution.npz").exists()
+
+
+def test_unfinished_solve_resumes_from_its_policy_to_the_cold_solve(tmp_path):
+    args = [*FAST, "--rho", "0.8", "--n-max", "8", "--alpha", "0.99", "--tol", "1e-9"]
+    assert main(["solve", *args, "--max-iters", "1", "--out-dir", str(tmp_path / "part")]) == 3
+    assert main(["solve", *args, "--out-dir", str(tmp_path / "cold")]) == 0
+    part = load_checkpoint(str(tmp_path / "part" / "solution.npz"))
+    cold = load_checkpoint(str(tmp_path / "cold" / "solution.npz"))
+    kernel = build_kernel(part.params, part.space(), part.table.discount)
+    table, policy = policy_iterate(kernel, tol=part.table.tol, pi0=part.policy)
+    assert table.converged
+    # bit for bit: both runs end by evaluating the same policy the same way
+    assert table.values.tobytes() == cold.table.values.tobytes()
+    assert policy.actions.tobytes() == cold.policy.actions.tobytes()
+    assert table.residual == cold.table.residual
 
 
 @pytest.mark.parametrize(
@@ -113,6 +128,15 @@ def _config_with(block, key, value):
                      None, "utilization must be nonnegative, got -0.1", id="sweep-negative-rho"),
         pytest.param(["couple", *FAST, *SIM_FAST, "--policy-a", "optimal", "--policy-b", "bogus"],
                      None, "unknown policy 'bogus'", id="couple-bogus"),
+        pytest.param(["sweep", *FAST, *SIM_FAST, "--rhos", "0.5,abc", "--policies", "optimal"],
+                     None, "--rhos takes comma-separated numbers, got '0.5,abc'",
+                     id="sweep-rhos-not-numbers"),
+        pytest.param(["solve", *FAST, "--n-max", "0"], None,
+                     "solver.n_max must be at least 1, got 0", id="solve--n-max=0"),
+        pytest.param(["solve", *FAST, "--max-iters", "-1"], None,
+                     "solver.max_iters must be at least 1, got -1", id="solve--max-iters=-1"),
+        pytest.param(["simulate", *FAST, *SIM_FAST, "--tol", "-1", "--policy", "optimal"], None,
+                     "solver.tol must be positive, got -1.0", id="simulate--tol=-1"),
         *[pytest.param([cmd, *FAST, *SIM_FAST, *flag, *policy], None, message,
                        id=f"{cmd}{flag[0]}={flag[1]}")
           for cmd, policy in _OPTIMAL.items() for flag, message in _BAD_SIM],
@@ -129,6 +153,8 @@ def test_bad_input_rejected_before_any_work(tmp_path, capsys, monkeypatch, argv,
                                             message):
     monkeypatch.setattr("offloadq.cli.policy_iterate",
                         lambda *a, **k: pytest.fail("solved before the input was checked"))
+    monkeypatch.setattr("offloadq.cli.build_kernel",
+                        lambda *a, **k: pytest.fail("built a kernel before the input was checked"))
     if config is not None:
         (tmp_path / "c.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "c.json")]
@@ -389,7 +415,8 @@ def test_artifact_without_policy_table_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "fault", ["format_version", "nu", "lam", "n_max", "npy", "text", "truncated", "corrupt"]
+    "fault", ["format_version", "nu", "lam", "n_max", "npy", "text", "truncated", "corrupt",
+              "inadmissible"]
 )
 def test_malformed_artifact_rejected(tmp_path, capsys, fault):
     sol = _solve_fast(tmp_path / "solved")
@@ -408,6 +435,12 @@ def test_malformed_artifact_rejected(tmp_path, capsys, fault):
     elif fault == "corrupt":  # one byte of the stored values flipped: its checksum fails
         whole[whole.index(b"values.npy") + 200] ^= 0xFF
         bad.write_bytes(whole)
+    elif fault == "inadmissible":  # full offload with nothing queued, or with the slot busy
+        for state in ((3, 0, 1, 0), (0, 0, 0, 0)):
+            payload["policy"][build_state_space(6).id_of(*state)] = int(Action.SM1)
+        np.savez(bad, **payload)
+        expected = ("error: policy prescribes inadmissible action <Action.SM1: 1> "
+                    "in state (0, 0, 0, 0)")
     else:  # an archive that lacks one field
         np.savez(bad, **payload)
         expected = f"error: artifact {bad} lacks the field '{fault}'"
@@ -415,7 +448,8 @@ def test_malformed_artifact_rejected(tmp_path, capsys, fault):
     capsys.readouterr()
     for argv in (["grid", "--solution", str(bad), "--i2", "0", "--i1", "0"],
                  ["analyze", "--solution", str(bad)],
-                 ["simulate", *FAST, *SIM_FAST, "--policy", str(bad)]):
+                 ["simulate", *FAST, *SIM_FAST, "--policy", str(bad)],
+                 ["couple", *FAST, *SIM_FAST, "--policy-a", str(bad), "--policy-b", "non_idling"]):
         assert main([*argv, "--out-dir", str(out_dir)]) == 1
         out, err = capsys.readouterr()
         assert out == ""

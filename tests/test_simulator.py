@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from offloadq.simulator import (
     tabulate_policy,
 )
 from offloadq.solver import PolicyTable
+from scalar_model import State, admissible_actions
 
 CONFIG_A = derive_rates(3.6, 1.0, 8.0, 0.4)
 
@@ -119,13 +121,25 @@ def test_policy_tables_reject_unknown_action_codes(code):
     # check a call gets; 259 would wrap to the valid 3 in PolicyTable's int8,
     # and an integer cast would truncate 1.5 and 2.9999 and turn NaN into 0
     acts = np.zeros(4 * 7**2, dtype=type(code))
-    sid = build_state_space(6).id_of(6, 1, 1, 6)
+    sid = build_state_space(6).id_of(6, 0, 0, 6)  # where code 3 is admissible
     for make in (PolicyTable, lambda a: TablePolicy(a, n_max=6)):
         acts[sid] = code
         with pytest.raises(ValueError, match=f"action code {code} at state id"):
             make(acts)
         acts[sid] = 3  # integral codes pass in either dtype
         make(acts)
+
+
+def test_clamped_lookups_of_a_table_stay_admissible():
+    # so only a callable policy can make the event loop stop on an
+    # inadmissible action
+    space = build_state_space(2)
+    rng = np.random.default_rng(4)
+    states = list(itertools.product(range(6), (0, 1), (0, 1), range(6)))
+    for _ in range(20):
+        table = PolicyTable(np.array([rng.choice(admissible_actions(State(*space.state_of(s))))
+                                      for s in range(space.size)], dtype=np.int8))
+        assert all(table.action(*s) in admissible_actions(State(*s)) for s in states)
 
 
 def test_saturated_table_still_simulates():

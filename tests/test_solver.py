@@ -46,6 +46,10 @@ def _random_admissible_policy(kernel, rng):
     return PolicyTable(actions)
 
 
+def _assert_admissible(kernel, policy):
+    assert kernel.admissible[policy.actions, np.arange(kernel.space.size)].all()
+
+
 def test_backup_of_zero_table():
     k = _kernel()
     table, greedy = bellman_backup(k, np.zeros(k.space.size))
@@ -106,7 +110,7 @@ def test_value_iterate_converges_geometrically():
     assert table.residual <= 1e-9
     assert table.error_bound <= 1e-9
     # greedy actions admissible everywhere
-    policy.validate(k)
+    _assert_admissible(k, policy)
 
 
 def test_value_iterate_zero_budget():
@@ -128,36 +132,6 @@ def test_value_iterate_reports_non_convergence():
 def test_value_iterate_rejects_bad_tolerance():
     with pytest.raises(ValueError, match="positive"):
         value_iterate(_kernel(), tol=0.0)
-
-
-def test_checkpoint_resume_bit_identical(tmp_path):
-    k = _kernel(n_max=4, alpha=0.99)
-    straight, _ = value_iterate(k, tol=0.0 + 1e-300, max_iters=300)
-
-    first, greedy = value_iterate(k, tol=1e-300, max_iters=150)
-    path = tmp_path / "resume.npz"
-    save_checkpoint(str(path), first, greedy, k.params, k.space.n_max)
-    loaded = load_checkpoint(str(path))
-    assert loaded.n_max == 4
-    assert loaded.params.lam == pytest.approx(3.6)
-    assert loaded.table.iterations == 150
-    resumed, _ = value_iterate(k, tol=1e-300, max_iters=150, v0=loaded.table)
-    assert resumed.iterations == 300
-    assert np.array_equal(resumed.values, straight.values)
-
-
-def test_value_iterate_does_not_count_policy_iteration_steps_as_sweeps(tmp_path):
-    k = _kernel(CONFIG_B, n_max=6, alpha=0.99)
-    pi_table, pi_policy = policy_iterate(k, tol=1e-9)
-    assert pi_table.iterations > 1
-    path = tmp_path / "solution.npz"
-    save_checkpoint(str(path), pi_table, pi_policy, k.params, k.space.n_max)
-    for v0 in (pi_table, load_checkpoint(str(path)).table):
-        one, _ = value_iterate(k, tol=1e-300, max_iters=1, v0=v0)
-        assert one.iterations == 1
-        none, _ = value_iterate(k, tol=1e-300, max_iters=0, v0=v0)
-        assert none.iterations == 0
-        assert np.array_equal(none.values, pi_table.values)
 
 
 def test_checkpoint_stores_policy(tmp_path):
@@ -276,8 +250,19 @@ def test_evaluate_policy_rejects_inadmissible():
     k = _kernel()
     actions = np.zeros(k.space.size, dtype=np.int8)
     actions[k.space.id_of(0, 0, 0, 0)] = int(Action.SM1)
+    # the table itself refuses, so no solver can be handed one
     with pytest.raises(ValueError, match="inadmissible"):
         evaluate_policy(k, PolicyTable(actions))
+
+
+def test_solvers_reject_a_table_of_another_cap():
+    k = _kernel(n_max=3)
+    other = _random_admissible_policy(_kernel(n_max=4), np.random.default_rng(2))
+    for solve in (lambda: evaluate_policy(k, other, method="direct"),
+                  lambda: evaluate_policy(k, other, method="iterative"),
+                  lambda: policy_iterate(k, pi0=other)):
+        with pytest.raises(ValueError, match="policy table has cap 4, kernel has cap 3"):
+            solve()
 
 
 def test_evaluate_policy_direct_size_limit():
@@ -331,7 +316,7 @@ def test_policy_iterate_step_budget_reports_non_convergence():
     assert not table.converged
     assert table.iterations == 1
     assert np.isfinite(table.error_bound)
-    policy.validate(k)
+    _assert_admissible(k, policy)
 
 
 def test_policy_iterate_values_fall_with_each_step():
@@ -339,7 +324,7 @@ def test_policy_iterate_values_fall_with_each_step():
     previous = None
     for budget in range(1, 6):
         table, policy = policy_iterate(k, tol=1e-9, max_iters=budget)
-        policy.validate(k)
+        _assert_admissible(k, policy)
         if previous is not None:
             assert np.all(table.values <= previous + 1e-9 * np.abs(previous))
         previous = table.values

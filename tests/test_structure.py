@@ -120,19 +120,21 @@ def test_threshold_none_when_top_state_does_not_split(space):
 
 
 def test_profile_leq_none_is_infinite():
-    a = ThresholdProfile(sm1_busy={0: 2, 1: None}, sm1_free={1: 3})
-    b = ThresholdProfile(sm1_busy={0: 2, 1: None}, sm1_free={1: None})
+    a = ThresholdProfile(sm1_busy={0: 2, 1: None}, sm1_free={1: 3}, cap=CAP)
+    b = ThresholdProfile(sm1_busy={0: 2, 1: None}, sm1_free={1: None}, cap=CAP)
     assert profile_leq(a, b)
     assert not profile_leq(b, a)
     # comparison only covers shared slices
-    c = ThresholdProfile(sm1_busy={7: 1}, sm1_free={})
+    c = ThresholdProfile(sm1_busy={7: 1}, sm1_free={}, cap=CAP)
     assert profile_leq(a, c) and profile_leq(c, a)
 
 
 def test_non_increasing_with_missing_thresholds():
-    assert ThresholdProfile(sm1_busy={0: None, 1: 4, 2: 4, 3: 1}, sm1_free={}).non_increasing()
-    assert not ThresholdProfile(sm1_busy={0: 4, 1: None}, sm1_free={}).non_increasing()
-    assert not ThresholdProfile(sm1_busy={}, sm1_free={1: 2, 2: 3}).non_increasing()
+    # a missing threshold exceeds its slice top, CAP - k
+    assert ThresholdProfile(sm1_busy={0: None, 1: 4, 2: 4, 3: 1}, sm1_free={},
+                            cap=CAP).non_increasing()
+    assert not ThresholdProfile(sm1_busy={0: 4, 1: None}, sm1_free={}, cap=CAP).non_increasing()
+    assert not ThresholdProfile(sm1_busy={}, sm1_free={1: 2, 2: 3}, cap=CAP).non_increasing()
 
 
 def test_value_gaps_on_synthetic_tables(space):
@@ -200,19 +202,13 @@ def test_margin_screening_marks_subfloor_flips_indeterminate(space, solved):
     kernel, table, policy = solved
     acts = policy.actions.copy()
     acts[space.id_of(1, 0, 0, 0)] = int(Action.IDLE)
-    report = run_structure_checks(
-        PolicyTable(actions=acts),
-        space,
-        margin=MARGIN,
-        values=table,
-        kernel=kernel,
-        decision_floor=1e12,
+    result = check_cloud_first(
+        PolicyTable(actions=acts), space, MARGIN, q_table(kernel, table.values), 1e12
     )
     # an infinite floor cannot decide anything: the flip is indeterminate,
     # not a failure
-    assert report.cloud_first.passed
-    assert report.cloud_first.indeterminate == 1
-    assert report.decision_floor == 1e12
+    assert result.passed
+    assert result.indeterminate == 1
 
 
 def test_margin_screening_requires_values(space, solved):
@@ -357,16 +353,13 @@ def test_checks_match_brute_force_reference(ref_solved, seed, flip_share, margin
     pi = PolicyTable(actions=acts)
     if floor is None:
         report = run_structure_checks(pi, space, margin)
+        results = (report.cloud_first, report.switch_type, report.urgency_monotone)
         q = None
     else:
-        report = run_structure_checks(
-            pi, space, margin, values=table, kernel=kernel, decision_floor=floor
-        )
         q = q_table(kernel, table.values)
-    got = [
-        (r.passed, r.checked, r.counterexamples, r.indeterminate)
-        for r in (report.cloud_first, report.switch_type, report.urgency_monotone)
-    ]
+        results = [check(pi, space, margin, q, floor) for check in
+                   (check_cloud_first, check_switch_type, check_urgency_monotonicity)]
+    got = [(r.passed, r.checked, r.counterexamples, r.indeterminate) for r in results]
     assert got == list(_reference_checks(acts, space, margin, q, 0.0 if floor is None else floor))
 
 
@@ -378,9 +371,6 @@ def test_screen_counts_a_margin_equal_to_the_floor_as_indeterminate(ref_solved):
     q = q_table(kernel, table.values)
     gap = abs(min(q[0, sid], q[2, sid]) - min(q[1, sid], q[3, sid]))
     for floor, indeterminate in ((gap, 1), (np.nextafter(gap, 0.0), 0)):
-        report = run_structure_checks(
-            PolicyTable(actions=acts), space, 2, values=table, kernel=kernel,
-            decision_floor=floor,
-        )
-        assert report.cloud_first.indeterminate == indeterminate
-        assert report.cloud_first.passed == bool(indeterminate)
+        result = check_cloud_first(PolicyTable(actions=acts), space, 2, q, floor)
+        assert result.indeterminate == indeterminate
+        assert result.passed == bool(indeterminate)
