@@ -20,14 +20,16 @@ mat-vec with ``E`` followed by a gather through ``sentinel_post``, the
 post-action map with every inadmissible (state, action) pair sent to the
 extra id ``n``, whose value is ``+inf``, so a minimizer can never select
 it.  The ``admissible`` mask identifies the real pairs.  The stacked form
-with one row per (state, action) pair is derived on demand.
+with one row per (state, action) pair is derived on demand.  What each
+action takes and fills is stated once, in ``MOVES``, and ``admits`` reads
+the one admissibility rule from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +37,15 @@ import scipy.sparse as sp
 from .model import Action, ModelParams
 
 N_ACTIONS = len(Action)
+
+# per Action code: (jobs taken from the base queue, fills slot i2, fills slot i1)
+MOVES = ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1))
+
+
+def admits(move, n0, i2, i1):
+    """Whether the base queue holds the jobs ``move`` takes and each slot it fills is free."""
+    take, fill2, fill1 = move
+    return (n0 >= take) & (i2 <= 1 - fill2) & (i1 <= 1 - fill1)
 
 
 def check_action_codes(actions: np.ndarray) -> None:
@@ -52,20 +63,13 @@ def check_action_codes(actions: np.ndarray) -> None:
         )
 
 
-@cache  # keyed by the queue cap: a process meets few caps
-def _admissible_mask(n_max: int) -> np.ndarray:
-    mask = _post_action_map(build_state_space(n_max))[1]
-    mask.flags.writeable = False
-    return mask
-
-
 @dataclass(frozen=True, eq=False)  # == and hash by identity: an array field has neither
 class PolicyTable:
     """One admissible action per state id of the space of cap ``n_max``, as Action codes.
 
     ``n_max`` is derived from the length of ``actions``, or checked against
-    it when given, and every action must be admissible in its state by the
-    kernel's own rule.  ``rows`` holds the table as nested lists indexed
+    it when given, and every action must be admissible in its state by
+    ``admits``.  ``rows`` holds the table as nested lists indexed
     ``[n0][i2][i1][n2]``, built on first use, which the simulator's event
     loop reads directly.  ``action`` reads one state, clamping n0 and n2 to
     the cap, so it answers for the untruncated system too; a clamped answer
@@ -84,12 +88,15 @@ class PolicyTable:
                    else f"but cap {self.n_max} needs ({4 * m1 * m1},)")
             raise ValueError(f"policy table has shape {actions.shape}, {why}")
         actions = np.asarray(actions, dtype=np.int8)
-        ok = _admissible_mask(m1 - 1)[actions, np.arange(actions.size)]
+        # n2 plays no part: one verdict per action and (n0, i2, i1) prefix
+        n0, i2, i1 = np.ogrid[:m1, :2, :2]
+        verdicts = np.stack([admits(m, n0, i2, i1).ravel() for m in MOVES], axis=1)
+        ok = np.take_along_axis(verdicts, actions.reshape(4 * m1, m1), axis=1)
         if not ok.all():
             bad = int(np.flatnonzero(~ok)[0])
             raise ValueError(
                 f"policy prescribes inadmissible action {Action(int(actions[bad]))!r} "
-                f"in state {build_state_space(m1 - 1).state_of(bad)}"
+                f"in state {tuple(int(x) for x in np.unravel_index(bad, (m1, 2, 2, m1)))}"
             )
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "n_max", m1 - 1)
@@ -240,21 +247,12 @@ class TransitionKernel:
 def _post_action_map(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     """Post-action state ids and admissibility, one row per action."""
     n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
-    # (admissible, jobs taken from the base queue, sets i2, sets i1)
-    moves = {
-        Action.IDLE: (np.ones(space.size, dtype=bool), 0, 0, 0),
-        Action.SM1: ((n0 >= 1) & (i1 == 0), 1, 0, 1),
-        Action.SM2: ((n0 >= 1) & (i2 == 0), 1, 1, 0),
-        Action.SM1_THEN_SM2: ((n0 >= 2) & (i1 == 0) & (i2 == 0), 2, 1, 1),
-    }
     post = np.empty((N_ACTIONS, space.size), dtype=np.int64)
     admissible = np.empty((N_ACTIONS, space.size), dtype=bool)
-    for action, (adm, take, set2, set1) in moves.items():
-        a = int(action)
-        admissible[a] = adm
-        post[a] = np.where(
-            adm, space.ids_of(n0 - take, i2 | set2, i1 | set1, n2), np.arange(space.size)
-        )
+    for a, (take, fill2, fill1) in enumerate(MOVES):
+        admissible[a] = admits(MOVES[a], n0, i2, i1)
+        moved = space.ids_of(n0 - take, i2 + fill2, i1 + fill1, n2)
+        post[a] = np.where(admissible[a], moved, np.arange(space.size))
     return post, admissible
 
 

@@ -3,22 +3,23 @@
 The simulated system is untruncated; table policies saturate their lookup
 at the solved cap, and each run counts how often that happened.  At every
 arrival or completion instant the policy is applied repeatedly (full
-offload before split, honoring the composite) until it idles or
-prescribes something inadmissible.  The cloud serves split jobs ahead of
-a full-offload job with preemptive-resume priority: the interrupted job
-keeps its remaining service requirement and no fresh randomness is
-drawn, so a replication is a deterministic function of the seed, and two
-coupled systems share exactly the arrival and service-triplet streams
-and nothing else.
+offload before split, honoring the composite) until it idles, or until
+a called policy prescribes something inadmissible.  The cloud serves
+split jobs ahead of a full-offload job with preemptive-resume priority:
+the interrupted job keeps its remaining service requirement and no fresh
+randomness is drawn, so a replication is a deterministic function of the
+seed, and two coupled systems share exactly the arrival and
+service-triplet streams and nothing else.
 
 The event loop reads each action from nested lists while both queue
 counts are within a cap, and calls the policy beyond it.  A
 ``PolicyTable`` supplies its own rows and cap; the two baselines supply
 rows tabulated over ``BASELINE_CAP``; any other callable has no rows and
 is always called.  Inside the cap the rows equal the call, so the lookup
-changes no sample path.  Each call beyond a table's cap clamps the state
-to the cap, and the replication counts it as a saturation event in its
-own counter: no run changes its policy, so two runs may share one.
+changes no sample path.  Only a called answer is checked, by
+``kernel.admits``.  Each call beyond a table's cap clamps the state to
+the cap, and the replication counts it as a saturation event in its own
+counter: no run changes its policy, so two runs may share one.
 
 Every job carries a triplet of service times: an Exponential(mu_c1)
 full-offload cloud time; a local preprocessing time that is the same draw
@@ -57,7 +58,7 @@ from typing import Callable, Generator
 import numpy as np
 from scipy.special import stdtrit
 
-from .kernel import PolicyTable, build_state_space
+from .kernel import MOVES, PolicyTable, admits, build_state_space
 from .model import Action, ModelParams
 
 INF = math.inf
@@ -67,6 +68,7 @@ TRIPLETS = 1
 
 # plain ints: the event loop compares against them after every event
 IDLE, SM1, SM2, SM1_THEN_SM2 = (int(a) for a in Action)
+_MOVE_OF = dict(enumerate(MOVES))  # keyed by code: 2.0 finds SM2, -1 and 1.5 nothing
 
 _CHUNK = 4096  # arrival gaps per draw
 _TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
@@ -275,16 +277,23 @@ def _run_replication(
             # a dispatch starts a timer that was infinite: compare it to t_srv
             while True:
                 if n0 <= cap and n2 <= cap:
-                    a = rows[n0][i2][i1][n2]
+                    a = rows[n0][i2][i1][n2]  # a table's row: admissible
                 else:
                     a = act(n0, i2, i1, n2)
                     saturation += clamps
+                    if a != IDLE:
+                        move = _MOVE_OF.get(a)
+                        if move is None:
+                            raise SimulationError(
+                                f"policy returned unknown action {a!r} in state "
+                                f"({n0},{i2},{i1},{n2})"
+                            )
+                        if not admits(move, n0, i2, i1):
+                            inadmissible += 1
+                            break
                 if a == IDLE:
                     break
-                if a == SM1 or a == SM1_THEN_SM2:
-                    if n0 < 1 or i1 == 1 or (a != SM1 and (n0 < 2 or i2 == 1)):
-                        inadmissible += 1
-                        break
+                if a != SM2:  # full offload, alone or first in the composite
                     if trip_i == _TRIP_CHUNK:
                         trip = rng_triplets.standard_exponential(_TRIP_CHUNK).tolist()
                         trip_i = 0
@@ -300,14 +309,6 @@ def _run_replication(
                             srv_ev = 3
                     if a == SM1:
                         continue
-                elif a != SM2:
-                    raise SimulationError(
-                        f"policy returned unknown action {a!r} in state "
-                        f"({n0},{i2},{i1},{n2})"
-                    )
-                elif n0 < 1 or i2 == 1:
-                    inadmissible += 1
-                    break
                 # SM2, or the second half of the composite
                 if trip_i == _TRIP_CHUNK:
                     trip = rng_triplets.standard_exponential(_TRIP_CHUNK).tolist()

@@ -122,7 +122,7 @@ def _greedy(kernel: TransitionKernel, values: np.ndarray) -> tuple[np.ndarray, n
     greedy = np.zeros(q.shape[1], dtype=np.int8)
     unset = np.ones(q.shape[1], dtype=bool)
     for a in _TIE_ORDER:
-        hit = unset & kernel.admissible[int(a)] & (q[int(a)] <= best + TIE_EPS)
+        hit = unset & (q[int(a)] <= best + TIE_EPS)  # +inf where inadmissible
         greedy[hit] = int(a)
         unset &= ~hit
     return best, greedy
@@ -281,6 +281,15 @@ _ARTIFACT_FIELDS = (
 )
 
 
+def _check_fits(name: str, entries: np.ndarray, n_max: int) -> None:
+    size = 4 * (n_max + 1) ** 2
+    if entries.shape != (size,):
+        raise ValueError(
+            f"checkpoint {name} has shape {entries.shape}, but its queue cap "
+            f"{n_max} needs ({size},)"
+        )
+
+
 def save_checkpoint(
     path: str, table: ValueTable, policy: PolicyTable, params: ModelParams, n_max: int
 ) -> None:
@@ -291,8 +300,11 @@ def save_checkpoint(
     ``tol`` and the string ``method``; the discount under
     ``nu``/``alpha``/``beta``; the greedy policy under ``policy`` (Action
     codes); the model under ``lam``/``mu0``/``cloud_speedup``/
-    ``local_fraction``; and the queue cap under ``n_max``.
+    ``local_fraction``; and the queue cap under ``n_max``.  A table that
+    does not fit ``n_max`` raises ``ValueError``, and nothing is written.
     """
+    _check_fits("values", table.values, n_max)
+    _check_fits("policy", policy.actions, n_max)
     payload = {
         "format_version": CHECKPOINT_FORMAT,
         "values": table.values,
@@ -365,12 +377,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         method=str(data["method"]),
     )
     n_max = int(data["n_max"])
-    size = 4 * (n_max + 1) ** 2
-    if table.values.shape != (size,):
-        raise ValueError(
-            f"checkpoint values has shape {table.values.shape}, but its queue cap "
-            f"{n_max} needs ({size},)"
-        )
+    _check_fits("values", table.values, n_max)
     policy = PolicyTable(data["policy"], n_max)
     params = derive_rates(
         float(data["lam"]),

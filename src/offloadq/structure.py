@@ -18,7 +18,8 @@ to twice the buffer limit, blocked arrivals make idling artificially
 attractive, and the computed policy genuinely deviates from the
 infinite-space structure.  The margin must lie in ``[0, n_max - 2]``: a
 wider one leaves no interior (n0, 0, 1, 0) / (n0, 0, 0, 1) pair for the
-cloud-mode gap, and every entry point rejects it with ``ValueError``.
+cloud-mode gap.  Every entry point rejects such a margin, and a table
+that does not fit the space, with ``ValueError``.
 
 A solved table only pins action preferences down to its numerical
 resolution, and in large indifference regions (for example, committing a
@@ -38,6 +39,7 @@ on failure; violations are returned as counterexample lists.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -150,11 +152,19 @@ class ValueGaps:
     checked: int
 
 
-def _interior_cap(space: StateSpace, margin: int) -> int:
-    """Bound on n0 + n2 of the interior; the one place the margin is validated."""
+def _interior_cap(space: StateSpace, margin: int, entries: np.ndarray) -> int:
+    """Bound on n0 + n2 of the interior; the one place the inputs are validated.
+
+    ``entries``, a policy's actions or a solve's values, must fit ``space``.
+    """
     if not 0 <= margin <= space.n_max - 2:
         raise ValueError(
             f"margin must lie in [0, n_max - 2] = [0, {space.n_max - 2}], got {margin}"
+        )
+    if entries.shape != (space.size,):
+        raise ValueError(
+            f"table of queue cap {math.isqrt(entries.size // 4) - 1} cannot be checked "
+            f"on a space of queue cap {space.n_max}"
         )
     return space.n_max - margin
 
@@ -192,8 +202,8 @@ def check_cloud_first(
     floor: float = 0.0,
 ) -> CheckResult:
     """Full offload must be started whenever the cloud is completely free."""
-    cap = _interior_cap(space, margin)
-    acts = np.asarray(pi.actions)
+    acts = pi.actions
+    cap = _interior_cap(space, margin, acts)
     sids = np.concatenate([space.ids_of(np.arange(1, cap + 1), i2, 0, 0) for i2 in (0, 1)])
     broken, indeterminate = _screen(
         sids[~np.isin(acts[sids], _CLOUD_FIRST_OK)], q, _CLOUD_FIRST_OK, floor
@@ -214,9 +224,9 @@ def check_switch_type(
     Unit steps suffice: violations of larger shifts always contain a
     violating unit step on the path between the two states.
     """
-    acts = np.asarray(pi.actions)
+    acts = pi.actions
     assigns = np.isin(acts, _ASSIGNS_SM2)
-    src, up = _steps(space, _interior_cap(space, margin))
+    src, up = _steps(space, _interior_cap(space, margin, acts))
     src = src[assigns[src]]
     bad = []
     indeterminate = 0
@@ -243,9 +253,8 @@ def extract_thresholds(pi: PolicyTable, space: StateSpace, margin: int = 5) -> T
     interior (n0 + k <= cap) such that every interior state with at least
     that many queued jobs on the slice assigns SM2 (composite included).
     """
-    cap = _interior_cap(space, margin)
-    acts = np.asarray(pi.actions)
-    assigns = np.isin(acts, _ASSIGNS_SM2)
+    cap = _interior_cap(space, margin, pi.actions)
+    assigns = np.isin(pi.actions, _ASSIGNS_SM2)
 
     def slice_threshold(i1: int, k: int) -> int | None:
         top = cap - k
@@ -270,8 +279,8 @@ def check_urgency_monotonicity(
     floor: float = 0.0,
 ) -> CheckResult:
     """Idling with an extra queued job implies idling without it."""
-    acts = np.asarray(pi.actions)
-    src, up = _steps(space, _interior_cap(space, margin))
+    acts = pi.actions
+    src, up = _steps(space, _interior_cap(space, margin, acts))
     idle = acts == int(Action.IDLE)
     broken, indeterminate = _screen(src[idle[src + up] & ~idle[src]], q, _ACTING, floor, up)
     bad = sorted(
@@ -283,8 +292,8 @@ def check_urgency_monotonicity(
 
 def check_value_inequalities(v: ValueTable, space: StateSpace, margin: int = 5) -> ValueGaps:
     """Minimum gaps of the two comparison inequalities on a solved table."""
-    cap = _interior_cap(space, margin)
     values = v.values
+    cap = _interior_cap(space, margin, values)
     # the (n,0,0,1) partner holds n + 1 jobs, so stop one short of the cap
     ns = np.arange(1, cap)
     mode_gap = values[space.ids_of(ns, 0, 1, 0)] - values[space.ids_of(ns, 0, 0, 1)]

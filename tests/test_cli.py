@@ -366,9 +366,11 @@ def test_analyze_rejects_a_margin_that_leaves_no_interior(tmp_path, capsys):
 def test_grid_and_analyze_reject_artifact_whose_cap_disagrees_with_its_table(
     tmp_path, capsys
 ):
-    ck = load_checkpoint(str(_solve_fast(tmp_path)))  # tables for n_max 6
+    with np.load(_solve_fast(tmp_path)) as data:  # tables for n_max 6
+        payload = dict(data)
+    payload["n_max"] = 7  # an edited artifact: save_checkpoint refuses to write one
     wrong = tmp_path / "wrong_cap.npz"
-    save_checkpoint(str(wrong), ck.table, ck.policy, ck.params, n_max=7)
+    np.savez(wrong, **payload)
     capsys.readouterr()
     for argv in (["grid", "--solution", str(wrong), "--i2", "0", "--i1", "0"],
                  ["analyze", "--solution", str(wrong)]):

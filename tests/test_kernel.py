@@ -1,10 +1,13 @@
 """State-space enumeration and the uniformized transition kernel."""
 
+import re
+
 import numpy as np
 import pytest
 
 from offloadq.kernel import (
     DiscountSpec,
+    PolicyTable,
     build_kernel,
     build_state_space,
     uniformization_rate,
@@ -224,6 +227,23 @@ def test_transitions_match_scalar_model_exhaustive(p):
         assert got.keys() == expected.keys(), s
         for j, v in expected.items():
             assert got[j] == pytest.approx(v, rel=1e-14, abs=1e-16), (s, j)
+
+
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_policy_table_admits_exactly_the_scalar_models_actions(n_max):
+    # one code in one state, idling everywhere else
+    space = build_state_space(n_max)
+    for sid in range(space.size):
+        s = State(*space.state_of(sid))
+        for a in Action:
+            acts = np.zeros(space.size, dtype=np.int8)
+            acts[sid] = a
+            if a in admissible_actions(s):
+                assert PolicyTable(acts).actions[sid] == a
+            else:
+                named = re.escape(f"inadmissible action {a!r} in state {tuple(s)}")
+                with pytest.raises(ValueError, match=named + "$"):
+                    PolicyTable(acts, n_max)
 
 
 def test_row_stochastic_exhaustive():

@@ -20,6 +20,7 @@ from offloadq.simulator import (
     IDLE,
     SM1,
     SM2,
+    SM1_THEN_SM2,
     TRIPLETS,
     _CHUNK,
     EVENT_KINDS,
@@ -163,6 +164,12 @@ def test_unknown_action_raises():
     with pytest.raises(SimulationError, match="unknown action"):
         simulate(lambda n0, i2, i1, n2: 7, CONFIG_A,
                  SimConfig(horizon=10.0, replications=1, seed=8))
+    # -1 must not wrap to the composite's entry of the move table; the
+    # first state the policy is asked about with a job queued is (1,0,0,0)
+    for code in (-1, 4, 1.5, np.nan, None, "1"):
+        with pytest.raises(SimulationError, match=r"unknown action .* in state \(1,0,0,0\)"):
+            simulate(lambda n0, i2, i1, n2: code if n0 else IDLE, CONFIG_A,
+                     SimConfig(horizon=10.0, replications=1, seed=8))
 
 
 # ---------------------------------------------------------------- statistics
@@ -410,12 +417,37 @@ PINNED_PATHS = {
         [19.08070909359813, 45.170437910239315],
         [2550, 2608], [2525, 2550],
     ),
+    # constant callables: a split, or a composite, wherever the loop asks
+    ("a", "always_sm2"): (
+        [54.61541670447187, 56.30453813287614],
+        [181.43812113089356, 191.9318111804704],
+        [1060, 1083], [773, 747],
+    ),
+    ("a", "always_composite"): (
+        [1.5513228786252564, 1.6486374658203171],
+        [5.4063376047243406, 5.950051752481921],
+        [1060, 1083], [1060, 1081],
+    ),
+    ("heavy", "always_sm2"): (
+        [144.75984908545985, 146.78004340176355],
+        [979.1480371292773, 1020.800372700923],
+        [2550, 2608], [776, 747],
+    ),
+    ("heavy", "always_composite"): (
+        [93.19724627429287, 91.40084073130036],
+        [699.926434594635, 734.7554000878673],
+        [2550, 2608], [1313, 1242],
+    ),
 }
 
 
 def _pin_policy(name):
     if name == "always_sm1":  # offload_only's path, plus inadmissible stops
         return lambda n0, i2, i1, n2: SM1
+    if name == "always_sm2":
+        return lambda n0, i2, i1, n2: SM2
+    if name == "always_composite":
+        return lambda n0, i2, i1, n2: SM1_THEN_SM2
     if name.startswith("table"):  # non_idling's path, tabulated at cap 8 or 1
         n_max = int(name[len("table"):])
         acts = tabulate_policy(baseline("non_idling"), build_state_space(n_max))
@@ -431,11 +463,15 @@ def _pin_policy(name):
         ("a", "table8", "non_idling", 0, 0),
         ("a", "table1", "non_idling", 579, 0),
         ("a", "always_sm1", "offload_only", 0, 4288),
+        ("a", "always_sm2", "always_sm2", 0, 5185),
+        ("a", "always_composite", "always_composite", 0, 5356),
         ("heavy", "offload_only", "offload_only", 0, 0),
         ("heavy", "non_idling", "non_idling", 0, 0),
         ("heavy", "table8", "non_idling", 10326, 0),
         ("heavy", "table1", "non_idling", 14435, 0),
         ("heavy", "always_sm1", "offload_only", 0, 9911),
+        ("heavy", "always_sm2", "always_sm2", 0, 8206),
+        ("heavy", "always_composite", "always_composite", 0, 8993),
     ],
 )
 def test_sample_path_pinned(config, policy, path, saturation, inadmissible):

@@ -134,6 +134,23 @@ def test_value_iterate_rejects_bad_tolerance():
         value_iterate(_kernel(), tol=0.0)
 
 
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_save_checkpoint_refuses_tables_of_another_cap(tmp_path, n_max):
+    # a cap-2 solve saved under another cap would be refused on loading,
+    # so nothing is written
+    k = _kernel(n_max=2, alpha=0.5)
+    table, policy = policy_iterate(k, tol=1e-9)
+    path = tmp_path / "sol.npz"
+    refused = rf"checkpoint values has shape \(36,\), but its queue cap {n_max} "
+    with pytest.raises(ValueError, match=refused):
+        save_checkpoint(str(path), table, policy, k.params, n_max)
+    assert not path.exists()
+    other = PolicyTable(np.zeros(4 * (n_max + 1) ** 2, dtype=np.int8))
+    with pytest.raises(ValueError, match=r"checkpoint policy has shape .* but its queue cap 2"):
+        save_checkpoint(str(path), table, other, k.params, 2)
+    assert not path.exists()
+
+
 def test_checkpoint_stores_policy(tmp_path):
     k = _kernel(n_max=2, alpha=0.5)
     path = str(tmp_path / "sol.npz")

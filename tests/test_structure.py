@@ -243,6 +243,31 @@ def test_margin_must_leave_an_interior(space, check):
         assert result.min_cloud_mode_gap == 0.0  # flat table, not NaN
 
 
+@pytest.mark.parametrize(
+    "check",
+    [check_cloud_first, check_switch_type, check_urgency_monotonicity,
+     check_value_inequalities, extract_thresholds, run_structure_checks],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("table_cap", [N_MAX - 2, N_MAX + 8])
+def test_a_table_of_another_cap_is_rejected(space, check, table_cap):
+    # a wider table gave false failures, a narrower one an IndexError
+    other = build_state_space(table_cap)
+    if check is check_value_inequalities:
+        table = ValueTable(values=np.ones(other.size), discount=DiscountSpec.from_alpha(10.0, 0.99))
+    else:
+        table = _table(other, "non_idling")
+    with pytest.raises(ValueError, match=f"queue cap {table_cap} .* queue cap {N_MAX}$"):
+        check(table, space, MARGIN)
+
+
+def test_screened_checks_reject_a_policy_of_another_cap(space, solved):
+    kernel, table, _ = solved
+    wide = _table(build_state_space(N_MAX + 8), "non_idling")
+    with pytest.raises(ValueError, match=f"queue cap {N_MAX + 8} .* queue cap {N_MAX}$"):
+        run_structure_checks(wide, space, margin=MARGIN, values=table, kernel=kernel)
+
+
 # ----------------------------------------------- brute-force reference checks
 
 REF_N_MAX = 8
