@@ -70,10 +70,11 @@ class PolicyTable:
     ``n_max`` is derived from the length of ``actions``, or checked against
     it when given, and every action must be admissible in its state by
     ``admits``.  ``rows`` holds the table as nested lists indexed
-    ``[n0][i2][i1][n2]``, built on first use, which the simulator's event
-    loop reads directly.  ``action`` reads one state, clamping n0 and n2 to
-    the cap, so it answers for the untruncated system too; a clamped answer
-    stays admissible, since admissibility asks at most ``n0 >= 2``.
+    ``[n0][i2][i1][n2]``, built on first use.  ``action`` reads one state,
+    clamping n0 and n2 to the cap, so it answers for the untruncated system
+    too; the simulator's event loop reads the rows inline the same way,
+    without calling it.  A clamped answer stays admissible, since
+    admissibility asks at most ``n0 >= 2``.
     """
 
     actions: np.ndarray

@@ -11,15 +11,15 @@ randomness is drawn, so a replication is a deterministic function of the
 seed, and two coupled systems share exactly the arrival and
 service-triplet streams and nothing else.
 
-The event loop reads each action from nested lists while both queue
-counts are within a cap, and calls the policy beyond it.  A
-``PolicyTable`` supplies its own rows and cap; the two baselines supply
-rows tabulated over ``BASELINE_CAP``; any other callable has no rows and
-is always called.  Inside the cap the rows equal the call, so the lookup
-changes no sample path.  Only a called answer is checked, by
-``kernel.admits``.  Each call beyond a table's cap clamps the state to
-the cap, and the replication counts it as a saturation event in its own
-counter: no run changes its policy, so two runs may share one.
+The event loop reads each action from nested rows, with n0 and n2
+clamped to the rows' cap.  A ``PolicyTable`` supplies its own rows and
+cap, and the replication counts each read beyond that cap as a
+saturation event in its own counter: no run changes its policy, so two
+runs may share one.  The two baselines supply rows tabulated over
+``BASELINE_CAP``; they are constant in n0 >= 2 and in n2 >= 1, so a
+clamped row is their exact answer and counts nothing.  Any other
+callable has no rows and is called at every decision, and only a called
+answer is checked, by ``kernel.admits``.
 
 Every job carries a triplet of service times: an Exponential(mu_c1)
 full-offload cloud time; a local preprocessing time that is the same draw
@@ -72,8 +72,8 @@ _MOVE_OF = dict(enumerate(MOVES))  # keyed by code: 2.0 finds SM2, -1 and 1.5 no
 
 _CHUNK = 4096  # arrival gaps per draw
 _TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
-# queue cap of the baselines' tabulated rows; at horizon 1e4 and loads up
-# to 0.8 (f 0.4, K 8) under 0.2% of their policy calls fall beyond it
+# queue cap of the baselines' tabulated rows; the clamped rows beyond it
+# give their answers exactly for any cap of at least 2
 BASELINE_CAP = 60
 
 # event-log record layout: (time, kind, n0, i2, i1, n2) with the state
@@ -104,16 +104,22 @@ class SimConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < INF:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.warmup is None:
             object.__setattr__(self, "warmup", 0.1 * self.horizon)
         if not 0.0 <= self.warmup < self.horizon:
             raise ValueError(
                 f"warmup must lie in [0, horizon), got {self.warmup} vs {self.horizon}"
             )
+        for name in ("replications", "seed"):  # a bool is an int, but no count or seed
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 # the older name, still used by callers that build TablePolicy(actions, n_max)
@@ -164,17 +170,17 @@ def _baseline_rows(fn) -> list:
 
 
 def _lookup(policy) -> tuple:
-    """``(rows, cap, act, clamps)`` with ``rows[n0][i2][i1][n2] == act(n0, i2, i1, n2)``
-    whenever ``n0 <= cap and n2 <= cap``; ``cap`` is -1 when there are no rows.
-
-    ``clamps`` is 1 for a table, whose ``act`` clamps every state beyond the
-    cap to it, and 0 for a function, defined in every state.
+    """``(rows, cap, clamps)``: the action in (n0, i2, i1, n2) is
+    ``rows[min(n0, cap)][i2][i1][min(n2, cap)]``, as ``PolicyTable.action``
+    reads it, and a read beyond the cap adds ``clamps`` saturation events: 1
+    for a table, 0 for a baseline, whose clamped row is its exact answer.  A
+    user callable has no rows and ``cap`` -1.
     """
     if isinstance(policy, PolicyTable):
-        return policy.rows, policy.n_max, policy.action, 1
+        return policy.rows, policy.n_max, 1
     if policy is _offload_only or policy is _non_idling:
-        return _baseline_rows(policy), BASELINE_CAP, policy, 0
-    return None, -1, policy, 0
+        return _baseline_rows(policy), BASELINE_CAP, 0
+    return None, -1, 0
 
 
 def mm1_reference(lam: float, mu: float) -> float:
@@ -216,7 +222,7 @@ def _run_replication(
     any instant logged later lies at or after it.  Its return value is the
     replication's result.
     """
-    rows, cap, act, clamps = _lookup(policy)
+    rows, cap, clamps = _lookup(policy)
 
     horizon = cfg.horizon
     warmup = cfg.warmup
@@ -226,13 +232,16 @@ def _run_replication(
     l2_ratio = p.mu_c1 / p.mu_l2
     inv_c1 = 1.0 / p.mu_c1
     inv_c2 = 1.0 / p.mu_c2
+    # module constants as locals: the loop reads them at every event
+    idle, sm1, sm2, inf, chunk, trip_chunk = IDLE, SM1, SM2, INF, _CHUNK, _TRIP_CHUNK
 
     gaps: list[float] = []
     gap_i = 0
     trip: list[float] = []
-    trip_i = _TRIP_CHUNK
+    trip_i = trip_chunk
 
     t = 0.0
+    t_area = warmup  # the instant up to which the area has been added
     n0 = 0
     i2 = 0
     i1 = 0
@@ -241,26 +250,27 @@ def _run_replication(
 
     base: deque = deque()  # arrival times of the queued jobs, oldest first
     cloud_q: deque = deque()  # split jobs at the cloud: (arrival_time, sigma_c2)
+    base_append, base_popleft = base.append, base.popleft
+    cloud_append, cloud_popleft = cloud_q.append, cloud_q.popleft
     local_arr = 0.0
     local_c2 = 0.0
-    local_done = INF  # finite exactly while the local slot is busy
+    local_done = inf  # finite exactly while the local slot is busy
     sm1_arr = 0.0
     sm1_remaining = 0.0
-    sm1_done = INF  # finite exactly while the full-offload job is in service
-    cloud_sm2_done = INF  # finite exactly while split jobs are at the cloud
+    sm1_done = inf  # finite exactly while the full-offload job is in service
+    cloud_sm2_done = inf  # finite exactly while split jobs are at the cloud
     # earliest service timer and its event code, ties going to local, then
     # split cloud, then full-offload cloud; arrivals change no timer
-    t_srv = INF
+    t_srv = inf
     srv_ev = 1
 
     if lam > 0.0:
-        gaps = (rng_arrivals.standard_exponential(_CHUNK) / lam).tolist()
+        gaps = (rng_arrivals.standard_exponential(chunk) / lam).tolist()
         next_arrival = gaps[0]
         gap_i = 1
     else:
-        next_arrival = INF
+        next_arrival = inf
 
-    arrived = 0
     completed = 0
     counted = 0
     sojourn_sum = 0.0
@@ -274,14 +284,17 @@ def _run_replication(
     try:
         while True:
             # ---- apply the policy until it idles or stalls ----
-            # a dispatch starts a timer that was infinite: compare it to t_srv
-            while True:
+            # inside the cap a row with no job queued can only idle; a
+            # dispatch starts a timer that was infinite: compare it to t_srv
+            while n0 or n2 > cap:
                 if n0 <= cap and n2 <= cap:
-                    a = rows[n0][i2][i1][n2]  # a table's row: admissible
-                else:
-                    a = act(n0, i2, i1, n2)
+                    a = rows[n0][i2][i1][n2]  # a row: admissible
+                elif rows is not None:  # beyond the cap: the clamped row
+                    a = rows[n0 if n0 < cap else cap][i2][i1][n2 if n2 < cap else cap]
                     saturation += clamps
-                    if a != IDLE:
+                else:
+                    a = policy(n0, i2, i1, n2)
+                    if a != idle:
                         move = _MOVE_OF.get(a)
                         if move is None:
                             raise SimulationError(
@@ -291,13 +304,13 @@ def _run_replication(
                         if not admits(move, n0, i2, i1):
                             inadmissible += 1
                             break
-                if a == IDLE:
+                if a == idle:
                     break
-                if a != SM2:  # full offload, alone or first in the composite
-                    if trip_i == _TRIP_CHUNK:
-                        trip = rng_triplets.standard_exponential(_TRIP_CHUNK).tolist()
+                if a != sm2:  # full offload, alone or first in the composite
+                    if trip_i == trip_chunk:
+                        trip = rng_triplets.standard_exponential(trip_chunk).tolist()
                         trip_i = 0
-                    sm1_arr = base.popleft()
+                    sm1_arr = base_popleft()
                     sm1_remaining = trip[trip_i] * inv_c1
                     trip_i += 2
                     n0 -= 1
@@ -307,13 +320,13 @@ def _run_replication(
                         if sm1_done < t_srv:
                             t_srv = sm1_done
                             srv_ev = 3
-                    if a == SM1:
+                    if a == sm1:
                         continue
                 # SM2, or the second half of the composite
-                if trip_i == _TRIP_CHUNK:
-                    trip = rng_triplets.standard_exponential(_TRIP_CHUNK).tolist()
+                if trip_i == trip_chunk:
+                    trip = rng_triplets.standard_exponential(trip_chunk).tolist()
                     trip_i = 0
-                local_arr = base.popleft()
+                local_arr = base_popleft()
                 local_done = t + l2_ratio * (trip[trip_i] * inv_c1)
                 local_c2 = trip[trip_i + 1] * inv_c2
                 trip_i += 2
@@ -329,56 +342,54 @@ def _run_replication(
                 else:
                     times[pending_kind].append(t)
 
-            # ---- next event; an arrival wins ties ----
+            # ---- next event, an arrival winning ties; the time-average
+            # area over [warmup, horizon] is added up to each event ----
             if next_arrival <= t_srv:
-                t_ev = next_arrival
-                ev = 0
-            else:
-                t_ev = t_srv
-                ev = srv_ev
-
-            # ---- time-average area over [warmup, horizon] ----
-            if t_ev > horizon:
-                area += nf * (horizon - (t if t > warmup else warmup))
-                break
-            if t_ev > warmup:
-                area += nf * (t_ev - (t if t > warmup else warmup))
-            t = t_ev
-            pending_kind = ev
-
-            if ev == 0:
-                base.append(t)
+                if next_arrival > horizon:
+                    break
+                t = next_arrival
+                if t > warmup:
+                    area += nf * (t - t_area)
+                    t_area = t
+                pending_kind = 0
+                base_append(t)
                 n0 += 1
                 nf += 1.0
-                arrived += 1
-                if gap_i == _CHUNK:
+                if gap_i == chunk:
                     if times is not None:
                         # this arrival is logged after the pause: a window
                         # ends before the instant that opens the next one
                         yield t
-                    gaps = (rng_arrivals.standard_exponential(_CHUNK) / lam).tolist()
+                    gaps = (rng_arrivals.standard_exponential(chunk) / lam).tolist()
                     gap_i = 0
                 next_arrival = t + gaps[gap_i]
                 gap_i += 1
                 continue
-            if ev == 1:
+            if t_srv > horizon:
+                break
+            t = t_srv
+            if t > warmup:
+                area += nf * (t - t_area)
+                t_area = t
+            pending_kind = srv_ev
+            if srv_ev == 1:
                 # local preprocessing done: the split job joins the cloud
                 # queue, pausing a full-offload job in service
                 i2 = 0
-                local_done = INF
+                local_done = inf
                 if n2 == 0:
-                    if sm1_done < INF:
+                    if sm1_done < inf:
                         sm1_remaining = sm1_done - t
-                        sm1_done = INF
+                        sm1_done = inf
                     cloud_sm2_done = t + local_c2
-                cloud_q.append((local_arr, local_c2))
+                cloud_append((local_arr, local_c2))
                 n2 += 1
                 # a split job is at the cloud, so no full-offload job runs
                 t_srv = cloud_sm2_done
                 srv_ev = 2
-            elif ev == 2:
+            elif srv_ev == 2:
                 # cloud finishes the head split job
-                job = cloud_q.popleft()
+                job = cloud_popleft()
                 n2 -= 1
                 nf -= 1.0
                 completed += 1
@@ -389,7 +400,7 @@ def _run_replication(
                     cloud_sm2_done = t_srv = t + cloud_q[0][1]
                     srv_ev = 2
                 else:
-                    cloud_sm2_done = INF
+                    cloud_sm2_done = inf
                     if i1 == 1:
                         sm1_done = t + sm1_remaining
                     t_srv = sm1_done
@@ -401,7 +412,7 @@ def _run_replication(
                 # cloud finishes the full-offload job; it ran, so no split
                 # job is at the cloud
                 i1 = 0
-                sm1_done = INF
+                sm1_done = inf
                 nf -= 1.0
                 completed += 1
                 if sm1_arr >= warmup:
@@ -416,11 +427,12 @@ def _run_replication(
             f"replication aborted at t={t:.6g} in state ({n0},{i2},{i1},{n2}): {exc}"
         ) from exc
 
+    area += nf * (horizon - t_area)
     if times is not None:
         yield INF
     span = horizon - warmup
     return _RepResult(
-        jobs_arrived=arrived,
+        jobs_arrived=completed + int(nf),
         jobs_completed=completed,
         jobs_in_system=int(nf),
         mean_sojourn=sojourn_sum / counted if counted else 0.0,

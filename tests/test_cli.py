@@ -109,7 +109,9 @@ _OPTIMAL = {"simulate": ["--policy", "optimal"],
             "sweep": ["--rhos", "0.3", "--policies", "optimal"],
             "couple": ["--policy-a", "optimal", "--policy-b", "non_idling"]}
 _BAD_SIM = [(["--horizon", "-1"], "horizon must be positive"),
+            (["--horizon", "inf"], "horizon must be positive and finite, got inf"),
             (["--replications", "0"], "need at least one replication"),
+            (["--seed", "-1"], "seed must be nonnegative, got -1"),
             (["--warmup", "200"], "warmup must lie in [0, horizon)")]  # SIM_FAST horizon 200
 
 

@@ -93,6 +93,23 @@ def test_sim_config_defaults_and_validation():
         SimConfig(replications=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("replications", 2.5), ("replications", True), ("seed", -1), ("seed", 1.5),
+     ("seed", False), ("horizon", math.inf), ("horizon", math.nan)],
+)
+def test_sim_config_rejects_what_simulate_cannot_run(field, value):
+    # each is named where it enters, not reported by a failure deep inside
+    # simulate or as a warmup out of range
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}$"):
+        SimConfig(**{field: value})
+
+
+def test_sim_config_takes_numpy_integers():
+    cfg = SimConfig(horizon=50.0, replications=np.int64(2), seed=np.uint32(3))
+    assert simulate(baseline("offload_only"), CONFIG_A, cfg).replications == 2
+
+
 def test_mm1_reference_values_and_stability():
     assert mm1_reference(3.6, 8.0) == pytest.approx(1 / 4.4, rel=1e-12)
     with pytest.raises(ValueError, match="unstable"):
@@ -520,8 +537,8 @@ def test_coupling_a_table_with_itself_counts_each_side_once():
 @pytest.mark.parametrize("policy", ["offload_only", "non_idling", "table8", "table1"])
 @pytest.mark.parametrize("config", ["a", "heavy"])
 def test_row_lookup_equals_calling_the_policy(config, policy):
-    # the loop reads rows within the cap and calls beyond it; the wrapper
-    # has no rows, so the loop calls it in every state
+    # the loop reads rows, clamped beyond the cap; the wrapper has no rows,
+    # so the loop calls it in every state
     p = CONFIG_A if config == "a" else HEAVY
     looked_up, called = _pin_policy(policy), _pin_policy(policy)
     act = getattr(called, "action", called)
@@ -545,6 +562,44 @@ def test_row_lookup_equals_calling_the_policy(config, policy):
     assert rep.saturation_events == beyond_cap[0]
     if config == "heavy":  # states beyond the rows were visited
         assert widest[0] > getattr(looked_up, "n_max", BASELINE_CAP)
+
+
+@pytest.mark.parametrize(
+    "policy, saturation, inadmissible",
+    [("table1", 14435, 0), ("offload_only", 0, 0), ("always_sm1", 0, 9911)],
+)
+def test_the_three_entry_points_agree(policy, saturation, inadmissible):
+    # a saturating table, a baseline beyond BASELINE_CAP and a callable that
+    # stops on inadmissible actions run one event loop under simulate, under
+    # event logging and on either side of a coupled comparison
+    pol = _pin_policy(policy)
+    other = baseline("non_idling")
+    ref, logged, *coupled = [
+        simulate(pol, HEAVY, PIN_CFG),
+        simulate(pol, HEAVY, PIN_CFG, collect_events=True),
+        coupled_compare(pol, other, HEAVY, PIN_CFG).report_a,
+        coupled_compare(other, pol, HEAVY, PIN_CFG).report_b,
+    ]
+    assert (ref.saturation_events, ref.inadmissible_stops) == (saturation, inadmissible)
+    if policy == "offload_only":
+        assert max(r[2] for log in logged.event_logs for r in log) > BASELINE_CAP
+    for rep in (logged, *coupled):
+        for field in dataclasses.fields(DelayReport):
+            if field.name != "event_logs":
+                x, y = getattr(rep, field.name), getattr(ref, field.name)
+                assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
+
+
+def test_a_saturating_table_is_read_not_called(monkeypatch):
+    # beyond its cap the loop reads the table's clamped row, as
+    # PolicyTable.action would answer, and still counts the clamp
+    def refuse(*state):
+        raise AssertionError(f"PolicyTable.action called at {state}")
+
+    monkeypatch.setattr(PolicyTable, "action", refuse)
+    rep = simulate(_pin_policy("table1"), HEAVY, PIN_CFG)
+    assert rep.saturation_events == 14435
+    assert rep.rep_mean_sojourn.tolist() == PINNED_PATHS[("heavy", "non_idling")][0]
 
 
 # ---------------------------------------------------------------- dominance count
