@@ -60,6 +60,9 @@ class ModelParams:
     f: float
 
     def __post_init__(self) -> None:
+        for name in ("mu0", "K", "lam"):  # no chain or sample path has an infinite rate
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lam >= 0.0:
             raise ValueError(f"arrival rate must be nonnegative, got {self.lam}")
         if not self.mu0 > 0.0:
@@ -107,8 +110,9 @@ def from_heterogeneous(mu_c1: float, mu_l2: float, mu_c2: float) -> tuple[float,
     ``mu_c2 > mu_c1`` (the split remainder is lighter than a full job) and
     ``mu_c1 > mu_l2`` (slow-local regime).
     """
-    if not (mu_c1 > 0.0 and mu_l2 > 0.0 and mu_c2 > 0.0):
-        raise ValueError("service rates must be positive")
+    for name, rate in (("mu_c1", mu_c1), ("mu_l2", mu_l2), ("mu_c2", mu_c2)):
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"service rate {name} must be positive and finite, got {rate}")
     if not mu_c2 > mu_c1:
         raise ValueError(
             f"split remainder rate mu_c2={mu_c2} must exceed full-offload rate mu_c1={mu_c1}"
@@ -127,6 +131,8 @@ def lambda_from_utilization(rho: float, mu0: float, K: float) -> float:
     """Arrival rate that loads the pooled capacity ``(K + 1) * mu0`` at level rho."""
     if not rho >= 0.0:
         raise ValueError(f"utilization must be nonnegative, got {rho}")
+    if math.isinf(rho):
+        raise ValueError(f"utilization must be finite, got {rho}")
     return rho * (K + 1.0) * mu0
 
 

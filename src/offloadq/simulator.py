@@ -41,8 +41,17 @@ every refill of the arrival gaps, that is every ``_CHUNK`` arrivals, and
 once more when the run is over; ``coupled_compare`` advances two systems
 one such window at a time and counts each window before the next is
 logged, so its memory does not grow with the horizon.  Without logs a
-replication never pauses, and ``simulate`` runs the same event loop to its
-end.
+replication never pauses, and ``simulate`` runs it to its end.
+
+The ``offload_only`` baseline, unless event records are asked for, runs in
+closed form instead of the event loop.  Every job goes to the cloud whole
+and in arrival order, no split job ever preempts one, so the system is a
+FIFO single-server queue whose departures follow Lindley's recursion
+``d_j = max(a_j, d_{j-1}) + s_j``.  The closed form draws the same streams
+and repeats the loop's float operations one for one, in the loop's order,
+so its reports, logs and pauses are the loop's to the last bit.  The event
+loop stays the reference: it runs every other policy, a ``PolicyTable`` of
+offload-only's rows, any callable, and every run that records events.
 """
 
 from __future__ import annotations
@@ -203,6 +212,121 @@ class _RepResult:
     events: list | None = None
 
 
+def _lindley(arrivals: list, services: list, d: float):
+    """Departures of a FIFO single server, d_j = max(a_j, d_{j-1}) + s_j."""
+    for a, s in zip(arrivals, services):
+        d = (a if a > d else d) + s
+        yield d
+
+
+def _offload_only_replication(
+    p: ModelParams, cfg: SimConfig, rep: int, times: tuple | None
+) -> Generator[float, None, _RepResult]:
+    """The event loop's replication of ``offload_only``, one arrival chunk at a time.
+
+    Every job is offloaded whole, in arrival order, so the system is a FIFO
+    single-server queue and Lindley's recursion gives each departure.  Each
+    float the loop computes is computed here by the same operation on the
+    same operands: arrival instants as ``t + gap``, job j's service time as
+    the j-th pair's first draw times ``1/mu_c1``, departures as
+    ``max(a, d) + s``, and the area and sojourn sums added up in event
+    order, arrivals first at ties.  Each chunk's arrivals are merged with
+    the departures before its last arrival; the jobs still in the system
+    carry over to the next chunk.  Logs, pauses and result are the loop's.
+    """
+    horizon = cfg.horizon
+    warmup = cfg.warmup
+    lam = p.lam
+    inv_c1 = 1.0 / p.mu_c1
+    rng_arrivals = substream(cfg.seed, rep, ARRIVALS)
+    rng_triplets = substream(cfg.seed, rep, TRIPLETS)
+
+    services = np.empty(0)  # drawn for the jobs yet to arrive, in job order
+    # arrival and departure instants of the jobs in the system, a pair per chunk
+    held: deque = deque()
+    last_arrival = 0.0
+    last_dep = 0.0
+    t_last = 0.0  # the last event instant processed
+    in_system = 0
+    completed = 0
+    counted = 0
+    sojourn_sum = 0.0
+    area = 0.0
+    while lam > 0.0:
+        arr = rng_arrivals.standard_exponential(_CHUNK) / lam
+        arr[0] += last_arrival
+        arr = np.cumsum(arr)  # sequential: the loop's t + gap, one by one
+        until = float(arr[-1])
+        last_chunk = until > horizon
+        if last_chunk:
+            arr = arr[: np.searchsorted(arr, horizon, side="right")]
+        n = arr.size
+        while services.size < n:
+            draws = rng_triplets.standard_exponential(_TRIP_CHUNK)
+            services = np.concatenate((services, draws[::2] * inv_c1))
+        dep = np.fromiter(_lindley(arr.tolist(), services[:n].tolist(), last_dep), float, n)
+        services = services[n:]
+        if n:
+            last_arrival = float(arr[-1])
+            last_dep = float(dep[-1])
+        held.append((arr, dep))
+        # departures are in job order, so the leaving jobs are a prefix;
+        # those at the pause instant follow it
+        cut, side = (horizon, "right") if last_chunk else (until, "left")
+        leaving = []
+        while held:
+            a, d = held[0]
+            k = int(np.searchsorted(d, cut, side=side))
+            if k < d.size:
+                leaving.append((a[:k], d[:k]))
+                held[0] = (a[k:], d[k:])
+                break
+            leaving.append(held.popleft())
+        left_arr = np.concatenate([a for a, _ in leaving])
+        left_dep = np.concatenate([d for _, d in leaving])
+        k = left_dep.size
+
+        # the window's events in loop order; an arrival sorts first at a tie
+        t_ev = np.concatenate((arr, left_dep))
+        order = np.argsort(t_ev, kind="stable")
+        t_ev = t_ev[order]
+        jobs = in_system + np.cumsum(np.where(order < n, 1, -1))
+        if t_ev.size:
+            jobs_before = np.concatenate(([in_system], jobs[:-1]))
+            t_from = np.maximum(np.concatenate(([t_last], t_ev[:-1])), warmup)
+            # after warmup each event adds N(t-) * (t - t_from); a tie adds 0.0
+            terms = np.where(t_ev > warmup, jobs_before * (t_ev - t_from), 0.0)
+            area = float(np.cumsum(np.concatenate(([area], terms)))[-1])
+            t_last = float(t_ev[-1])
+            in_system = int(jobs[-1])
+        after = left_arr >= warmup
+        sojourns = (left_dep - left_arr)[after]
+        sojourn_sum = float(np.cumsum(np.concatenate(([sojourn_sum], sojourns)))[-1])
+        counted += int(np.count_nonzero(after))
+        completed += k
+        if times is not None:
+            times[0].extend(arr.tolist())
+            times[3].extend(left_dep.tolist())
+        if last_chunk:
+            break
+        yield until
+
+    area += in_system * (horizon - max(t_last, warmup))
+    if times is not None:
+        yield INF
+    span = horizon - warmup
+    return _RepResult(
+        jobs_arrived=completed + in_system,
+        jobs_completed=completed,
+        jobs_in_system=in_system,
+        mean_sojourn=sojourn_sum / counted if counted else 0.0,
+        time_avg_jobs=area / span,
+        lambda_eff=counted / span,
+        saturation_events=0,
+        inadmissible_stops=0,
+    )
+
+
 def _run_replication(
     policy,
     p: ModelParams,
@@ -213,15 +337,17 @@ def _run_replication(
 ) -> Generator[float, None, _RepResult]:
     """Replication ``rep`` on the substreams (cfg.seed, rep, ARRIVALS/TRIPLETS).
 
-    ``times`` holds one log per entry of ``EVENT_KINDS``, anything with an
-    ``append``; the loop appends each event instant to its kind's log,
-    unless ``collect_events`` logs the full records instead.  With
+    ``times`` holds one log per entry of ``EVENT_KINDS``, anything with
+    ``append`` and ``extend``; the run adds each event instant to its kind's
+    log, unless ``collect_events`` logs the full records instead.  With
     ``times`` the generator yields at every refill of the arrival gaps the
     instant of the arrival just drawn, and ``INF`` after the last event:
     every instant logged by then lies at or before the yielded value, and
     any instant logged later lies at or after it.  Its return value is the
     replication's result.
     """
+    if policy is _offload_only and not collect_events:
+        return (yield from _offload_only_replication(p, cfg, rep, times))
     rows, cap, clamps = _lookup(policy)
 
     horizon = cfg.horizon

@@ -114,6 +114,15 @@ _BAD_SIM = [(["--horizon", "-1"], "horizon must be positive"),
             (["--seed", "-1"], "seed must be nonnegative, got -1"),
             (["--warmup", "200"], "warmup must lie in [0, horizon)")]  # SIM_FAST horizon 200
 
+_BASELINES = {"simulate": ["--policy", "offload_only"],
+              "sweep": ["--rhos", "0.3", "--policies", "offload_only"],
+              "couple": ["--policy-a", "offload_only", "--policy-b", "non_idling"]}
+# each follows FAST[2:], which leaves out FAST's --rho
+_INFINITE_RATES = [(["--lam", "inf"], "lam must be finite, got inf"),
+                   (["--rho", "inf"], "utilization must be finite, got inf"),
+                   (["--rho", "0.3", "--mu0", "inf"], "mu0 must be finite, got inf"),
+                   (["--rho", "0.3", "--K", "inf"], "K must be finite, got inf")]
+
 
 def _config_with(block, key, value):
     doc = {"model": {"rho": 0.3, "mu0": 1, "K": 8, "f": 0.4},
@@ -142,6 +151,14 @@ def _config_with(block, key, value):
         *[pytest.param([cmd, *FAST, *SIM_FAST, *flag, *policy], None, message,
                        id=f"{cmd}{flag[0]}={flag[1]}")
           for cmd, policy in _OPTIMAL.items() for flag, message in _BAD_SIM],
+        # an infinite rate would run a simulation whose clock never passes the horizon
+        *[pytest.param([cmd, *FAST[2:], *SIM_FAST, *flag, *policy], None, message,
+                       id=f"{cmd}{flag[0]}={flag[1]}")
+          for cmd, policy in _BASELINES.items() for flag, message in _INFINITE_RATES],
+        pytest.param(["sweep", *FAST, *SIM_FAST, "--rhos", "0.5,inf", "--policies", "offload_only"],
+                     None, "utilization must be finite, got inf", id="sweep--rhos=0.5,inf"),
+        pytest.param(["solve", *FAST[2:], "--lam", "inf"], None, "lam must be finite, got inf",
+                     id="solve--lam=inf"),
         *[pytest.param(["simulate", "--policy", "optimal"], _config_with(block, key, value),
                        f"config key {block}.{key} must be {kind}, got {json.dumps(value)}",
                        id=f"{block}.{key}={json.dumps(value)}")
@@ -157,6 +174,9 @@ def test_bad_input_rejected_before_any_work(tmp_path, capsys, monkeypatch, argv,
                         lambda *a, **k: pytest.fail("solved before the input was checked"))
     monkeypatch.setattr("offloadq.cli.build_kernel",
                         lambda *a, **k: pytest.fail("built a kernel before the input was checked"))
+    for name in ("simulate", "coupled_compare"):
+        monkeypatch.setattr(f"offloadq.cli.{name}",
+                            lambda *a, **k: pytest.fail("simulated before the input was checked"))
     if config is not None:
         (tmp_path / "c.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "c.json")]

@@ -47,6 +47,24 @@ def test_parameter_validation():
         derive_rates(1.0, 1.0, 8.0, 0.1)
 
 
+@pytest.mark.parametrize("field", ["lam", "mu0", "K"])
+def test_infinite_rates_rejected_by_name(field):
+    # at lam = inf every arrival gap is 0.0, so a simulation would never end
+    rates = {"lam": 1.0, "mu0": 1.0, "K": 8.0, "f": 0.4, field: math.inf}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+        derive_rates(**rates)
+
+
+def test_infinite_utilization_and_service_rates_rejected():
+    with pytest.raises(ValueError, match="^utilization must be finite, got inf$"):
+        lambda_from_utilization(math.inf, 1.0, 8.0)
+    for i, name in enumerate(("mu_c1", "mu_l2", "mu_c2")):
+        rates = [8.0, 2.5, 40.0 / 3.0]
+        rates[i] = math.inf
+        with pytest.raises(ValueError, match=f"^service rate {name} must be positive and finite"):
+            from_heterogeneous(*rates)
+
+
 def test_from_heterogeneous_reference_points():
     mu0, K, f = from_heterogeneous(8.0, 2.5, 40.0 / 3.0)
     assert mu0 == pytest.approx(1.0, rel=1e-12)

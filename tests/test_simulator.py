@@ -602,6 +602,63 @@ def test_a_saturating_table_is_read_not_called(monkeypatch):
     assert rep.rep_mean_sojourn.tolist() == PINNED_PATHS[("heavy", "non_idling")][0]
 
 
+# ---------------------------------------------------------------- closed form
+
+
+def _assert_same_report(x, y):
+    for field in dataclasses.fields(DelayReport):
+        a, b = getattr(x, field.name), getattr(y, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:  # one replication has a NaN half-width
+            assert a == b or (a != a and b != b), field.name
+
+
+@pytest.mark.parametrize("load", [0.0, 0.02, 0.6, 0.9, 1.05, 1.3])
+def test_offload_only_closed_form_equals_the_event_loop(load):
+    # offload_only runs in closed form; a plain wrapper of it has no rows,
+    # so the event loop calls it at every decision and is the reference.
+    # `load` is the cloud server's, lam / mu_c1, so 1.05 and 1.3 overload it
+    offload_only = baseline("offload_only")
+    called = lambda *state: offload_only(*state)  # noqa: E731
+    p = derive_rates(load * CONFIG_A.mu_c1, CONFIG_A.mu0, CONFIG_A.K, CONFIG_A.f)
+    # about 3.3 chunks of arrivals: at least three refills, and a part chunk
+    horizon = 3.3 * _CHUNK / p.lam if p.lam else 100.0
+    for warmup in (None, 0.0, math.nextafter(horizon, 0.0)):
+        for seed in (3, 4):
+            cfg = SimConfig(horizon=horizon, warmup=warmup, replications=1, seed=seed)
+            fast = simulate(offload_only, p, cfg)
+            _assert_same_report(fast, simulate(called, p, cfg))
+            assert p.lam == 0.0 or fast.rep_jobs_arrived[0] > 3 * _CHUNK
+    cfg = SimConfig(horizon=horizon, replications=2, seed=5)
+    other = baseline("non_idling")
+    for a, b, ref_a, ref_b in ((offload_only, other, called, other),
+                               (other, offload_only, other, called),
+                               (offload_only, offload_only, called, called)):
+        fast, ref = coupled_compare(a, b, p, cfg), coupled_compare(ref_a, ref_b, p, cfg)
+        _assert_same_report(fast.report_a, ref.report_a)
+        _assert_same_report(fast.report_b, ref.report_b)
+        assert np.array_equal(fast.rep_dominance, ref.rep_dominance, equal_nan=True)
+
+
+def test_offload_only_takes_the_closed_form(monkeypatch):
+    # only the event loop looks up a policy's rows: if the closed form fell
+    # back to the loop, these runs would fail here
+    def refuse(policy):
+        raise AssertionError("the event loop ran")
+
+    monkeypatch.setattr(simulator, "_lookup", refuse)
+    offload_only = baseline("offload_only")
+    cfg = SimConfig(horizon=2000.0, replications=2, seed=19)
+    rep = simulate(offload_only, HEAVY, cfg)
+    cr = coupled_compare(offload_only, offload_only, HEAVY, cfg)
+    assert (rep.rep_jobs_arrived > 3 * _CHUNK).all()
+    _assert_same_report(cr.report_a, rep)
+    _assert_same_report(cr.report_b, rep)
+    with pytest.raises(AssertionError, match="the event loop ran"):  # event records need it
+        simulate(offload_only, HEAVY, cfg, collect_events=True)
+
+
 # ---------------------------------------------------------------- dominance count
 
 
