@@ -212,13 +212,6 @@ class _RepResult:
     events: list | None = None
 
 
-def _lindley(arrivals: list, services: list, d: float):
-    """Departures of a FIFO single server, d_j = max(a_j, d_{j-1}) + s_j."""
-    for a, s in zip(arrivals, services):
-        d = (a if a > d else d) + s
-        yield d
-
-
 def _offload_only_replication(
     p: ModelParams, cfg: SimConfig, rep: int, times: tuple | None
 ) -> Generator[float, None, _RepResult]:
@@ -264,11 +257,11 @@ def _offload_only_replication(
         while services.size < n:
             draws = rng_triplets.standard_exponential(_TRIP_CHUNK)
             services = np.concatenate((services, draws[::2] * inv_c1))
-        dep = np.fromiter(_lindley(arr.tolist(), services[:n].tolist(), last_dep), float, n)
+        dep = np.fromiter([last_dep := (a if a > last_dep else last_dep) + s
+                           for a, s in zip(arr.tolist(), services[:n].tolist())], float, n)
         services = services[n:]
         if n:
             last_arrival = float(arr[-1])
-            last_dep = float(dep[-1])
         held.append((arr, dep))
         # departures are in job order, so the leaving jobs are a prefix;
         # those at the pause instant follow it

@@ -2,7 +2,9 @@
 
 :func:`policy_iterate` is the default solver: policy iteration that
 evaluates each policy exactly by a sparse LU solve over its
-post-decision states and improves it by a ``LOOKAHEAD``-step lookahead
+post-decision states (a symmetric minimum-degree ordering with pivots on
+the diagonal, stable because the system is strictly diagonally dominant
+by rows) and improves it by a ``LOOKAHEAD``-step lookahead
 (the next policy is greedy for ``T^(LOOKAHEAD-1) v``, not for ``v``),
 stopping when no state improves.
 It is also the one way to continue or warm-start a solve: ``pi0`` takes
@@ -180,9 +182,21 @@ def evaluate_policy(
     states ``X`` the policy can reach, ``X = unique(post_pi)``, ``u``
     solves ``(I - alpha * E[X] R_pi) u = cost0[X]``, with ``R_pi`` the
     0/1 matrix mapping each state to its post-decision state's index in
-    ``X``.  In the reference solves at n_max 60, ``X`` holds 3,904-9,283
+    ``X``.  In the reference solves at n_max 60, ``X`` holds 3,904-9,383
     of the 14,884 states, so the LU is that much smaller than one of
     ``(I - alpha * P_pi)``.
+
+    The LU orders ``X`` by minimum degree on the pattern of the system
+    plus its transpose, and pivots on the diagonal, with no row
+    interchanges.  That is stable: each row of ``E[X] R_pi`` is a
+    probability vector and ``alpha < 1``, so each row's diagonal exceeds
+    its off-diagonal absolute sum by ``1 - alpha``, and elimination on a
+    matrix strictly diagonally dominant by rows has growth factor at most
+    2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Thm 9.9).  Row interchanges would break the symmetric fill-reducing
+    order: on the 7,979-9,383-state systems of the reference solves,
+    COLAMD with partial pivoting (``spsolve``'s default) fills the
+    factors to 417k-461k nonzeros, and this LU to 321k-354k.
     """
     n = kernel.space.size
     if pi.n_max != kernel.space.n_max:
@@ -199,7 +213,8 @@ def evaluate_policy(
         e_r = sp.csr_matrix((e_x.data, col[e_x.indices], e_x.indptr), shape=(x.size, x.size))
         e_r.sum_duplicates()
         system = sp.eye(x.size, format="csr") - kernel.discount.alpha * e_r
-        u = spla.spsolve(system.tocsc(), kernel.cost0[x])
+        u = spla.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True}).solve(kernel.cost0[x])
         return ValueTable(
             u[col], kernel.discount, iterations=0, residual=0.0, converged=True,
             method=POLICY_EVALUATION,

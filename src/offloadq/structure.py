@@ -415,8 +415,9 @@ def run_structure_checks(
         q = q_table(kernel, values.values)
         alpha, res = kernel.discount.alpha, values.residual
         # not values.error_bound: its alpha * res / (1 - alpha) can differ
-        # in the last bit (on reference config b, 7.950120561872603e-10
-        # where this gives ...602e-10), and structure.json records the floor
+        # in the last bit (at alpha 0.999 and res 7.958078640513122e-13 it
+        # gives 7.950120561872603e-10 where this gives ...602e-10), and
+        # structure.json records the floor
         floor = max(TIE_EPS, alpha / (1.0 - alpha) * res) if np.isfinite(res) else TIE_EPS
     thresholds = extract_thresholds(pi, space, margin)
     return StructureReport(

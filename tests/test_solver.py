@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offloadq.kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
-from offloadq.model import Action, derive_rates, lambda_from_utilization
+from offloadq.model import Action, derive_rates, from_heterogeneous, lambda_from_utilization
 from offloadq.solver import (
     PolicyTable,
     ValueTable,
@@ -23,6 +25,8 @@ from scalar_model import State, admissible_actions
 
 CONFIG_A = derive_rates(3.6, 1.0, 8.0, 0.4)
 CONFIG_B = derive_rates(7.2, 1.0, 8.0, 0.4)
+# rates given per service mode: mu_c1 = 4, mu_l2 = 1.5, mu_c2 = 10
+HETEROGENEOUS = derive_rates(5.0, *from_heterogeneous(4.0, 1.5, 10.0))
 # the reference configurations a-d: (rho, f, K) with mu0 = 1
 REFERENCE = {
     "a": (0.4, 0.4, 8),
@@ -186,22 +190,79 @@ def _greedy_of_zero(kernel):
 
 
 def test_direct_evaluation_on_post_decision_states_matches_the_full_system():
-    k = _kernel(CONFIG_B, n_max=6, alpha=0.999)
-    n = k.space.size
-    sids = np.arange(n)
-    rng = np.random.default_rng(11)
-    policies = [_random_admissible_policy(k, rng) for _ in range(3)]
-    policies += [PolicyTable(np.zeros(n, dtype=np.int8)), _greedy_of_zero(k)]
-    reached = []
-    for pi in policies:
-        p_pi = k.probs[pi.actions.astype(np.int64) * n + sids]
-        c_pi = k.costs[pi.actions, sids]
-        full = spla.spsolve((sp.eye(n, format="csr") - k.discount.alpha * p_pi).tocsc(), c_pi)
-        reduced = evaluate_policy(k, pi, method="direct").values
-        assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
-        reached.append(np.unique(k.post[pi.actions, sids]).size)
-    assert reached[3] == n  # idling everywhere reaches every state
-    assert max(reached[:3] + reached[4:]) < n
+    # the last two cases: discount 0.99999, and rates given per service mode
+    cases = [(CONFIG_B, 6, 0.999), (CONFIG_B, 20, 0.99999), (HETEROGENEOUS, 20, 0.999)]
+    for p, n_max, alpha in cases:
+        k = _kernel(p, n_max=n_max, alpha=alpha)
+        n = k.space.size
+        sids = np.arange(n)
+        rng = np.random.default_rng(11)
+        policies = [_random_admissible_policy(k, rng) for _ in range(3)]
+        policies += [PolicyTable(np.zeros(n, dtype=np.int8)), _greedy_of_zero(k)]
+        reached = []
+        for pi in policies:
+            p_pi = k.probs[pi.actions.astype(np.int64) * n + sids]
+            c_pi = k.costs[pi.actions, sids]
+            system = (sp.eye(n, format="csr") - k.discount.alpha * p_pi).tocsc()
+            full = spla.spsolve(system, c_pi)
+            reduced = evaluate_policy(k, pi, method="direct").values
+            assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
+            reached.append(np.unique(k.post[pi.actions, sids]).size)
+        assert reached[3] == n  # idling everywhere reaches every state
+        assert max(reached[:3] + reached[4:]) < n
+
+
+def _row_dominance_margins(events, post_pi, alpha):
+    """|diagonal| minus the off-diagonal absolute sum, per row of the reduced system.
+
+    The system is built as ``evaluate_policy(method="direct")`` builds it:
+    ``I - alpha * E[X] R_pi`` on the post-decision states ``X`` the policy
+    reaches.
+    """
+    x, col = np.unique(post_pi, return_inverse=True)
+    e_x = events[x]
+    e_r = sp.csr_matrix((e_x.data, col[e_x.indices], e_x.indptr), shape=(x.size, x.size))
+    e_r.sum_duplicates()
+    system = (sp.eye(x.size, format="csr") - alpha * e_r).tocsr()
+    diag = np.abs(system.diagonal())
+    return diag - (np.asarray(abs(system).sum(axis=1)).ravel() - diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=st.one_of(
+        st.tuples(st.just("rho, K, f"), st.floats(0.0, 1.5), st.floats(1.5, 20.0),
+                  st.floats(0.0, 1.0)),
+        st.tuples(st.just("heterogeneous"), st.floats(0.0, 1.5), st.floats(0.2, 1.0),
+                  st.floats(1.01, 10.0)),
+    ),
+    alpha=st.one_of(st.just(0.99999), st.floats(0.5, 0.99999)),
+    n_max=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduced_system_is_diagonally_dominant_by_one_minus_alpha(rates, alpha, n_max, seed):
+    # each row of E is a probability vector, so each row of the reduced
+    # system beats its off-diagonal sum by exactly 1 - alpha: this is what
+    # lets the direct evaluation's LU pivot on the diagonal
+    family, rho, a, b = rates
+    if family == "heterogeneous":  # a scales mu_l2 < mu_c1 = 1 < mu_c2 = b
+        mu0, K, f = from_heterogeneous(1.0, a * 0.99, b)
+    else:  # a is K, and b places f in (1/K, 1)
+        mu0, K = 1.0, a
+        f = 1.0 / K + (1.0 - 1.0 / K) * (0.01 + 0.98 * b)
+    p = derive_rates(lambda_from_utilization(rho, mu0, K), mu0, K, f)
+    k = _kernel(p, n_max=n_max, alpha=alpha)
+    pi = _random_admissible_policy(k, np.random.default_rng(seed))
+    post_pi = k.post[pi.actions, np.arange(k.space.size)]
+    margins = _row_dominance_margins(k.events, post_pi, k.discount.alpha)
+    one_minus_alpha = 1.0 - k.discount.alpha
+    assert np.allclose(margins, one_minus_alpha, rtol=0.0, atol=1e-13)
+    # a planted row that sums to more than one breaks the equality
+    planted = k.events.copy()
+    lo, hi = planted.indptr[post_pi[0]], planted.indptr[post_pi[0] + 1]
+    planted.data[lo + np.argmax(planted.data[lo:hi])] *= 1.0 + 1e-6
+    margins = _row_dominance_margins(planted, post_pi, k.discount.alpha)
+    assert not np.allclose(margins, one_minus_alpha, rtol=0.0, atol=1e-13)
 
 
 def test_factored_q_table_equals_the_stacked_kernel():
