@@ -15,14 +15,13 @@ Every decision is an instantaneous assignment: action ``a`` moves state
 happen.  So the kernel factors as ``P_a = R_a E``: ``R_a`` is the 0/1
 matrix of the post-action map and ``E`` the n x n kernel of the idle
 (no-assignment) dynamics.  The kernel stores ``E`` once, as a sparse
-matrix, beside the post-action map, and a Bellman sweep is one sparse
-mat-vec with ``E`` followed by a gather through ``sentinel_post``, the
-post-action map with every inadmissible (state, action) pair sent to the
-extra id ``n``, whose value is ``+inf``, so a minimizer can never select
-it.  The ``admissible`` mask identifies the real pairs.  The stacked form
-with one row per (state, action) pair is derived on demand.  What each
-action takes and fills is stated once, in ``MOVES``, and ``admits`` reads
-the one admissibility rule from it.
+matrix, beside the post-action map and the ``admissible`` mask of the
+real (state, action) pairs.  The stacked form with one row per pair is
+derived on demand.  What each action takes and fills is stated once, in
+``MOVES``: ``admits`` reads the one admissibility rule from it, and
+``MOVE_SLICES`` each action's post-action map as two basic slices of the
+(n0, i2, i1, n2) grid of state ids, so a Bellman sweep is one sparse
+mat-vec with ``E`` and one strided minimum per action, with no index array.
 """
 
 from __future__ import annotations
@@ -40,6 +39,11 @@ N_ACTIONS = len(Action)
 
 # per Action code: (jobs taken from the base queue, fills slot i2, fills slot i1)
 MOVES = ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1))
+# per Action code: slices of the (n0, i2, i1, n2) grid over the states that
+# admit it, and the slices, cell for cell, of the states it moves them to
+MOVE_SLICES = tuple(((slice(take, None), slice(None, 2 - fill2), slice(None, 2 - fill1)),
+                     (slice(None, -take or None), slice(fill2, None), slice(fill1, None)))
+                    for take, fill2, fill1 in MOVES)
 
 
 def admits(move, n0, i2, i1):
@@ -130,6 +134,10 @@ class StateSpace:
     def size(self) -> int:
         return 4 * (self.n_max + 1) ** 2
 
+    @property
+    def grid(self) -> tuple[int, int, int, int]:  # (n0, i2, i1, n2), the layout of the ids
+        return (self.n_max + 1, 2, 2, self.n_max + 1)
+
     def id_of(self, n0: int, i2: int, i1: int, n2: int) -> int:
         m = self.n_max
         if not (0 <= n0 <= m and 0 <= n2 <= m and i2 in (0, 1) and i1 in (0, 1)):
@@ -149,14 +157,7 @@ class StateSpace:
 def build_state_space(n_max: int) -> StateSpace:
     if n_max < 1:
         raise ValueError(f"queue cap must be at least 1, got {n_max}")
-    m1 = n_max + 1
-    sids = np.arange(4 * m1 * m1)
-    n2 = sids % m1
-    rest = sids // m1
-    i1 = rest % 2
-    rest //= 2
-    i2 = rest % 2
-    n0 = rest // 2
+    n0, i2, i1, n2 = np.indices((n_max + 1, 2, 2, n_max + 1)).reshape(4, -1)
     return StateSpace(n_max=n_max, n0=n0, i2=i2, i1=i1, n2=n2)
 
 
@@ -208,10 +209,7 @@ class TransitionKernel:
     expected discounted holding cost accrued until the next epoch from
     ``x``, the number of jobs in ``x`` over ``beta + nu``.
 
-    Derived on first use and read-only: ``sentinel_post`` is ``post`` with
-    inadmissible pairs sent to id ``N`` (one past the last state), so
-    gathering a length ``N + 1`` vector that ends in ``+inf`` through it
-    prices those pairs at ``+inf``.  ``probs`` and ``costs`` are the
+    Derived on first use and read-only, ``probs`` and ``costs`` are the
     stacked per-(state, action) form: row ``a * N + s`` of ``probs`` is
     ``events[post[a, s]]``, and ``costs[a, s]`` is ``cost0[post[a, s]]``,
     or ``+inf`` where the action is inadmissible.
@@ -226,12 +224,6 @@ class TransitionKernel:
     admissible: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
-    def sentinel_post(self) -> np.ndarray:
-        sentinel_post = np.where(self.admissible, self.post, self.space.size)
-        sentinel_post.flags.writeable = False
-        return sentinel_post
-
-    @cached_property
     def probs(self) -> sp.csr_matrix:
         probs = self.events[self.post.ravel()]
         for arr in (probs.data, probs.indices, probs.indptr):
@@ -240,7 +232,7 @@ class TransitionKernel:
 
     @cached_property
     def costs(self) -> np.ndarray:
-        costs = np.append(self.cost0, np.inf)[self.sentinel_post]
+        costs = np.where(self.admissible, self.cost0[self.post], np.inf)
         costs.flags.writeable = False
         return costs
 

@@ -18,9 +18,9 @@ residual of the returned table, which certifies the error bound
 ``alpha * residual / (1 - alpha)``.  Each returns its policy as a
 ``kernel.PolicyTable``, the object the simulator runs as it is.
 
-Every sweep and evaluation gathers one vector, the post-decision values
-``cost0 + alpha * E v`` plus a ``+inf`` sentinel, through a post-action
-map; value iteration and iterative evaluation share one residual loop.
+Sweeps read the post-decision values ``cost0 + alpha * E v`` through
+strided views of the state grid (``kernel.MOVE_SLICES``), evaluations through
+a policy's post-action map; value iteration and iterative evaluation share one loop.
 
 A solve is stored as one complete artifact, written by
 :func:`save_checkpoint` and read back and validated by
@@ -37,6 +37,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .kernel import (
+    MOVE_SLICES,
+    N_ACTIONS,
     DiscountSpec,
     PolicyTable,
     StateSpace,
@@ -87,9 +89,17 @@ class ValueTable:
 
 
 def _post_values(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
-    """``cost0 + alpha * E v``, the value of each post-decision state, then ``+inf``."""
-    w = kernel.cost0 + kernel.discount.alpha * (kernel.events @ values)
-    return np.concatenate((w, [np.inf]))
+    """``cost0 + alpha * E v``, the value of each post-decision state."""
+    return kernel.cost0 + kernel.discount.alpha * (kernel.events @ values)
+
+
+def _bellman(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
+    """One Bellman sweep ``T v``: the least post-decision value each state can reach."""
+    w = _post_values(kernel, values).reshape(kernel.space.grid)
+    best = w.copy()  # IDLE, code 0, moves nothing
+    for dst, src in MOVE_SLICES[1:]:
+        np.minimum(best[dst], w[src], out=best[dst])
+    return best.ravel()
 
 
 def _converge(step, values, tol, max_iters, discount, method) -> ValueTable:
@@ -109,17 +119,21 @@ def q_table(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
     """Action-value table of a value vector, one row per action; +inf on inadmissible pairs.
 
     The value of every post-action state, ``cost0 + alpha * E v``, is
-    computed once and gathered through ``kernel.sentinel_post``.
+    computed once, and each action's row copies it through the action's
+    strided view of the state grid (``kernel.MOVE_SLICES``).
     """
     n = kernel.space.size
     if values.shape != (n,):
         raise ValueError(f"value table has shape {values.shape}, kernel expects ({n},)")
-    return _post_values(kernel, values)[kernel.sentinel_post]
+    w = _post_values(kernel, values).reshape(kernel.space.grid)
+    q = np.full((N_ACTIONS, *kernel.space.grid), np.inf)
+    for q_a, (dst, src) in zip(q, MOVE_SLICES):
+        q_a[dst] = w[src]
+    return q.reshape(N_ACTIONS, n)
 
 
-def _greedy(kernel: TransitionKernel, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Bellman sweep ``T v`` and the tie-ordered greedy actions of ``values``."""
-    q = q_table(kernel, values)
+def _greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Bellman sweep ``min_a q`` of an action-value table, and its tie-ordered argmin."""
     best = q.min(axis=0)
     greedy = np.zeros(q.shape[1], dtype=np.int8)
     unset = np.ones(q.shape[1], dtype=bool)
@@ -130,20 +144,11 @@ def _greedy(kernel: TransitionKernel, values: np.ndarray) -> tuple[np.ndarray, n
     return best, greedy
 
 
-def bellman_backup(
-    kernel: TransitionKernel, values: np.ndarray
-) -> tuple[ValueTable, PolicyTable]:
+def bellman_backup(kernel: TransitionKernel, values: np.ndarray) -> tuple[ValueTable, PolicyTable]:
     """One synchronous sweep of the optimality operator with greedy extraction."""
-    v_new, greedy = _greedy(kernel, values)
+    v_new, greedy = _greedy(q_table(kernel, values))
     residual = float(np.max(np.abs(v_new - values)))
-    table = ValueTable(
-        values=v_new,
-        discount=kernel.discount,
-        iterations=1,
-        residual=residual,
-        converged=False,
-        method=VALUE_ITERATION,
-    )
+    table = ValueTable(v_new, kernel.discount, 1, residual, method=VALUE_ITERATION)
     return table, PolicyTable(greedy)
 
 
@@ -157,9 +162,33 @@ def value_iterate(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    table = _converge(lambda v: q_table(kernel, v).min(axis=0), np.zeros(kernel.space.size),
+    table = _converge(lambda v: _bellman(kernel, v), np.zeros(kernel.space.size),
                       tol, max_iters, kernel.discount, VALUE_ITERATION)
-    return table, PolicyTable(_greedy(kernel, table.values)[1])
+    return table, PolicyTable(_greedy(q_table(kernel, table.values))[1])
+
+
+def _check_cap(kernel: TransitionKernel, pi: PolicyTable) -> None:
+    if pi.n_max != kernel.space.n_max:
+        raise ValueError(f"policy table has cap {pi.n_max}, kernel has cap {kernel.space.n_max}")
+
+
+def _reached(post_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(post_pi, return_inverse=True)``, read off a mask instead of a sort."""
+    reached = np.zeros(post_pi.size, dtype=bool)
+    reached[post_pi] = True
+    return np.flatnonzero(reached), (np.cumsum(reached) - 1)[post_pi]
+
+
+def _evaluate_direct(kernel: TransitionKernel, actions: np.ndarray) -> np.ndarray:
+    """Values of admissible action codes by the LU that :func:`evaluate_policy` describes."""
+    x, col = _reached(kernel.post[actions, np.arange(actions.size)])
+    e_x = kernel.events[x]
+    e_r = sp.csr_matrix((e_x.data, col[e_x.indices], e_x.indptr), shape=(x.size, x.size))
+    e_r.sum_duplicates()
+    system = sp.eye(x.size, format="csr") - kernel.discount.alpha * e_r
+    u = spla.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True}).solve(kernel.cost0[x])
+    return u[col]
 
 
 def evaluate_policy(
@@ -199,27 +228,17 @@ def evaluate_policy(
     factors to 417k-461k nonzeros, and this LU to 321k-354k.
     """
     n = kernel.space.size
-    if pi.n_max != kernel.space.n_max:
-        raise ValueError(f"policy table has cap {pi.n_max}, kernel has cap {kernel.space.n_max}")
-    post_pi = kernel.post[pi.actions, np.arange(n)]
+    _check_cap(kernel, pi)
     if method == "direct":
         if direct_size_limit is not None and n > direct_size_limit:
             raise ValueError(
                 f"direct solve refused for {n} states (limit {direct_size_limit}); "
                 "use method='iterative'"
             )
-        x, col = np.unique(post_pi, return_inverse=True)
-        e_x = kernel.events[x]
-        e_r = sp.csr_matrix((e_x.data, col[e_x.indices], e_x.indptr), shape=(x.size, x.size))
-        e_r.sum_duplicates()
-        system = sp.eye(x.size, format="csr") - kernel.discount.alpha * e_r
-        u = spla.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True}).solve(kernel.cost0[x])
-        return ValueTable(
-            u[col], kernel.discount, iterations=0, residual=0.0, converged=True,
-            method=POLICY_EVALUATION,
-        )
+        return ValueTable(_evaluate_direct(kernel, pi.actions), kernel.discount, iterations=0,
+                          residual=0.0, converged=True, method=POLICY_EVALUATION)
     if method == "iterative":
+        post_pi = kernel.post[pi.actions, np.arange(n)]
         return _converge(lambda v: _post_values(kernel, v)[post_pi], np.zeros(n), tol,
                          10_000_000, kernel.discount, POLICY_EVALUATION)
     raise ValueError(f"unknown evaluation method {method!r}")
@@ -233,7 +252,7 @@ def policy_iterate(
 ) -> tuple[ValueTable, PolicyTable]:
     """Policy iteration: exact evaluation, then a lookahead improvement.
 
-    Each step evaluates the current policy with
+    Each step evaluates the current policy by the sparse LU of
     ``evaluate_policy(method="direct")`` and stops if no state's action is
     worse than the best by more than ``TIE_EPS``.  Otherwise the next
     policy is the exact argmin of ``q_table(kernel, u)`` for
@@ -258,14 +277,17 @@ def policy_iterate(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if pi0 is not None:
+        _check_cap(kernel, pi0)
     n = kernel.space.size
     sids = np.arange(n)
     values = np.zeros(n)
-    actions = _greedy(kernel, values)[1] if pi0 is None else pi0.actions
-    done = 0
-    stable = False
+    q = q_table(kernel, values)  # each step replaces it; the last gives the returned policy
+    actions = _greedy(q)[1] if pi0 is None else pi0.actions
+    done, stable = 0, False
     while done < max_iters and not stable:
-        values = evaluate_policy(kernel, PolicyTable(actions), method="direct").values
+        # admissible: pi0 is checked, a minimizer finite (inadmissible is +inf)
+        values = _evaluate_direct(kernel, actions)
         done += 1
         q = q_table(kernel, values)
         best = q.min(axis=0)
@@ -273,19 +295,12 @@ def policy_iterate(
         if not stable:
             u = best  # T v; L - 2 more sweeps make T^(L-1) v
             for _ in range(LOOKAHEAD - 2):
-                u = q_table(kernel, u).min(axis=0)
+                u = _bellman(kernel, u)
             actions = q_table(kernel, u).argmin(axis=0).astype(np.int8)
-    best, greedy = _greedy(kernel, values)
+    best, greedy = _greedy(q)
     residual = float(np.max(np.abs(best - values)))
-    table = ValueTable(
-        values=values,
-        discount=kernel.discount,
-        iterations=done,
-        residual=residual,
-        converged=stable and residual <= tol,
-        tol=tol,
-        method=POLICY_ITERATION,
-    )
+    converged = stable and residual <= tol
+    table = ValueTable(values, kernel.discount, done, residual, converged, tol, POLICY_ITERATION)
     return table, PolicyTable(greedy)
 
 
@@ -382,15 +397,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     discount = DiscountSpec(
         nu=float(data["nu"]), alpha=float(data["alpha"]), beta=float(data["beta"])
     )
-    table = ValueTable(
-        values=data["values"],
-        discount=discount,
-        iterations=int(data["iterations"]),
-        residual=float(data["residual"]),
-        converged=bool(data["converged"]),
-        tol=float(data["tol"]),
-        method=str(data["method"]),
-    )
+    table = ValueTable(data["values"], discount, int(data["iterations"]), float(data["residual"]),
+                       bool(data["converged"]), float(data["tol"]), str(data["method"]))
     n_max = int(data["n_max"])
     _check_fits("values", table.values, n_max)
     policy = PolicyTable(data["policy"], n_max)

@@ -12,6 +12,8 @@ from offloadq.model import Action, derive_rates, from_heterogeneous, lambda_from
 from offloadq.solver import (
     PolicyTable,
     ValueTable,
+    _bellman,
+    _reached,
     bellman_backup,
     evaluate_policy,
     load_checkpoint,
@@ -263,6 +265,46 @@ def test_reduced_system_is_diagonally_dominant_by_one_minus_alpha(rates, alpha, 
     planted.data[lo + np.argmax(planted.data[lo:hi])] *= 1.0 + 1e-6
     margins = _row_dominance_margins(planted, post_pi, k.discount.alpha)
     assert not np.allclose(margins, one_minus_alpha, rtol=0.0, atol=1e-13)
+
+
+# the strided views against the post-action map's gather; at cap 1 no state
+# admits the composite move, so its slices of the state grid are empty
+VIEW_CAPS = (1, 2, 3, 6, 12)
+VIEW_RATES = pytest.mark.parametrize("p", [CONFIG_B, HETEROGENEOUS], ids=["b", "heterogeneous"])
+
+
+@VIEW_RATES
+@pytest.mark.parametrize("n_max", VIEW_CAPS)
+def test_strided_bellman_step_and_q_table_equal_the_post_map_gather(p, n_max):
+    k = _kernel(p, n_max=n_max, alpha=0.999)
+    n = k.space.size
+    assert k.admissible[int(Action.SM1_THEN_SM2)].any() == (n_max >= 2)
+    rng = np.random.default_rng(n_max)
+    # random values, a constant table (ties wherever two states hold as
+    # many jobs), and values at the 1e12 scale
+    for v in (rng.uniform(0.0, 100.0, n), np.full(n, 7.0), rng.uniform(0.0, 1e12, n)):
+        w = k.cost0 + k.discount.alpha * (k.events @ v)
+        gathered = np.where(k.admissible, w[k.post], np.inf)
+        q = q_table(k, v)
+        assert q.tobytes() == gathered.tobytes()
+        assert _bellman(k, v).tobytes() == q.min(axis=0).tobytes()
+
+
+@VIEW_RATES
+@pytest.mark.parametrize("n_max", VIEW_CAPS)
+def test_reached_post_decision_states_equal_np_unique(p, n_max):
+    k = _kernel(p, n_max=n_max)
+    n = k.space.size
+    rng = np.random.default_rng(100 + n_max)
+    policies = [_random_admissible_policy(k, rng) for _ in range(5)]
+    policies += [PolicyTable(np.zeros(n, dtype=np.int8)), _greedy_of_zero(k)]
+    for pi in policies:
+        post_pi = k.post[pi.actions, np.arange(n)]
+        x, col = _reached(post_pi)
+        unique_x, unique_col = np.unique(post_pi, return_inverse=True)
+        assert (x.dtype, col.dtype) == (unique_x.dtype, unique_col.dtype)
+        assert x.tobytes() == unique_x.tobytes()
+        assert col.tobytes() == unique_col.tobytes()
 
 
 def test_factored_q_table_equals_the_stacked_kernel():
