@@ -6,7 +6,10 @@ post-decision states (a symmetric minimum-degree ordering with pivots on
 the diagonal, stable because the system is strictly diagonally dominant
 by rows) and improves it by a ``LOOKAHEAD``-step lookahead
 (the next policy is greedy for ``T^(LOOKAHEAD-1) v``, not for ``v``),
-stopping when no state improves.
+stopping when no state improves.  The first improvement of a cold solve
+looks ahead ``max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * n_max)`` steps
+instead: the start dispatches every job, and the switching front has to
+cross the whole grid at about one queue level per sweep.
 It is also the one way to continue or warm-start a solve: ``pi0`` takes
 the policy of an unfinished solve or the optimum of a neighbouring load.
 :func:`value_iterate` is the oracle.  Its sweeps are synchronous (Jacobi):
@@ -51,9 +54,16 @@ from .model import Action, ModelParams, derive_rates
 # aggressively, idle only when strictly better
 TIE_EPS = 1e-10
 _TIE_ORDER = (Action.SM1_THEN_SM2, Action.SM1, Action.SM2, Action.IDLE)
-# Bellman sweeps behind each policy-iteration improvement step; 25-200
-# all take 2-4 steps at n_max 60, alpha 0.999, and 50 was fastest overall
+# Bellman sweeps behind each policy-iteration improvement step after a
+# cold solve's first, and behind every step of a warm start; 4 * n_max on
+# every step slowed the three solves of the reference sweep (rho 0.6, 0.7,
+# 0.8 at n_max 60, each warm-started from the last) from 256 to 411 ms
 LOOKAHEAD = 50
+# sweeps per queue level behind a cold solve's first improvement: with
+# max(LOOKAHEAD, 4 * n_max) sweeps, reference configs a-d (n_max 60,
+# alpha 0.999) take 2 evaluations, not 3; with 3 * n_max, config b still
+# takes 3, and 5 * n_max saves no evaluation on a-d
+COLD_SWEEPS_PER_LEVEL = 4
 # default policy-iteration step budget; the reference solves take 2-4 steps
 MAX_STEPS = 1_000
 
@@ -261,14 +271,19 @@ def policy_iterate(
     policy's values satisfy ``v' <= T^L v <= T v``: they fall strictly
     wherever the stop test failed, and policies cannot cycle.  A one-step
     (Howard) improvement moves the switching front about one queue level
-    per step; the lookahead cuts 28-46 steps to 3 at n_max 60,
-    alpha 0.999.  The start is ``pi0`` or the greedy policy of the all-zero
-    table.  ``pi0`` warm-starts a solve from the optimum of a neighbouring
-    load, or continues an unfinished one from its stored policy; resuming
-    a one-step artifact of reference config a or b (n_max 60,
-    alpha 0.999) takes 3 steps and returns the cold solve's values and
-    policy bit for bit.
-    ``iterations`` counts evaluations and ``max_iters`` caps them.
+    per step; at n_max 60, alpha 0.999 the lookahead cuts 28-46 steps to
+    2 on reference configs a-d.  The start is ``pi0`` or the greedy policy
+    of the all-zero table.  That cold start dispatches every job, so its
+    first improvement runs ``max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * n_max)``
+    sweeps, enough for the switching front to cross the grid; every later
+    step, and every step of a warm start, runs ``LOOKAHEAD``.  ``pi0``
+    warm-starts a solve from the optimum of a neighbouring load, or
+    continues an unfinished one from its stored policy; resuming a
+    one-step artifact of reference config a or b (n_max 60, alpha 0.999)
+    takes 3 steps and returns the cold solve's values and policy bit for
+    bit.
+    ``iterations`` counts evaluations and ``max_iters`` caps them; no
+    lookahead runs after the last evaluation the budget allows.
     ``converged`` means the last step improved no state and the Bellman
     residual of the returned values is within ``tol``; hitting the cap
     returns the last evaluation with ``converged=False``.  The returned
@@ -284,6 +299,9 @@ def policy_iterate(
     values = np.zeros(n)
     q = q_table(kernel, values)  # each step replaces it; the last gives the returned policy
     actions = _greedy(q)[1] if pi0 is None else pi0.actions
+    lookahead = LOOKAHEAD
+    if pi0 is None:
+        lookahead = max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * kernel.space.n_max)
     done, stable = 0, False
     while done < max_iters and not stable:
         # admissible: pi0 is checked, a minimizer finite (inadmissible is +inf)
@@ -292,11 +310,12 @@ def policy_iterate(
         q = q_table(kernel, values)
         best = q.min(axis=0)
         stable = not (q[actions, sids] > best + TIE_EPS).any()
-        if not stable:
+        if not stable and done < max_iters:
             u = best  # T v; L - 2 more sweeps make T^(L-1) v
-            for _ in range(LOOKAHEAD - 2):
+            for _ in range(lookahead - 2):
                 u = _bellman(kernel, u)
             actions = q_table(kernel, u).argmin(axis=0).astype(np.int8)
+            lookahead = LOOKAHEAD
     best, greedy = _greedy(q)
     residual = float(np.max(np.abs(best - values)))
     converged = stable and residual <= tol

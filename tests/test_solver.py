@@ -7,9 +7,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offloadq import solver
 from offloadq.kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
 from offloadq.model import Action, derive_rates, from_heterogeneous, lambda_from_utilization
 from offloadq.solver import (
+    LOOKAHEAD,
     PolicyTable,
     ValueTable,
     _bellman,
@@ -44,6 +46,13 @@ def _kernel(p=CONFIG_A, n_max=3, alpha=0.9):
     return build_kernel(p, space, d)
 
 
+def _reference_kernel(name, n_max, rho=None):
+    ref_rho, f, K = REFERENCE[name]
+    rho = ref_rho if rho is None else rho
+    p = derive_rates(lambda_from_utilization(rho, 1.0, K), 1.0, K, f)
+    return _kernel(p, n_max=n_max, alpha=0.999)
+
+
 def _random_admissible_policy(kernel, rng):
     actions = np.zeros(kernel.space.size, dtype=np.int8)
     for sid in range(kernel.space.size):
@@ -54,6 +63,18 @@ def _random_admissible_policy(kernel, rng):
 
 def _assert_admissible(kernel, policy):
     assert kernel.admissible[policy.actions, np.arange(kernel.space.size)].all()
+
+
+def _count_sweeps(monkeypatch):
+    """Wrap ``solver._bellman`` so that each Bellman sweep appends to the returned list."""
+    calls = []
+
+    def counted(kernel, values):
+        calls.append(1)
+        return _bellman(kernel, values)
+
+    monkeypatch.setattr(solver, "_bellman", counted)
+    return calls
 
 
 def test_backup_of_zero_table():
@@ -430,9 +451,11 @@ def test_policy_iterate_warm_start_from_optimum_takes_one_step():
     assert np.array_equal(again.actions, policy.actions)
 
 
-def test_policy_iterate_step_budget_reports_non_convergence():
+def test_policy_iterate_step_budget_reports_non_convergence(monkeypatch):
     k = _kernel(CONFIG_B, n_max=8, alpha=0.99)
+    calls = _count_sweeps(monkeypatch)
     table, policy = policy_iterate(k, tol=1e-9, max_iters=1)
+    assert calls == []  # no lookahead runs once the budget is spent
     assert not table.converged
     assert table.iterations == 1
     assert np.isfinite(table.error_bound)
@@ -452,9 +475,7 @@ def test_policy_iterate_values_fall_with_each_step():
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_policy_iterate_step_count_on_reference_configs(name):
-    rho, f, K = REFERENCE[name]
-    p = derive_rates(lambda_from_utilization(rho, 1.0, K), 1.0, K, f)
-    k = _kernel(p, n_max=20, alpha=0.999)
+    k = _reference_kernel(name, n_max=20)
     table, _ = policy_iterate(k, tol=1e-9)
     # one-step (Howard) improvement needs 16-20 steps here
     assert table.converged
@@ -462,3 +483,42 @@ def test_policy_iterate_step_count_on_reference_configs(name):
     vi_table, _ = value_iterate(k, tol=1e-9)
     bound = vi_table.error_bound + table.error_bound
     assert np.max(np.abs(table.values - vi_table.values)) <= bound
+
+
+@pytest.mark.parametrize("n_max", [20, 30])
+@pytest.mark.parametrize("name", [*sorted(REFERENCE), "heterogeneous"])
+def test_long_first_lookahead_changes_only_the_route(monkeypatch, name, n_max):
+    if name == "heterogeneous":
+        k = _kernel(HETEROGENEOUS, n_max=n_max, alpha=0.999)
+    else:
+        k = _reference_kernel(name, n_max)
+    table, policy = policy_iterate(k, tol=1e-9)
+    monkeypatch.setattr(solver, "COLD_SWEEPS_PER_LEVEL", 0)  # LOOKAHEAD on every step
+    short, short_policy = policy_iterate(k, tol=1e-9)
+    assert table.converged and short.converged
+    assert table.iterations <= short.iterations
+    # bit for bit: both routes end by evaluating the same policy the same way
+    assert table.values.tobytes() == short.values.tobytes()
+    assert table.residual == short.residual
+    assert policy.actions.tobytes() == short_policy.actions.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_reference_configs_converge_cold_in_two_evaluations(name):
+    table, _ = policy_iterate(_reference_kernel(name, n_max=60), tol=1e-9)
+    assert table.converged
+    assert table.iterations == 2
+
+
+def test_only_a_cold_start_looks_ahead_across_the_cap(monkeypatch):
+    # the path sweep takes: the cold rho 0.7 optimum warm-starts the rho 0.8 solve
+    calls = _count_sweeps(monkeypatch)
+    cold, optimum = policy_iterate(_reference_kernel("b", n_max=60, rho=0.7), tol=1e-9)
+    assert cold.converged and cold.iterations > 1
+    long_first = solver.COLD_SWEEPS_PER_LEVEL * 60
+    assert long_first > LOOKAHEAD
+    assert len(calls) == long_first - 2 + (LOOKAHEAD - 2) * (cold.iterations - 2)
+    calls.clear()
+    warm, _ = policy_iterate(_reference_kernel("b", n_max=60), tol=1e-9, pi0=optimum)
+    assert warm.converged and warm.iterations > 1
+    assert len(calls) == (LOOKAHEAD - 2) * (warm.iterations - 1)
