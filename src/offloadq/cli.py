@@ -440,7 +440,10 @@ def cmd_sweep(args) -> int:
     policies = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
     if not loads or not policies:
         raise ValueError("sweep needs at least one rho and one policy")
-    bases = {name: baseline(name) for name in policies if name != "optimal"}
+    try:
+        bases = {name: baseline(name) for name in policies if name != "optimal"}
+    except ValueError as exc:  # the baselines are not all a sweep takes
+        raise ValueError(f"{exc}, or 'optimal'") from None
     if "optimal" in policies:
         cfg.discount_for(cfg.params)  # fail before the long run if unset
     rows = []

@@ -78,13 +78,18 @@ class PolicyTable:
     clamping n0 and n2 to the cap, so it answers for the untruncated system
     too; the simulator's event loop reads the rows inline the same way,
     without calling it.  A clamped answer stays admissible, since
-    admissibility asks at most ``n0 >= 2``.
+    admissibility asks at most ``n0 >= 2``.  ``exact_beyond_cap`` says the
+    rows at the cap are the policy's own answer for any larger n0 and n2;
+    without it, the simulator counts each read beyond the cap as saturation.
     """
 
     actions: np.ndarray
     n_max: int | None = None
+    exact_beyond_cap: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.exact_beyond_cap, bool):
+            raise ValueError(f"exact_beyond_cap must be a bool, got {self.exact_beyond_cap!r}")
         actions = np.asarray(self.actions)
         check_action_codes(actions)  # before the int8 cast, which would wrap
         m1 = math.isqrt(actions.size // 4) if self.n_max is None else self.n_max + 1

@@ -14,12 +14,11 @@ service-triplet streams and nothing else.
 The event loop reads each action from nested rows, with n0 and n2
 clamped to the rows' cap.  A ``PolicyTable`` supplies its own rows and
 cap, and the replication counts each read beyond that cap as a
-saturation event in its own counter: no run changes its policy, so two
-runs may share one.  The two baselines supply rows tabulated over
-``BASELINE_CAP``; they are constant in n0 >= 2 and in n2 >= 1, so a
-clamped row is their exact answer and counts nothing.  Any other
-callable has no rows and is called at every decision, and only a called
-answer is checked, by ``kernel.admits``.
+saturation event in its own counter, unless the table is
+``exact_beyond_cap``, as the two baselines are at cap 2: no run changes
+its policy, so two runs may share one.  Any other callable has no rows
+and is called at every decision, and only a called answer is checked, by
+``kernel.admits``.
 
 Every job carries a triplet of service times: an Exponential(mu_c1)
 full-offload cloud time; a local preprocessing time that is the same draw
@@ -50,7 +49,7 @@ FIFO single-server queue whose departures follow Lindley's recursion
 ``d_j = max(a_j, d_{j-1}) + s_j``.  The closed form draws the same streams
 and repeats the loop's float operations one for one, in the loop's order,
 so its reports, logs and pauses are the loop's to the last bit.  The event
-loop stays the reference: it runs every other policy, a ``PolicyTable`` of
+loop stays the reference: it runs every other policy, any other table of
 offload-only's rows, any callable, and every run that records events.
 """
 
@@ -60,9 +59,8 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
-from typing import Callable, Generator
+from typing import Generator
 
 import numpy as np
 from scipy.special import stdtrit
@@ -81,9 +79,6 @@ _MOVE_OF = dict(enumerate(MOVES))  # keyed by code: 2.0 finds SM2, -1 and 1.5 no
 
 _CHUNK = 4096  # arrival gaps per draw
 _TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
-# queue cap of the baselines' tabulated rows; the clamped rows beyond it
-# give their answers exactly for any cap of at least 2
-BASELINE_CAP = 60
 
 # event-log record layout: (time, kind, n0, i2, i1, n2) with the state
 # taken after the event and any same-instant assignments
@@ -113,18 +108,21 @@ class SimConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
+        # a bool is an int, but no length of time, count or seed
+        num, whole = (int, float, np.integer, np.floating), (int, np.integer)
+        for name, kinds in (("horizon", num), ("warmup", (*num, type(None))),
+                            ("replications", whole), ("seed", whole)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is whole else "a number"
+                raise ValueError(f"{name} must be {what}, got {value}")
         if not 0.0 < self.horizon < INF:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.warmup is None:
             object.__setattr__(self, "warmup", 0.1 * self.horizon)
         if not 0.0 <= self.warmup < self.horizon:
-            raise ValueError(
-                f"warmup must lie in [0, horizon), got {self.warmup} vs {self.horizon}"
-            )
-        for name in ("replications", "seed"):  # a bool is an int, but no count or seed
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"warmup must lie in [0, horizon), "
+                             f"got {self.warmup} vs {self.horizon}")
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
         if self.seed < 0:
@@ -149,46 +147,41 @@ def _non_idling(n0: int, i2: int, i1: int, n2: int) -> int:
     return SM2 if i2 == 0 else IDLE
 
 
-_BASELINES: dict[str, Callable[[int, int, int, int], int]] = {
-    "offload_only": _offload_only,
-    "non_idling": _non_idling,
+def tabulate_policy(policy, space) -> np.ndarray:
+    """Materialize any policy onto a truncated state space as an action array.
+
+    A table is read in one gather, clamped as ``PolicyTable.action`` reads it.
+    """
+    if isinstance(policy, PolicyTable):
+        m = policy.n_max
+        grid = policy.actions.reshape(m + 1, 2, 2, m + 1)
+        return grid[np.minimum(space.n0, m), space.i2, space.i1, np.minimum(space.n2, m)]
+    states = (space.n0.tolist(), space.i2.tolist(), space.i1.tolist(), space.n2.tolist())
+    return np.fromiter(map(policy, *states), np.int8, space.size)
+
+
+# the rules are constant in n0 >= 2 and n2 >= 1: their rows at cap 2 are exact
+_BASELINES = {
+    name: PolicyTable(tabulate_policy(rule, build_state_space(2)), exact_beyond_cap=True)
+    for name, rule in (("offload_only", _offload_only), ("non_idling", _non_idling))
 }
 
 
-def baseline(name: str):
-    """Reference dispatching rules: pure offloading, or maximal utilization."""
-    try:
-        return _BASELINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown baseline {name!r}; available: {sorted(_BASELINES)}"
-        ) from None
-
-
-def tabulate_policy(policy, space) -> np.ndarray:
-    """Materialize any policy onto a truncated state space as an action array."""
-    act = policy.action if isinstance(policy, PolicyTable) else policy
-    states = (space.n0.tolist(), space.i2.tolist(), space.i1.tolist(), space.n2.tolist())
-    return np.fromiter(map(act, *states), np.int8, space.size)
-
-
-@cache  # keyed by the baseline function: two entries at most
-def _baseline_rows(fn) -> list:
-    """A baseline's rows over ``BASELINE_CAP``, tabulated on first use."""
-    return PolicyTable(tabulate_policy(fn, build_state_space(BASELINE_CAP))).rows
+def baseline(name: str) -> PolicyTable:
+    """Pure offloading or maximal utilization, as a cap-2 table exact beyond its cap."""
+    if name not in _BASELINES:
+        raise ValueError(f"unknown baseline {name!r}; available: {sorted(_BASELINES)}")
+    return _BASELINES[name]
 
 
 def _lookup(policy) -> tuple:
     """``(rows, cap, clamps)``: the action in (n0, i2, i1, n2) is
     ``rows[min(n0, cap)][i2][i1][min(n2, cap)]``, as ``PolicyTable.action``
-    reads it, and a read beyond the cap adds ``clamps`` saturation events: 1
-    for a table, 0 for a baseline, whose clamped row is its exact answer.  A
-    user callable has no rows and ``cap`` -1.
+    reads it; a read beyond the cap adds ``clamps`` saturation events: 1, or
+    0 for an ``exact_beyond_cap`` table.  A callable has no rows and ``cap`` -1.
     """
     if isinstance(policy, PolicyTable):
-        return policy.rows, policy.n_max, 1
-    if policy is _offload_only or policy is _non_idling:
-        return _baseline_rows(policy), BASELINE_CAP, 0
+        return policy.rows, policy.n_max, 0 if policy.exact_beyond_cap else 1
     return None, -1, 0
 
 
@@ -339,7 +332,7 @@ def _run_replication(
     any instant logged later lies at or after it.  Its return value is the
     replication's result.
     """
-    if policy is _offload_only and not collect_events:
+    if policy is _BASELINES["offload_only"] and not collect_events:
         return (yield from _offload_only_replication(p, cfg, rep, times))
     rows, cap, clamps = _lookup(policy)
 
@@ -668,10 +661,8 @@ def simulate(
     (seed, r, TRIPLETS); results are merged in replication order, so the
     report is a deterministic function of (policy, params, config).
     """
-    reps = [
-        _finish(_run_replication(policy, p, cfg, r, collect_events=collect_events))
-        for r in range(cfg.replications)
-    ]
+    reps = [_finish(_run_replication(policy, p, cfg, r, collect_events=collect_events))
+            for r in range(cfg.replications)]
     return _aggregate(reps, cfg, collect_events)
 
 

@@ -613,6 +613,7 @@ def test_sweep_rejects_unknown_policy_before_any_work(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "unknown baseline 'bogus'" in err
+    assert "'optimal'" in err  # a sweep takes it as well as the baselines
     assert not (tmp_path / "sweep.csv").exists()
 
 

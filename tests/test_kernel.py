@@ -246,6 +246,16 @@ def test_policy_table_admits_exactly_the_scalar_models_actions(n_max):
                     PolicyTable(acts, n_max)
 
 
+@pytest.mark.parametrize("flag", [1, "yes"])
+def test_policy_table_exactness_is_a_bool(flag):
+    # a truthy stand-in would silently drop the table's saturation count
+    acts = np.zeros(build_state_space(1).size, dtype=np.int8)
+    assert PolicyTable(acts, exact_beyond_cap=True).exact_beyond_cap is True
+    assert PolicyTable(acts).exact_beyond_cap is False
+    with pytest.raises(ValueError, match=f"^exact_beyond_cap must be a bool, got {flag!r}$"):
+        PolicyTable(acts, exact_beyond_cap=flag)
+
+
 def test_row_stochastic_exhaustive():
     k = _kernel(n_max=10)
     sums = np.asarray(k.probs.sum(axis=1)).ravel()

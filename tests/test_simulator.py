@@ -16,7 +16,6 @@ from offloadq.kernel import build_state_space
 from offloadq.model import derive_rates, lambda_from_utilization
 from offloadq.simulator import (
     ARRIVALS,
-    BASELINE_CAP,
     IDLE,
     SM1,
     SM2,
@@ -96,7 +95,8 @@ def test_sim_config_defaults_and_validation():
 @pytest.mark.parametrize(
     "field, value",
     [("replications", 2.5), ("replications", True), ("seed", -1), ("seed", 1.5),
-     ("seed", False), ("horizon", math.inf), ("horizon", math.nan)],
+     ("seed", False), ("horizon", math.inf), ("horizon", math.nan),
+     ("horizon", True), ("warmup", True), ("horizon", "5"), ("warmup", "1")],
 )
 def test_sim_config_rejects_what_simulate_cannot_run(field, value):
     # each is named where it enters, not reported by a failure deep inside
@@ -131,6 +131,42 @@ def test_table_policy_shape_check_and_saturation():
     pol = TablePolicy(tabulate_policy(baseline("offload_only"), space), n_max=1)
     assert pol.action(1, 0, 0, 0) == SM1
     assert pol.action(5, 0, 0, 3) == SM1  # clamped to (1, 0, 0, 1)
+
+
+def _rules(space):
+    """Both baselines' actions on a space, written out from their definitions."""
+    n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
+    queued = n0 >= 1
+    cloud_free = (i1 == 0) & (n2 == 0)
+    return {
+        "offload_only": np.where(queued & (i1 == 0), SM1, IDLE),
+        "non_idling": np.select(
+            [~queued, cloud_free & (i2 == 0) & (n0 >= 2), cloud_free, i2 == 0],
+            [IDLE, SM1_THEN_SM2, SM1, SM2], IDLE),
+    }
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 8, 60])
+def test_baseline_tables_are_exact_beyond_cap_two(n_max):
+    # each baseline is a cap-2 table; read clamped, it is its rule on any space
+    space = build_state_space(n_max)
+    for name, expected in _rules(space).items():
+        table = baseline(name)
+        assert (table.n_max, table.exact_beyond_cap) == (2, True)
+        assert np.array_equal(tabulate_policy(table, space), expected), name
+
+
+def test_tabulating_a_table_reads_it_as_action_does():
+    # one gather, clamped to the table's cap, on spaces below, at and above it
+    rng = np.random.default_rng(5)
+    space = build_state_space(4)
+    table = PolicyTable(np.array([rng.choice(admissible_actions(State(*space.state_of(s))))
+                                  for s in range(space.size)], dtype=np.int8))
+    for n_max in (1, 4, 9):
+        other = build_state_space(n_max)
+        got = tabulate_policy(table, other)
+        assert got.dtype == np.int8
+        assert got.tolist() == [table.action(*other.state_of(s)) for s in range(other.size)]
 
 
 @pytest.mark.parametrize("code", [-1, 4, 7, 259, 1.5, 2.9999, np.nan])
@@ -541,16 +577,14 @@ def test_row_lookup_equals_calling_the_policy(config, policy):
     # so the loop calls it in every state
     p = CONFIG_A if config == "a" else HEAVY
     looked_up, called = _pin_policy(policy), _pin_policy(policy)
-    act = getattr(called, "action", called)
-    cap = getattr(called, "n_max", None)  # a table's cap; a function has none
     widest = [0]
     beyond_cap = [0]
 
     def call(n0, i2, i1, n2):
         widest[0] = max(widest[0], n0, n2)
-        if cap is not None and max(n0, n2) > cap:
+        if not called.exact_beyond_cap and max(n0, n2) > called.n_max:
             beyond_cap[0] += 1
-        return act(n0, i2, i1, n2)
+        return called.action(n0, i2, i1, n2)
 
     rep = simulate(looked_up, p, PIN_CFG)
     ref = simulate(call, p, PIN_CFG)
@@ -558,10 +592,11 @@ def test_row_lookup_equals_calling_the_policy(config, policy):
         x, y = getattr(rep, field.name), getattr(ref, field.name)
         if field.name != "saturation_events":  # the wrapper counts none
             assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
-    # a run counts one saturation event per decision beyond a table's cap
+    # a run counts one saturation event per decision beyond the cap of a
+    # table whose clamped rows are not exact; the baselines' are
     assert rep.saturation_events == beyond_cap[0]
-    if config == "heavy":  # states beyond the rows were visited
-        assert widest[0] > getattr(looked_up, "n_max", BASELINE_CAP)
+    if config == "heavy":  # states beyond the rows were visited, far beyond the baselines'
+        assert widest[0] > (60 if looked_up.exact_beyond_cap else looked_up.n_max)
 
 
 @pytest.mark.parametrize(
@@ -569,7 +604,7 @@ def test_row_lookup_equals_calling_the_policy(config, policy):
     [("table1", 14435, 0), ("offload_only", 0, 0), ("always_sm1", 0, 9911)],
 )
 def test_the_three_entry_points_agree(policy, saturation, inadmissible):
-    # a saturating table, a baseline beyond BASELINE_CAP and a callable that
+    # a saturating table, a baseline deep beyond its cap and a callable that
     # stops on inadmissible actions run one event loop under simulate, under
     # event logging and on either side of a coupled comparison
     pol = _pin_policy(policy)
@@ -582,12 +617,34 @@ def test_the_three_entry_points_agree(policy, saturation, inadmissible):
     ]
     assert (ref.saturation_events, ref.inadmissible_stops) == (saturation, inadmissible)
     if policy == "offload_only":
-        assert max(r[2] for log in logged.event_logs for r in log) > BASELINE_CAP
+        assert max(r[2] for log in logged.event_logs for r in log) > 60
     for rep in (logged, *coupled):
         for field in dataclasses.fields(DelayReport):
             if field.name != "event_logs":
                 x, y = getattr(rep, field.name), getattr(ref, field.name)
                 assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
+
+
+@pytest.mark.parametrize("name", ["offload_only", "non_idling"])
+def test_only_an_inexact_table_counts_its_clamped_reads(name):
+    # the same rows, exact beyond the cap or not, give the same run; only
+    # the inexact table counts its reads beyond the cap
+    acts = baseline(name).actions
+    exact, inexact = PolicyTable(acts, exact_beyond_cap=True), PolicyTable(acts)
+    beyond_cap = [0]
+
+    def call(n0, i2, i1, n2):
+        beyond_cap[0] += max(n0, n2) > exact.n_max
+        return exact.action(n0, i2, i1, n2)
+
+    x, y = simulate(exact, HEAVY, PIN_CFG), simulate(inexact, HEAVY, PIN_CFG)
+    simulate(call, HEAVY, PIN_CFG)
+    for field in dataclasses.fields(DelayReport):
+        if field.name != "saturation_events":
+            a, b = getattr(x, field.name), getattr(y, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+    assert x.saturation_events == 0
+    assert y.saturation_events == beyond_cap[0] > 0
 
 
 def test_a_saturating_table_is_read_not_called(monkeypatch):
@@ -620,7 +677,7 @@ def test_offload_only_closed_form_equals_the_event_loop(load):
     # so the event loop calls it at every decision and is the reference.
     # `load` is the cloud server's, lam / mu_c1, so 1.05 and 1.3 overload it
     offload_only = baseline("offload_only")
-    called = lambda *state: offload_only(*state)  # noqa: E731
+    called = lambda *state: offload_only.action(*state)  # noqa: E731
     p = derive_rates(load * CONFIG_A.mu_c1, CONFIG_A.mu0, CONFIG_A.K, CONFIG_A.f)
     # about 3.3 chunks of arrivals: at least three refills, and a part chunk
     horizon = 3.3 * _CHUNK / p.lam if p.lam else 100.0
@@ -657,6 +714,26 @@ def test_offload_only_takes_the_closed_form(monkeypatch):
     _assert_same_report(cr.report_b, rep)
     with pytest.raises(AssertionError, match="the event loop ran"):  # event records need it
         simulate(offload_only, HEAVY, cfg, collect_events=True)
+
+
+def test_a_copy_of_offload_only_runs_the_event_loop(monkeypatch):
+    # the closed form is keyed to the baseline table itself: an equal table
+    # built elsewhere is looked up and run by the loop, to the same report
+    copy = PolicyTable(baseline("offload_only").actions, exact_beyond_cap=True)
+    looked_up = []
+    lookup = simulator._lookup
+
+    def record(policy):
+        looked_up.append(policy)
+        return lookup(policy)
+
+    monkeypatch.setattr(simulator, "_lookup", record)
+    cfg = SimConfig(horizon=2000.0, replications=2, seed=19)
+    loop = simulate(copy, HEAVY, cfg)
+    assert looked_up == [copy, copy]
+    _assert_same_report(loop, simulate(baseline("offload_only"), HEAVY, cfg))
+    assert looked_up == [copy, copy]
+    assert (loop.rep_jobs_arrived > 3 * _CHUNK).all()
 
 
 # ---------------------------------------------------------------- dominance count
