@@ -274,17 +274,16 @@ def _run_config(args, allow_missing_rate: bool = False) -> RunConfig:
 # ------------------------------------------------------------------ solving
 
 
-def _solve(params: ModelParams, cfg: RunConfig, pi0: PolicyTable | None = None):
+def _solve(params: ModelParams, cfg: RunConfig):
     space = build_state_space(cfg.n_max)
     kernel = build_kernel(params, space, cfg.discount_for(params))
-    table, policy = policy_iterate(kernel, tol=cfg.tol, max_iters=cfg.max_iters, pi0=pi0)
+    table, policy = policy_iterate(kernel, tol=cfg.tol, max_iters=cfg.max_iters)
     return space, table, policy
 
 
-def _optimum(params: ModelParams, cfg: RunConfig, pi0: PolicyTable | None = None,
-             where: str = "") -> PolicyTable:
+def _optimum(params: ModelParams, cfg: RunConfig, where: str = "") -> PolicyTable:
     """The solved optimal policy; ``NotConverged`` if the step budget ran out."""
-    _, table, policy = _solve(params, cfg, pi0=pi0)
+    _, table, policy = _solve(params, cfg)
     if not table.converged:
         raise NotConverged(
             f"policy iteration did not converge{where} within {cfg.max_iters} steps"
@@ -447,10 +446,9 @@ def cmd_sweep(args) -> int:
     if "optimal" in policies:
         cfg.discount_for(cfg.params)  # fail before the long run if unset
     rows = []
-    optimum = None  # warm start for the next rho's solve
     for rho, params in loads:
         if "optimal" in policies and _policy_stable("optimal", rho, params):
-            optimum = _optimum(params, cfg, pi0=optimum, where=f" at rho={rho:g}")
+            optimum = _optimum(params, cfg, where=f" at rho={rho:g}")
         for name in policies:
             if not _policy_stable(name, rho, params):
                 rows.append((_fmt(rho), name, "", "", "", "unstable"))

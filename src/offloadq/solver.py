@@ -6,12 +6,10 @@ post-decision states (a symmetric minimum-degree ordering with pivots on
 the diagonal, stable because the system is strictly diagonally dominant
 by rows) and improves it by a ``LOOKAHEAD``-step lookahead
 (the next policy is greedy for ``T^(LOOKAHEAD-1) v``, not for ``v``),
-stopping when no state improves.  The first improvement of a cold solve
-looks ahead ``max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * n_max)`` steps
-instead: the start dispatches every job, and the switching front has to
-cross the whole grid at about one queue level per sweep.
-It is also the one way to continue or warm-start a solve: ``pi0`` takes
-the policy of an unfinished solve or the optimum of a neighbouring load.
+stopping when no state improves.  The first improvement looks ahead
+``max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * n_max)`` steps instead: the
+start dispatches every job, and the switching front has to cross the
+whole grid at about one queue level per sweep.
 :func:`value_iterate` is the oracle.  Its sweeps are synchronous (Jacobi):
 each new table is computed from the complete previous table, which keeps
 results independent of state order and bit-reproducible.  Iteration
@@ -54,12 +52,12 @@ from .model import Action, ModelParams, derive_rates
 # aggressively, idle only when strictly better
 TIE_EPS = 1e-10
 _TIE_ORDER = (Action.SM1_THEN_SM2, Action.SM1, Action.SM2, Action.IDLE)
-# Bellman sweeps behind each policy-iteration improvement step after a
-# cold solve's first, and behind every step of a warm start; 4 * n_max on
-# every step slowed the three solves of the reference sweep (rho 0.6, 0.7,
-# 0.8 at n_max 60, each warm-started from the last) from 256 to 411 ms
+# Bellman sweeps behind each policy-iteration improvement step after the
+# first; at K 8, f 0.4, n_max 60, alpha 0.999, of rho 0.1-0.9 and 0.95
+# only 0.6 and 0.9 take a later step, and 4 * n_max there still needs 3
+# evaluations, at 476 sweeps against 286 and 20-29 ms more per solve
 LOOKAHEAD = 50
-# sweeps per queue level behind a cold solve's first improvement: with
+# sweeps per queue level behind the first improvement: with
 # max(LOOKAHEAD, 4 * n_max) sweeps, reference configs a-d (n_max 60,
 # alpha 0.999) take 2 evaluations, not 3; with 3 * n_max, config b still
 # takes 3, and 5 * n_max saves no evaluation on a-d
@@ -258,7 +256,6 @@ def policy_iterate(
     kernel: TransitionKernel,
     tol: float = 1e-9,
     max_iters: int = MAX_STEPS,
-    pi0: PolicyTable | None = None,
 ) -> tuple[ValueTable, PolicyTable]:
     """Policy iteration: exact evaluation, then a lookahead improvement.
 
@@ -272,16 +269,11 @@ def policy_iterate(
     wherever the stop test failed, and policies cannot cycle.  A one-step
     (Howard) improvement moves the switching front about one queue level
     per step; at n_max 60, alpha 0.999 the lookahead cuts 28-46 steps to
-    2 on reference configs a-d.  The start is ``pi0`` or the greedy policy
-    of the all-zero table.  That cold start dispatches every job, so its
-    first improvement runs ``max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * n_max)``
-    sweeps, enough for the switching front to cross the grid; every later
-    step, and every step of a warm start, runs ``LOOKAHEAD``.  ``pi0``
-    warm-starts a solve from the optimum of a neighbouring load, or
-    continues an unfinished one from its stored policy; resuming a
-    one-step artifact of reference config a or b (n_max 60, alpha 0.999)
-    takes 3 steps and returns the cold solve's values and policy bit for
-    bit.
+    2 on reference configs a-d.  The start is the greedy policy of the
+    all-zero table.  It dispatches every job, so the first improvement
+    runs ``max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * n_max)`` sweeps, enough
+    for the switching front to cross the grid; every later step runs
+    ``LOOKAHEAD``.
     ``iterations`` counts evaluations and ``max_iters`` caps them; no
     lookahead runs after the last evaluation the budget allows.
     ``converged`` means the last step improved no state and the Bellman
@@ -292,19 +284,15 @@ def policy_iterate(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if pi0 is not None:
-        _check_cap(kernel, pi0)
     n = kernel.space.size
     sids = np.arange(n)
     values = np.zeros(n)
     q = q_table(kernel, values)  # each step replaces it; the last gives the returned policy
-    actions = _greedy(q)[1] if pi0 is None else pi0.actions
-    lookahead = LOOKAHEAD
-    if pi0 is None:
-        lookahead = max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * kernel.space.n_max)
+    actions = _greedy(q)[1]
+    lookahead = max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * kernel.space.n_max)
     done, stable = 0, False
     while done < max_iters and not stable:
-        # admissible: pi0 is checked, a minimizer finite (inadmissible is +inf)
+        # admissible: a minimizer is finite (inadmissible is +inf)
         values = _evaluate_direct(kernel, actions)
         done += 1
         q = q_table(kernel, values)

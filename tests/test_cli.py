@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from offloadq.cli import main
-from offloadq.kernel import build_kernel, build_state_space
+from offloadq.kernel import build_state_space
 from offloadq.model import Action
 from offloadq.simulator import baseline, tabulate_policy
-from offloadq.solver import PolicyTable, load_checkpoint, policy_iterate, save_checkpoint
+from offloadq.solver import PolicyTable, load_checkpoint, save_checkpoint
 
 # small instance keeps every solve in this file well under a second
 FAST = [
@@ -47,21 +47,6 @@ def test_solve_nonconvergence_exits_3_but_writes(tmp_path):
     assert meta["status"] == "not_converged"
     assert meta["iterations"] == 1
     assert (tmp_path / "solution.npz").exists()
-
-
-def test_unfinished_solve_resumes_from_its_policy_to_the_cold_solve(tmp_path):
-    args = [*FAST, "--rho", "0.8", "--n-max", "8", "--alpha", "0.99", "--tol", "1e-9"]
-    assert main(["solve", *args, "--max-iters", "1", "--out-dir", str(tmp_path / "part")]) == 3
-    assert main(["solve", *args, "--out-dir", str(tmp_path / "cold")]) == 0
-    part = load_checkpoint(str(tmp_path / "part" / "solution.npz"))
-    cold = load_checkpoint(str(tmp_path / "cold" / "solution.npz"))
-    kernel = build_kernel(part.params, part.space(), part.table.discount)
-    table, policy = policy_iterate(kernel, tol=part.table.tol, pi0=part.policy)
-    assert table.converged
-    # bit for bit: both runs end by evaluating the same policy the same way
-    assert table.values.tobytes() == cold.table.values.tobytes()
-    assert policy.actions.tobytes() == cold.policy.actions.tobytes()
-    assert table.residual == cold.table.residual
 
 
 @pytest.mark.parametrize(
@@ -604,6 +589,22 @@ def test_sweep_resolves_optimal_per_rho(tmp_path, capsys):
     rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().split("\n")[1:-1]]
     assert [r[0] for r in rows] == ["0.2", "0.4"]
     assert all(r[5] == "ok" for r in rows)
+
+
+def test_sweep_optimal_rows_are_the_simulated_optimum_of_each_rho(tmp_path):
+    flags = ["--mu0", "1", "--K", "8", "--f", "0.4",
+             "--n-max", "6", "--alpha", "0.9", "--tol", "1e-7", *SIM_FAST]
+    assert main(["sweep", *flags, "--rhos", "0.2,0.4", "--policies", "optimal",
+                 "--out-dir", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().split("\n")[1:-1]]
+    assert [r[:2] for r in rows] == [["0.2", "optimal"], ["0.4", "optimal"]]
+    for rho, row in zip(("0.2", "0.4"), rows):
+        out_dir = tmp_path / rho
+        assert main(["simulate", *flags, "--rho", rho, "--policy", "optimal",
+                     "--out-dir", str(out_dir)]) == 0
+        rep = json.loads((out_dir / "simulation.json").read_text())["report"]
+        assert row[2:5] == ["%.9g" % rep[k]
+                            for k in ("mean_sojourn", "ci_halfwidth", "time_avg_jobs")]
 
 
 def test_sweep_rejects_unknown_policy_before_any_work(tmp_path, capsys):

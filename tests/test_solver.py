@@ -400,8 +400,7 @@ def test_solvers_reject_a_table_of_another_cap():
     k = _kernel(n_max=3)
     other = _random_admissible_policy(_kernel(n_max=4), np.random.default_rng(2))
     for solve in (lambda: evaluate_policy(k, other, method="direct"),
-                  lambda: evaluate_policy(k, other, method="iterative"),
-                  lambda: policy_iterate(k, pi0=other)):
+                  lambda: evaluate_policy(k, other, method="iterative")):
         with pytest.raises(ValueError, match="policy table has cap 4, kernel has cap 3"):
             solve()
 
@@ -439,16 +438,6 @@ def test_policy_iterate_agrees_with_vi_above_its_decision_floor(p):
     decided = q[1] - q[0] > floor  # inadmissible rows are +inf, so lone actions count
     assert decided.sum() > k.space.size // 2
     assert np.array_equal(pi_policy.actions[decided], vi_policy.actions[decided])
-
-
-def test_policy_iterate_warm_start_from_optimum_takes_one_step():
-    k = _kernel(CONFIG_B, n_max=8, alpha=0.99)
-    cold, policy = policy_iterate(k, tol=1e-9)
-    assert cold.iterations > 1
-    warm, again = policy_iterate(k, tol=1e-9, pi0=policy)
-    assert warm.converged
-    assert warm.iterations == 1
-    assert np.array_equal(again.actions, policy.actions)
 
 
 def test_policy_iterate_step_budget_reports_non_convergence(monkeypatch):
@@ -510,15 +499,10 @@ def test_reference_configs_converge_cold_in_two_evaluations(name):
     assert table.iterations == 2
 
 
-def test_only_a_cold_start_looks_ahead_across_the_cap(monkeypatch):
-    # the path sweep takes: the cold rho 0.7 optimum warm-starts the rho 0.8 solve
+def test_only_the_first_improvement_looks_ahead_across_the_cap(monkeypatch):
     calls = _count_sweeps(monkeypatch)
-    cold, optimum = policy_iterate(_reference_kernel("b", n_max=60, rho=0.7), tol=1e-9)
-    assert cold.converged and cold.iterations > 1
+    table, _ = policy_iterate(_reference_kernel("b", n_max=60, rho=0.7), tol=1e-9)
+    assert table.converged and table.iterations > 1
     long_first = solver.COLD_SWEEPS_PER_LEVEL * 60
     assert long_first > LOOKAHEAD
-    assert len(calls) == long_first - 2 + (LOOKAHEAD - 2) * (cold.iterations - 2)
-    calls.clear()
-    warm, _ = policy_iterate(_reference_kernel("b", n_max=60), tol=1e-9, pi0=optimum)
-    assert warm.converged and warm.iterations > 1
-    assert len(calls) == (LOOKAHEAD - 2) * (warm.iterations - 1)
+    assert len(calls) == long_first - 2 + (LOOKAHEAD - 2) * (table.iterations - 2)
