@@ -24,7 +24,8 @@ working directory.
 All CSV output is byte-stable for fixed inputs: fixed column order,
 numbers at 9 significant digits, lines terminated with "\\n".  JSON
 reports carry a ``schema_version`` field.  A simulated table policy that
-saturated at its queue cap gets a ``warning:`` line on stderr.  Exit
+saturated at its queue cap, and a solve artifact read from a solve that
+did not converge, each get a ``warning:`` line on stderr.  Exit
 codes: 0 success (and all checks passed), 1 usage, configuration or
 artifact error, 2 structure-check failure, 3 solver non-convergence
 (``solve`` still writes its artifacts; ``simulate``, ``sweep`` and
@@ -291,6 +292,15 @@ def _optimum(params: ModelParams, cfg: RunConfig, where: str = "") -> PolicyTabl
     return policy
 
 
+def _load_artifact(path: str):
+    """A solve artifact, with one stderr warning when its solve did not converge."""
+    ck = load_checkpoint(path)
+    if not ck.table.converged:
+        print(f"warning: artifact {path} did not converge (residual {ck.table.residual:.3e}); "
+              "its policy is not certified optimal", file=sys.stderr)
+    return ck
+
+
 def _resolve_policy(spec: str, cfg: RunConfig):
     """A policy argument is a baseline name, 'optimal', or an artifact path."""
     if spec == "optimal":
@@ -303,7 +313,7 @@ def _resolve_policy(spec: str, cfg: RunConfig):
                 f"unknown policy {spec!r}: use 'optimal', a baseline name, "
                 "or a solution artifact path"
             ) from None
-    ck = load_checkpoint(spec)
+    ck = _load_artifact(spec)
     if not params_close(ck.params, cfg.params):
         rates = "lam={0.lam:g}, mu0={0.mu0:g}, K={0.K:g}, f={0.f:g}".format
         raise ValueError(
@@ -357,7 +367,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    ck = load_checkpoint(args.solution)
+    ck = _load_artifact(args.solution)
     space = ck.space()
     acts = ck.policy.actions
     rows = []
@@ -374,7 +384,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ck = load_checkpoint(args.solution)
+    ck = _load_artifact(args.solution)
     space = ck.space()
     # with the stored model the checks screen violations against their
     # action-value margins instead of trusting tie-broken actions verbatim

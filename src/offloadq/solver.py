@@ -51,7 +51,7 @@ from .model import Action, ModelParams, derive_rates
 # preference order used to resolve near-ties in the greedy argmin: assign
 # aggressively, idle only when strictly better
 TIE_EPS = 1e-10
-_TIE_ORDER = (Action.SM1_THEN_SM2, Action.SM1, Action.SM2, Action.IDLE)
+_TIE_ORDER = np.array([Action.SM1_THEN_SM2, Action.SM1, Action.SM2, Action.IDLE], dtype=np.int8)
 # Bellman sweeps behind each policy-iteration improvement step after the
 # first; at K 8, f 0.4, n_max 60, alpha 0.999, of rho 0.1-0.9 and 0.95
 # only 0.6 and 0.9 take a later step, and 4 * n_max there still needs 3
@@ -140,16 +140,18 @@ def q_table(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
     return q.reshape(N_ACTIONS, n)
 
 
+def near_optimal(q: np.ndarray, floor: float) -> np.ndarray:
+    """The ``(N_ACTIONS, n)`` mask of actions within ``floor`` of each state's best.
+
+    The one tie rule, read by the solver at ``TIE_EPS`` and by the structure
+    screen at its decision floor; at a finite floor, +inf is never near.
+    """
+    return q - q.min(axis=0) <= floor
+
+
 def _greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Bellman sweep ``min_a q`` of an action-value table, and its tie-ordered argmin."""
-    best = q.min(axis=0)
-    greedy = np.zeros(q.shape[1], dtype=np.int8)
-    unset = np.ones(q.shape[1], dtype=bool)
-    for a in _TIE_ORDER:
-        hit = unset & (q[int(a)] <= best + TIE_EPS)  # +inf where inadmissible
-        greedy[hit] = int(a)
-        unset &= ~hit
-    return best, greedy
+    """``min_a q``, and each state's first action of ``_TIE_ORDER`` near-optimal at ``TIE_EPS``."""
+    return q.min(axis=0), _TIE_ORDER[near_optimal(q, TIE_EPS)[_TIE_ORDER].argmax(axis=0)]
 
 
 def bellman_backup(kernel: TransitionKernel, values: np.ndarray) -> tuple[ValueTable, PolicyTable]:
@@ -231,9 +233,10 @@ def evaluate_policy(
     matrix strictly diagonally dominant by rows has growth factor at most
     2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
     Thm 9.9).  Row interchanges would break the symmetric fill-reducing
-    order: on the 7,979-9,383-state systems of the reference solves,
-    COLAMD with partial pivoting (``spsolve``'s default) fills the
-    factors to 417k-461k nonzeros, and this LU to 321k-354k.
+    order: on the 8,007-9,383-state systems of the reference solves'
+    second evaluations, COLAMD with partial pivoting (``spsolve``'s
+    default) fills the factors to 417k-461k nonzeros, and this LU to
+    321k-354k.
     """
     n = kernel.space.size
     _check_cap(kernel, pi)
@@ -260,10 +263,12 @@ def policy_iterate(
     """Policy iteration: exact evaluation, then a lookahead improvement.
 
     Each step evaluates the current policy by the sparse LU of
-    ``evaluate_policy(method="direct")`` and stops if no state's action is
-    worse than the best by more than ``TIE_EPS``.  Otherwise the next
-    policy is the exact argmin of ``q_table(kernel, u)`` for
-    ``u = T^(L-1) v``, with ``L = LOOKAHEAD`` Bellman sweeps ``T`` in all.
+    ``evaluate_policy(method="direct")`` and stops if every state's action
+    is :func:`near_optimal` at ``TIE_EPS``.  Otherwise the next policy is
+    the plain argmin of ``q_table(kernel, u)`` for ``u = T^(L-1) v``, with
+    ``L = LOOKAHEAD`` Bellman sweeps ``T`` in all.  Not the tie-ordered
+    one: that may pick an action up to ``TIE_EPS`` worse, and on configs
+    a-d it left a residual of 7e-11-8e-11, not 2e-13-9e-13.
     Since ``v >= T v`` and ``T`` is monotone, ``u >= T u``, so the next
     policy's values satisfy ``v' <= T^L v <= T v``: they fall strictly
     wherever the stop test failed, and policies cannot cycle.  A one-step
@@ -296,10 +301,9 @@ def policy_iterate(
         values = _evaluate_direct(kernel, actions)
         done += 1
         q = q_table(kernel, values)
-        best = q.min(axis=0)
-        stable = not (q[actions, sids] > best + TIE_EPS).any()
+        stable = bool(near_optimal(q, TIE_EPS)[actions, sids].all())
         if not stable and done < max_iters:
-            u = best  # T v; L - 2 more sweeps make T^(L-1) v
+            u = q.min(axis=0)  # T v; L - 2 more sweeps make T^(L-1) v
             for _ in range(lookahead - 2):
                 u = _bellman(kernel, u)
             actions = q_table(kernel, u).argmin(axis=0).astype(np.int8)

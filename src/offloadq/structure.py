@@ -26,14 +26,15 @@ resolution, and in large indifference regions (for example, committing a
 job to the full-offload slot while the cloud is busy with split work is
 worth essentially nothing either way) the recorded action is an artifact
 of deterministic tie-breaking.  When the transition kernel is supplied
-alongside the values, each check therefore measures the action-value
-margins behind a candidate violation and reports it as indeterminate
-rather than failed unless the competing action families are separated by
-more than the value-accuracy floor ``alpha / (1 - alpha) * residual`` at
-every state involved.  :func:`run_structure_checks` always derives that
-floor from the value table; each ``check_*`` function takes the
-action-value table ``q`` and a ``floor`` of its own.  Checks never raise
-on failure; violations are returned as counterexample lists.
+alongside the values, each check therefore reads the near-optimal action
+set (``solver.near_optimal``, the solver's own tie rule) at the
+value-accuracy floor ``alpha / (1 - alpha) * residual``, and reports a
+candidate violation as indeterminate rather than failed if, at any state
+involved, that set holds actions both inside and outside the competing
+family.  :func:`run_structure_checks` always derives that floor from the
+value table; each ``check_*`` function takes the action-value table ``q``
+and a ``floor`` of its own.  Checks never raise on failure; violations
+are returned as counterexample lists.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .kernel import StateSpace, TransitionKernel
+from .kernel import N_ACTIONS, StateSpace, TransitionKernel
 from .model import Action
-from .solver import TIE_EPS, PolicyTable, ValueTable, q_table
+from .solver import TIE_EPS, PolicyTable, ValueTable, near_optimal, q_table
 
 SCHEMA_VERSION = 1
 
@@ -174,23 +175,20 @@ def _steps(space: StateSpace, cap: int) -> tuple[np.ndarray, int]:
     return np.flatnonzero(space.n0 + space.n2 + 1 <= cap), 4 * (space.n_max + 1)
 
 
-def _advantage(q: np.ndarray, family) -> np.ndarray:
-    """Per state, how much cheaper the best action in ``family`` is than the best outside it."""
-    inside = np.isin(np.arange(q.shape[0]), family)
-    return q[~inside].min(axis=0) - q[inside].min(axis=0)
-
-
 def _screen(broken: np.ndarray, q, family, floor: float, *partner_offsets: int):
     """Decided candidate violations and the count of indeterminate ones.
 
-    A candidate is decided only if ``family`` and the other actions are
-    separated by more than ``floor`` at the state and at each partner
-    ``state + offset``; without ``q`` every candidate is decided.
+    A candidate is indeterminate if, at the state or at a partner
+    ``state + offset``, actions within ``floor`` of the best
+    (:func:`~offloadq.solver.near_optimal`) lie both in ``family`` and
+    outside it; without ``q`` every candidate is decided.
     """
     if q is None:
         return broken, 0
-    adv = np.abs(_advantage(q, family))
-    strict = np.logical_and.reduce([adv[broken + d] > floor for d in (0, *partner_offsets)])
+    near = near_optimal(q, floor)
+    inside = np.isin(np.arange(N_ACTIONS), family)
+    tied = near[inside].any(axis=0) & near[~inside].any(axis=0)
+    strict = ~np.logical_or.reduce([tied[broken + d] for d in (0, *partner_offsets)])
     return broken[strict], int(broken.size - strict.sum())
 
 
@@ -402,9 +400,10 @@ def run_structure_checks(
     """Run every check and assemble the report.
 
     With ``kernel`` (which requires ``values``), candidate violations are
-    screened against the action-value margins: pairs decided by no more
-    than the floor ``alpha / (1 - alpha) * residual`` (at least
-    ``TIE_EPS``) are indeterminate tie-breaking artifacts, not failures.
+    screened against the actions near-optimal at the floor
+    ``alpha / (1 - alpha) * residual`` (at least ``TIE_EPS``): where that
+    set straddles a check's action family, the violation is an
+    indeterminate tie-breaking artifact, not a failure.
     A caller that needs another floor calls the ``check_*`` functions with
     ``q`` and ``floor`` directly.
     """

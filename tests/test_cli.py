@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from offloadq.cli import main
+from offloadq.cli import build_parser, main
 from offloadq.kernel import build_state_space
 from offloadq.model import Action
 from offloadq.simulator import baseline, tabulate_policy
@@ -544,6 +547,31 @@ def test_saturated_table_warns_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+_ARTIFACT_READERS = {
+    "analyze": lambda sol: ["analyze", "--solution", sol, "--margin", "2"],
+    "grid": lambda sol: ["grid", "--solution", sol, "--i2", "0", "--i1", "0"],
+    "simulate": lambda sol: ["simulate", *FAST, *SIM_FAST, "--policy", sol],
+    "couple": lambda sol: ["couple", *FAST, *SIM_FAST, "--policy-a", sol, "--policy-b", sol],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_READERS))
+def test_reading_an_unconverged_artifact_warns_once(tmp_path, capsys, command):
+    converged = _solve_fast(tmp_path / "full")
+    assert main(["solve", *FAST, "--max-iters", "1", "--out-dir", str(tmp_path / "cut")]) == 3
+    cut = tmp_path / "cut" / "solution.npz"
+    residual = load_checkpoint(str(cut)).table.residual
+    capsys.readouterr()
+    expected = {converged: [], cut: [f"warning: artifact {cut} did not converge (residual "
+                                     f"{residual:.3e}); its policy is not certified optimal"]}
+    for sol, warnings in expected.items():
+        argv = _ARTIFACT_READERS[command](str(sol))
+        # the warning changes neither the exit code nor what is written
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning: artifact")] == warnings
+
+
 def test_simulate_unknown_policy(tmp_path, capsys):
     rc = main(["simulate", *FAST, *SIM_FAST, "--policy", "bogus",
                "--out-dir", str(tmp_path)])
@@ -652,3 +680,24 @@ def test_couple_same_policy_is_exactly_zero(tmp_path, capsys):
     payload = json.loads((tmp_path / "couple.json").read_text())
     assert payload["report"]["diff_mean"] == 0.0
     assert payload["report"]["dominance_fraction"] == 1.0
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``offloadq`` command in README's sh blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["offloadq"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    # every subcommand is documented, and every documented flag is the parser's
+    assert {argv[0] for argv in commands} == {
+        "solve", "analyze", "grid", "simulate", "sweep", "couple"}
+    for argv in commands:
+        build_parser().parse_args(argv)  # a usage error raises ValueError

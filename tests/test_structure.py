@@ -10,9 +10,21 @@ from hypothesis import strategies as st
 from offloadq.kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
 from offloadq.model import Action, derive_rates
 from offloadq.simulator import baseline, tabulate_policy
-from offloadq.solver import PolicyTable, ValueTable, q_table, value_iterate
+from offloadq.solver import (
+    _TIE_ORDER,
+    TIE_EPS,
+    PolicyTable,
+    ValueTable,
+    _greedy,
+    q_table,
+    value_iterate,
+)
 from offloadq.structure import (
+    _ACTING,
+    _ASSIGNS_SM2,
+    _CLOUD_FIRST_OK,
     ThresholdProfile,
+    _screen,
     check_cloud_first,
     check_switch_type,
     check_urgency_monotonicity,
@@ -399,3 +411,53 @@ def test_screen_counts_a_margin_equal_to_the_floor_as_indeterminate(ref_solved):
         result = check_cloud_first(PolicyTable(actions=acts), space, 2, q, floor)
         assert result.indeterminate == indeterminate
         assert result.passed == bool(indeterminate)
+
+
+_FLOORS = (0.0, TIE_EPS, 1e-6, 0.5)
+
+
+@st.composite
+def _q_and_floor(draw):
+    """A small action-value table, +inf rows and gaps on either side of the floor included."""
+    floor = draw(st.sampled_from(_FLOORS))
+    edges = [g for f in (floor, TIE_EPS)
+             for g in (f, np.nextafter(f, 0.0), np.nextafter(f, np.inf))]
+    gap = st.sampled_from([0.0, np.inf, *edges]) | st.floats(0.0, 2.0)
+    n = draw(st.integers(1, 8))
+    q = np.empty((4, n))
+    for s in range(n):
+        best = draw(st.sampled_from([0.0, 1.0, 123.456]) | st.floats(-1e3, 1e3))
+        q[:, s] = [best + draw(gap) for _ in range(4)]
+        if np.isinf(q[:, s]).all():  # IDLE is admissible in every state
+            q[0, s] = best
+    return q, floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    qf=_q_and_floor(),
+    family=st.sampled_from([_CLOUD_FIRST_OK, _ASSIGNS_SM2, _ACTING, (0,), (0, 2)]),
+    offset=st.sampled_from([(), (1,), (2,), (1, 2)]),
+)
+def test_near_optimal_decides_as_the_gap_between_families(qf, family, offset):
+    q, floor = qf
+    n = q.shape[1]
+    broken = np.arange(max(0, n - max(offset, default=0)))
+
+    def decided(s):
+        # the reference rule: the best action in the family and the best
+        # outside it differ by more than the floor
+        inside = min(q[a, s] for a in range(4) if a in family)
+        outside = min(q[a, s] for a in range(4) if a not in family)
+        return abs(outside - inside) > floor
+
+    keep = [b for b in broken if all(decided(b + d) for d in (0, *offset))]
+    got, indeterminate = _screen(broken, q, family, floor, *offset)
+    assert got.tolist() == keep
+    assert indeterminate == broken.size - len(keep)
+
+    # the greedy action: the first action of the tie order within TIE_EPS of the best
+    best, greedy = _greedy(q)
+    assert np.array_equal(best, q.min(axis=0))
+    for s in range(n):
+        assert greedy[s] == next(a for a in _TIE_ORDER if q[a, s] - best[s] <= TIE_EPS)
