@@ -51,7 +51,15 @@ from .model import (
     params_close,
 )
 from .simulator import SimConfig, SimulationError, baseline, coupled_compare, simulate
-from .solver import MAX_STEPS, PolicyTable, load_checkpoint, policy_iterate, save_checkpoint
+from .solver import (
+    MAX_STEPS,
+    PolicyTable,
+    load_checkpoint,
+    near_optimal,
+    policy_iterate,
+    q_table,
+    save_checkpoint,
+)
 from .structure import run_structure_checks
 
 SCHEMA_VERSION = 1
@@ -397,6 +405,12 @@ def cmd_analyze(args) -> int:
     (out_dir / "structure.json").write_text(report.to_json() + "\n")
     (out_dir / "structure.txt").write_text(report.to_text())
     sys.stdout.write(report.to_text())
+    floor = report.decision_floor
+    if (not ck.table.converged and report.all_passed()
+            and near_optimal(q_table(kernel, ck.table.values), floor)[kernel.admissible].all()):
+        print(f"warning: every admissible action lies within the decision floor {floor:.3e} of "
+              "the best, so every candidate violation is indeterminate and this PASS of an "
+              "unconverged solve certifies nothing", file=sys.stderr)
     return EXIT_OK if report.all_passed() else EXIT_CHECK
 
 

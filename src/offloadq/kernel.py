@@ -160,9 +160,16 @@ class StateSpace:
 
 
 def build_state_space(n_max: int) -> StateSpace:
+    """The state space of cap ``n_max``; its components and ids are int32.
+
+    A cap whose ids would overflow int32 raises ``ValueError`` before
+    anything is allocated.
+    """
     if n_max < 1:
         raise ValueError(f"queue cap must be at least 1, got {n_max}")
-    n0, i2, i1, n2 = np.indices((n_max + 1, 2, 2, n_max + 1)).reshape(4, -1)
+    if 4 * (n_max + 1) ** 2 > np.iinfo(np.int32).max:
+        raise ValueError(f"queue cap {n_max} gives more state ids than int32 holds")
+    n0, i2, i1, n2 = np.indices((n_max + 1, 2, 2, n_max + 1), dtype=np.int32).reshape(4, -1)
     return StateSpace(n_max=n_max, n0=n0, i2=i2, i1=i1, n2=n2)
 
 
@@ -245,12 +252,12 @@ class TransitionKernel:
 def _post_action_map(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     """Post-action state ids and admissibility, one row per action."""
     n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
-    post = np.empty((N_ACTIONS, space.size), dtype=np.int64)
+    post = np.empty((N_ACTIONS, space.size), dtype=np.int32)
     admissible = np.empty((N_ACTIONS, space.size), dtype=bool)
     for a, (take, fill2, fill1) in enumerate(MOVES):
         admissible[a] = admits(MOVES[a], n0, i2, i1)
         moved = space.ids_of(n0 - take, i2 + fill2, i1 + fill1, n2)
-        post[a] = np.where(admissible[a], moved, np.arange(space.size))
+        post[a] = np.where(admissible[a], moved, np.arange(space.size, dtype=np.int32))
     return post, admissible
 
 
@@ -263,7 +270,7 @@ def build_kernel(p: ModelParams, space: StateSpace, d: DiscountSpec) -> Transiti
     n = space.size
     m = space.n_max
     n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
-    sids = np.arange(n)
+    sids = np.arange(n, dtype=np.int32)
     p_arr = p.lam / nu
     p_loc = p.mu_l2 / nu
     p_c2 = p.mu_c2 / nu

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -570,6 +571,34 @@ def test_reading_an_unconverged_artifact_warns_once(tmp_path, capsys, command):
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("warning: artifact")] == warnings
+
+
+def test_analyze_warns_when_the_floor_makes_every_violation_indeterminate(tmp_path, capsys):
+    # one policy-iteration step leaves a residual whose decision floor
+    # exceeds every action-value gap: no screened check could fail
+    converged = _solve_fast(tmp_path / "full")
+    assert main(["solve", *FAST, "--max-iters", "1", "--out-dir", str(tmp_path / "cut")]) == 3
+    cut = tmp_path / "cut" / "solution.npz"
+    # the same values flagged unconverged at a tight floor: the screen can decide
+    ck = load_checkpoint(str(converged))
+    flagged = tmp_path / "flagged.npz"
+    save_checkpoint(str(flagged), replace(ck.table, converged=False), ck.policy, ck.params,
+                    ck.n_max)
+    capsys.readouterr()
+    for sol, warns in ((converged, False), (flagged, False), (cut, True)):
+        out_dir = tmp_path / "out" / sol.parent.name / sol.stem
+        argv = ["analyze", "--solution", str(sol), "--margin", "2", "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        # the verdict and its artifacts are those of the report alone
+        assert out == (out_dir / "structure.txt").read_text()
+        report = json.loads((out_dir / "structure.json").read_text())
+        assert report["all_passed"] is True
+        vacuous = (f"warning: every admissible action lies within the decision floor "
+                   f"{report['decision_floor']:.3e} of the best, so every candidate violation is "
+                   "indeterminate and this PASS of an unconverged solve certifies nothing")
+        assert [line for line in err.splitlines() if line.startswith("warning: every")] == (
+            [vacuous] if warns else [])
 
 
 def test_simulate_unknown_policy(tmp_path, capsys):

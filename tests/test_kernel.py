@@ -50,6 +50,22 @@ def test_space_rejects_zero_cap():
         build_state_space(0)
 
 
+def test_space_refuses_a_cap_whose_ids_overflow_int32(monkeypatch):
+    assert build_state_space(3).n0.dtype == np.int32
+    assert _kernel(n_max=3).post.dtype == np.int32
+
+    def allocate(*args, **kwargs):
+        raise MemoryError("build_state_space allocated the state grid")
+
+    # 4 * 23170**2 ids fit int32 and 4 * 23171**2 do not; the refusal comes
+    # before the grid is allocated, and the largest cap that fits gets there
+    monkeypatch.setattr(np, "indices", allocate)
+    with pytest.raises(ValueError, match="int32"):
+        build_state_space(23170)
+    with pytest.raises(MemoryError, match="allocated the state grid"):
+        build_state_space(23169)
+
+
 def test_index_round_trip():
     space = build_state_space(3)
     seen = set()

@@ -235,18 +235,22 @@ def test_direct_evaluation_on_post_decision_states_matches_the_full_system():
         assert max(reached[:3] + reached[4:]) < n
 
 
-def _row_dominance_margins(events, post_pi, alpha):
-    """|diagonal| minus the off-diagonal absolute sum, per row of the reduced system.
+def _reference_system(events, post_pi, alpha):
+    """``(X, col, I - alpha * E[X] R_pi)`` as the direct evaluation builds it, written out.
 
-    The system is built as ``evaluate_policy(method="direct")`` builds it:
-    ``I - alpha * E[X] R_pi`` on the post-decision states ``X`` the policy
-    reaches.
+    ``X`` holds the post-decision states the policy reaches and ``col``
+    each state's index in ``X``.
     """
     x, col = np.unique(post_pi, return_inverse=True)
     e_x = events[x]
     e_r = sp.csr_matrix((e_x.data, col[e_x.indices], e_x.indptr), shape=(x.size, x.size))
     e_r.sum_duplicates()
-    system = (sp.eye(x.size, format="csr") - alpha * e_r).tocsr()
+    return x, col, sp.eye(x.size, format="csr") - alpha * e_r
+
+
+def _row_dominance_margins(events, post_pi, alpha):
+    """|diagonal| minus the off-diagonal absolute sum, per row of the reduced system."""
+    system = _reference_system(events, post_pi, alpha)[2].tocsr()
     diag = np.abs(system.diagonal())
     return diag - (np.asarray(abs(system).sum(axis=1)).ravel() - diag)
 
@@ -326,6 +330,47 @@ def test_reached_post_decision_states_equal_np_unique(p, n_max):
         assert (x.dtype, col.dtype) == (unique_x.dtype, unique_col.dtype)
         assert x.tobytes() == unique_x.tobytes()
         assert col.tobytes() == unique_col.tobytes()
+
+
+def _reference_direct_values(k, actions):
+    """The direct evaluation written out: the reference system, factored and solved."""
+    post_pi = k.post[actions, np.arange(k.space.size)]
+    x, col, system = _reference_system(k.events, post_pi, k.discount.alpha)
+    lu = spla.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return lu.solve(k.cost0[x])[col]
+
+
+def _chain_policies(k, seed):
+    """Random admissible policies, the myopic start and the optimum of ``k``."""
+    rng = np.random.default_rng(seed)
+    policies = [_random_admissible_policy(k, rng) for _ in range(3)]
+    return policies + [_greedy_of_zero(k), policy_iterate(k, tol=1e-9)[1]]
+
+
+@pytest.mark.parametrize("n_max", [12, 40])
+def test_direct_evaluation_equals_the_written_out_construction(n_max):
+    k = _kernel(CONFIG_B, n_max=n_max, alpha=0.999)
+    for pi in _chain_policies(k, n_max):
+        got = solver._evaluate_direct(k, pi.actions)
+        assert got.tobytes() == _reference_direct_values(k, pi.actions).tobytes()
+
+
+@VIEW_RATES
+@pytest.mark.parametrize("n_max", [3, 12])
+def test_post_decision_chain_is_row_stochastic_and_moves_values_as_the_events_do(p, n_max):
+    k = _kernel(p, n_max=n_max, alpha=0.999)
+    n = k.space.size
+    rng = np.random.default_rng(200 + n_max)
+    for pi in _chain_policies(k, n_max):
+        x, col, p_x = solver._chain(k, pi.actions)
+        unique_x, unique_col = np.unique(k.post[pi.actions, np.arange(n)], return_inverse=True)
+        assert x.tobytes() == unique_x.tobytes() and col.tobytes() == unique_col.tobytes()
+        assert p_x.format == "csr" and p_x.shape == (x.size, x.size)
+        assert p_x.has_canonical_format and (p_x.data > 0.0).all()
+        assert np.allclose(p_x.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+        for u in (rng.uniform(0.0, 1.0, x.size), rng.uniform(0.0, 1e12, x.size)):
+            np.testing.assert_allclose(p_x @ u, (k.events @ u[col])[x], rtol=1e-14, atol=0.0)
 
 
 def test_factored_q_table_equals_the_stacked_kernel():
