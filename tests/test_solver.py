@@ -337,7 +337,7 @@ def _reference_direct_values(k, actions):
     post_pi = k.post[actions, np.arange(k.space.size)]
     x, col, system = _reference_system(k.events, post_pi, k.discount.alpha)
     lu = spla.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+                   panel_size=1, options={"SymmetricMode": True})
     return lu.solve(k.cost0[x])[col]
 
 
@@ -354,6 +354,19 @@ def test_direct_evaluation_equals_the_written_out_construction(n_max):
     for pi in _chain_policies(k, n_max):
         got = solver._evaluate_direct(k, pi.actions)
         assert got.tobytes() == _reference_direct_values(k, pi.actions).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_direct_evaluation_has_a_small_backward_error(name):
+    # whatever the LU's settings, the values it returns solve the reduced
+    # system to working precision: 4.5e-16 to 9.5e-16 relative here
+    k = _reference_kernel(name, n_max=40)
+    for pi in (_greedy_of_zero(k), policy_iterate(k, tol=1e-9)[1]):
+        x, col, p_x = solver._chain(k, pi.actions)
+        u = np.empty(x.size)
+        u[col] = solver._evaluate_direct(k, pi.actions)
+        residual = u - k.discount.alpha * (p_x @ u) - k.cost0[x]
+        assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(u))
 
 
 @VIEW_RATES
