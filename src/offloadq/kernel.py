@@ -20,8 +20,8 @@ real (state, action) pairs.  The stacked form with one row per pair is
 derived on demand.  What each action takes and fills is stated once, in
 ``MOVES``: ``admits`` reads the one admissibility rule from it, and
 ``MOVE_SLICES`` each action's post-action map as two basic slices of the
-(n0, i2, i1, n2) grid of state ids, so a Bellman sweep is one sparse
-mat-vec with ``E`` and one strided minimum per action, with no index array.
+grid, in ``SWEEP_AXES`` order, on which :mod:`offloadq.solver` sweeps
+(its docstring says why), with no index array.
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ N_ACTIONS = len(Action)
 
 # per Action code: (jobs taken from the base queue, fills slot i2, fills slot i1)
 MOVES = ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1))
-# per Action code: slices of the (n0, i2, i1, n2) grid over the states that
-# admit it, and the slices, cell for cell, of the states it moves them to
-MOVE_SLICES = tuple(((slice(take, None), slice(None, 2 - fill2), slice(None, 2 - fill1)),
-                     (slice(None, -take or None), slice(fill2, None), slice(fill1, None)))
+# the sweep grid's axes, (i2, i1, n0, n2), as axes of the (n0, i2, i1, n2) grid of ids
+SWEEP_AXES = (1, 2, 0, 3)
+# per Action code: slices of the sweep grid over the states that admit it,
+# and the slices, cell for cell, of the states it moves them to
+MOVE_SLICES = tuple(((slice(None, 2 - fill2), slice(None, 2 - fill1), slice(take, None)),
+                     (slice(fill2, None), slice(fill1, None), slice(None, -take or None)))
                     for take, fill2, fill1 in MOVES)
 
 

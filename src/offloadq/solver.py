@@ -21,9 +21,16 @@ residual of the returned table, which certifies the error bound
 ``alpha * residual / (1 - alpha)``.  Each returns its policy as a
 ``kernel.PolicyTable``, the object the simulator runs as it is.
 
-Sweeps read the post-decision values ``cost0 + alpha * E v`` through
-strided views of the state grid (``kernel.MOVE_SLICES``), evaluations through
-a policy's post-action map; value iteration and iterative evaluation share one loop.
+A sweep is one product ``cost0 + alpha * E v`` and one minimum per action
+over two slices of the state grid (``kernel.MOVE_SLICES``).  On the grid of
+ids, (n0, i2, i1, n2), a slice is slabs of ``n_max + 1`` entries with gaps,
+and the minimums cost as much as the product.  So :func:`value_iterate` and
+each lookahead permute ``E``, ``cost0`` and the values once onto the sweep
+grid, axes (i2, i1, n0, n2) (``kernel.SWEEP_AXES``), where a slice is at
+most two contiguous blocks, and back once.  Each row of the permuted ``E``
+keeps its terms in stored order, so the results are the same bit for bit.
+Evaluations read post-decision values through a policy's post-action map;
+value iteration and iterative evaluation share one loop.
 
 A solve is stored as one complete artifact, written by
 :func:`save_checkpoint` and read back and validated by
@@ -33,7 +40,7 @@ A solve is stored as one complete artifact, written by
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +49,7 @@ import scipy.sparse.linalg as spla
 from .kernel import (
     MOVE_SLICES,
     N_ACTIONS,
+    SWEEP_AXES,
     DiscountSpec,
     PolicyTable,
     StateSpace,
@@ -103,9 +111,27 @@ def _post_values(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
     return kernel.cost0 + kernel.discount.alpha * (kernel.events @ values)
 
 
-def _bellman(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
-    """One Bellman sweep ``T v``: the least post-decision value each state can reach."""
-    w = _post_values(kernel, values).reshape(kernel.space.grid)
+def _sweep_system(kernel: TransitionKernel) -> tuple:
+    """``(E, cost0, alpha)`` on the sweep grid for :func:`_bellman`, ``order`` and ``position``.
+
+    ``v[order]`` lists ``v`` in the sweep grid's order, and ``u[position]`` lists ``u`` in id order.
+    """
+    space = kernel.space
+    cost0 = kernel.cost0.reshape(space.grid).transpose(SWEEP_AXES).copy()
+    ids = np.arange(space.size, dtype=np.int32)
+    order = ids.reshape(space.grid).transpose(SWEEP_AXES).ravel()
+    position = ids.reshape(cost0.shape).transpose(np.argsort(SWEEP_AXES)).ravel()
+    e = kernel.events[order]  # a row slice keeps each row's terms in stored order
+    events = sp.csr_matrix((e.data, position[e.indices], e.indptr), shape=e.shape)
+    return (events, cost0, kernel.discount.alpha), order, position
+
+
+def _bellman(sweep: tuple, values: np.ndarray) -> np.ndarray:
+    """One Bellman sweep ``T v`` on the sweep grid: each state's least post-decision value."""
+    events, cost0, alpha = sweep
+    w = (events @ values).reshape(cost0.shape)
+    w *= alpha
+    w += cost0
     best = w.copy()  # IDLE, code 0, moves nothing
     for dst, src in MOVE_SLICES[1:]:
         np.minimum(best[dst], w[src], out=best[dst])
@@ -130,15 +156,15 @@ def q_table(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
 
     The value of every post-action state, ``cost0 + alpha * E v``, is
     computed once, and each action's row copies it through the action's
-    strided view of the state grid (``kernel.MOVE_SLICES``).
+    slices (``kernel.MOVE_SLICES``) of transposed views onto the sweep grid.
     """
     n = kernel.space.size
     if values.shape != (n,):
         raise ValueError(f"value table has shape {values.shape}, kernel expects ({n},)")
-    w = _post_values(kernel, values).reshape(kernel.space.grid)
+    w = _post_values(kernel, values).reshape(kernel.space.grid).transpose(SWEEP_AXES)
     q = np.full((N_ACTIONS, *kernel.space.grid), np.inf)
     for q_a, (dst, src) in zip(q, MOVE_SLICES):
-        q_a[dst] = w[src]
+        q_a.transpose(SWEEP_AXES)[dst] = w[src]
     return q.reshape(N_ACTIONS, n)
 
 
@@ -172,11 +198,18 @@ def value_iterate(
     Hitting ``max_iters`` returns the last table with ``converged=False``
     rather than raising.
     """
+    _check_tol(tol)
+    sweep, _, position = _sweep_system(kernel)
+    table = _converge(lambda v: _bellman(sweep, v), np.zeros(kernel.space.size),
+                      tol, max_iters, kernel.discount, VALUE_ITERATION)
+    del sweep
+    table = replace(table, values=table.values[position])
+    return table, PolicyTable(_greedy(q_table(kernel, table.values))[1])
+
+
+def _check_tol(tol: float) -> None:
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    table = _converge(lambda v: _bellman(kernel, v), np.zeros(kernel.space.size),
-                      tol, max_iters, kernel.discount, VALUE_ITERATION)
-    return table, PolicyTable(_greedy(q_table(kernel, table.values))[1])
 
 
 def _check_cap(kernel: TransitionKernel, pi: PolicyTable) -> None:
@@ -275,6 +308,7 @@ def evaluate_policy(
     """
     n = kernel.space.size
     _check_cap(kernel, pi)
+    _check_tol(tol)
     if method == "direct":
         if direct_size_limit is not None and n > direct_size_limit:
             raise ValueError(
@@ -293,11 +327,14 @@ def evaluate_policy(
 def _lookahead(kernel: TransitionKernel, u: np.ndarray, sweeps: int) -> np.ndarray:
     """Argmin policy of ``q_table`` at ``T^(sweeps-2) u``; for ``u = T v``, at ``T^(sweeps-1) v``.
 
-    Its iterates die on return, before the next evaluation factors.
+    Its iterates and the permuted ``E`` die on return, before the next evaluation factors.
     """
+    sweep, order, position = _sweep_system(kernel)
+    u = u[order]
     for _ in range(sweeps - 2):
-        u = _bellman(kernel, u)
-    return q_table(kernel, u).argmin(axis=0).astype(np.int8)
+        u = _bellman(sweep, u)
+    del sweep
+    return q_table(kernel, u[position]).argmin(axis=0).astype(np.int8)
 
 
 def policy_iterate(
@@ -332,8 +369,7 @@ def policy_iterate(
     policy is the tie-ordered greedy policy of the returned values, as for
     :func:`value_iterate`.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     values = np.zeros(kernel.space.size)
     q = q_table(kernel, values)  # each step replaces it; the last gives the returned policy
     actions = _greedy(q)[1]
@@ -347,7 +383,8 @@ def policy_iterate(
         q = q_table(kernel, values)
         stable = bool(near_optimal(q, TIE_EPS)[actions, np.arange(actions.size)].all())
         if not stable and done < max_iters:
-            actions = _lookahead(kernel, q.min(axis=0), lookahead)
+            q = q.min(axis=0)  # T v, all the lookahead needs: the table is not held while it sweeps
+            actions = _lookahead(kernel, q, lookahead)
             lookahead = LOOKAHEAD
     best, greedy = _greedy(q)
     residual = float(np.max(np.abs(best - values)))
