@@ -34,7 +34,6 @@ from .simulator import (
     CoupledReport,
     DelayReport,
     SimConfig,
-    SimulationError,
     TablePolicy,
     baseline,
     coupled_compare,
@@ -70,7 +69,6 @@ __all__ = [
     "ModelParams",
     "PolicyTable",
     "SimConfig",
-    "SimulationError",
     "StateSpace",
     "StructureReport",
     "TablePolicy",

@@ -50,7 +50,7 @@ from .model import (
     lambda_from_utilization,
     params_close,
 )
-from .simulator import SimConfig, SimulationError, baseline, coupled_compare, simulate
+from .simulator import SimConfig, baseline, coupled_compare, simulate
 from .solver import (
     MAX_STEPS,
     PolicyTable,
@@ -626,7 +626,7 @@ def main(argv=None) -> int:
     except NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (OSError, ValueError, SimulationError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,24 +1,21 @@
 """Continuous-time discrete-event simulation of the offloading system.
 
-The simulated system is untruncated; table policies saturate their lookup
-at the solved cap, and each run counts how often that happened.  At every
-arrival or completion instant the policy is applied repeatedly (full
-offload before split, honoring the composite) until it idles, or until
-a called policy prescribes something inadmissible.  The cloud serves
-split jobs ahead of a full-offload job with preemptive-resume priority:
-the interrupted job keeps its remaining service requirement and no fresh
-randomness is drawn, so a replication is a deterministic function of the
-seed, and two coupled systems share exactly the arrival and
-service-triplet streams and nothing else.
+The simulated system is untruncated; a policy is a ``PolicyTable``, whose
+lookup saturates at the solved cap, and each run counts how often that
+happened.  At every arrival or completion instant the policy is applied
+repeatedly (full offload before split, honoring the composite) until it
+idles.  The cloud serves split jobs ahead of a full-offload job with
+preemptive-resume priority: the interrupted job keeps its remaining
+service requirement and no fresh randomness is drawn, so a replication is
+a deterministic function of the seed, and two coupled systems share
+exactly the arrival and service-triplet streams and nothing else.
 
-The event loop reads each action from nested rows, with n0 and n2
-clamped to the rows' cap.  A ``PolicyTable`` supplies its own rows and
-cap, and the replication counts each read beyond that cap as a
-saturation event in its own counter, unless the table is
-``exact_beyond_cap``, as the two baselines are at cap 2: no run changes
-its policy, so two runs may share one.  Any other callable has no rows
-and is called at every decision, and only a called answer is checked, by
-``kernel.admits``.
+The event loop reads each action from the table's nested rows, with n0
+and n2 clamped to its cap; every row is admissible, checked where the
+table is built, and so is every clamped read.  The replication counts
+each read beyond the cap as a saturation event in its own counter, unless
+the table is ``exact_beyond_cap``, as the two baselines are at cap 2: no
+run changes its policy, so two runs may share one.
 
 Every job carries a triplet of service times: an Exponential(mu_c1)
 full-offload cloud time; a local preprocessing time that is the same draw
@@ -50,7 +47,7 @@ FIFO single-server queue whose departures follow Lindley's recursion
 and repeats the loop's float operations one for one, in the loop's order,
 so its reports, logs and pauses are the loop's to the last bit.  The event
 loop stays the reference: it runs every other policy, any other table of
-offload-only's rows, any callable, and every run that records events.
+offload-only's rows, and every run that records events.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from typing import Generator
 import numpy as np
 from scipy.special import stdtrit
 
-from .kernel import MOVES, PolicyTable, admits, build_state_space
+from .kernel import PolicyTable, build_state_space
 from .model import Action, ModelParams
 
 INF = math.inf
@@ -75,7 +72,6 @@ TRIPLETS = 1
 
 # plain ints: the event loop compares against them after every event
 IDLE, SM1, SM2, SM1_THEN_SM2 = (int(a) for a in Action)
-_MOVE_OF = dict(enumerate(MOVES))  # keyed by code: 2.0 finds SM2, -1 and 1.5 nothing
 
 _CHUNK = 4096  # arrival gaps per draw
 _TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
@@ -83,10 +79,6 @@ _TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
 # event-log record layout: (time, kind, n0, i2, i1, n2) with the state
 # taken after the event and any same-instant assignments
 EVENT_KINDS = ("arrival", "local_done", "cloud_sm2_done", "cloud_sm1_done")
-
-
-class SimulationError(RuntimeError):
-    """A replication could not proceed (policy lookup failure or similar)."""
 
 
 def substream(seed: int, rep: int, purpose: int) -> np.random.Generator:
@@ -133,37 +125,31 @@ class SimConfig:
 TablePolicy = PolicyTable
 
 
-def _offload_only(n0: int, i2: int, i1: int, n2: int) -> int:
-    return SM1 if n0 >= 1 and i1 == 0 else IDLE
+def tabulate_policy(policy: PolicyTable, space) -> np.ndarray:
+    """A table's actions on a truncated state space, in one gather, clamped
+    as ``PolicyTable.action`` reads them."""
+    m = policy.n_max
+    grid = policy.actions.reshape(m + 1, 2, 2, m + 1)
+    return grid[np.minimum(space.n0, m), space.i2, space.i1, np.minimum(space.n2, m)]
 
 
-def _non_idling(n0: int, i2: int, i1: int, n2: int) -> int:
-    if n0 < 1:
-        return IDLE
-    if i1 == 0 and n2 == 0:
-        if i2 == 0:
-            return SM1_THEN_SM2 if n0 >= 2 else SM1
-        return SM1
-    return SM2 if i2 == 0 else IDLE
-
-
-def tabulate_policy(policy, space) -> np.ndarray:
-    """Materialize any policy onto a truncated state space as an action array.
-
-    A table is read in one gather, clamped as ``PolicyTable.action`` reads it.
-    """
-    if isinstance(policy, PolicyTable):
-        m = policy.n_max
-        grid = policy.actions.reshape(m + 1, 2, 2, m + 1)
-        return grid[np.minimum(space.n0, m), space.i2, space.i1, np.minimum(space.n2, m)]
-    states = (space.n0.tolist(), space.i2.tolist(), space.i1.tolist(), space.n2.tolist())
-    return np.fromiter(map(policy, *states), np.int8, space.size)
+def _baseline_rules(space) -> dict:
+    """Both baselines' actions on a space: pure offloading and maximal utilization."""
+    n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
+    queued = n0 >= 1
+    cloud_free = (i1 == 0) & (n2 == 0)
+    return {
+        "offload_only": np.where(queued & (i1 == 0), SM1, IDLE),
+        "non_idling": np.select(
+            [~queued, cloud_free & (i2 == 0) & (n0 >= 2), cloud_free, i2 == 0],
+            [IDLE, SM1_THEN_SM2, SM1, SM2], IDLE),
+    }
 
 
 # the rules are constant in n0 >= 2 and n2 >= 1: their rows at cap 2 are exact
 _BASELINES = {
-    name: PolicyTable(tabulate_policy(rule, build_state_space(2)), exact_beyond_cap=True)
-    for name, rule in (("offload_only", _offload_only), ("non_idling", _non_idling))
+    name: PolicyTable(actions, exact_beyond_cap=True)
+    for name, actions in _baseline_rules(build_state_space(2)).items()
 }
 
 
@@ -174,15 +160,15 @@ def baseline(name: str) -> PolicyTable:
     return _BASELINES[name]
 
 
-def _lookup(policy) -> tuple:
+def _lookup(policy: PolicyTable) -> tuple:
     """``(rows, cap, clamps)``: the action in (n0, i2, i1, n2) is
     ``rows[min(n0, cap)][i2][i1][min(n2, cap)]``, as ``PolicyTable.action``
     reads it; a read beyond the cap adds ``clamps`` saturation events: 1, or
-    0 for an ``exact_beyond_cap`` table.  A callable has no rows and ``cap`` -1.
+    0 for an ``exact_beyond_cap`` table.
     """
-    if isinstance(policy, PolicyTable):
-        return policy.rows, policy.n_max, 0 if policy.exact_beyond_cap else 1
-    return None, -1, 0
+    if not isinstance(policy, PolicyTable):
+        raise TypeError(f"a policy must be a PolicyTable, got {type(policy).__name__}")
+    return policy.rows, policy.n_max, 0 if policy.exact_beyond_cap else 1
 
 
 def mm1_reference(lam: float, mu: float) -> float:
@@ -201,7 +187,6 @@ class _RepResult:
     time_avg_jobs: float
     lambda_eff: float
     saturation_events: int
-    inadmissible_stops: int
     events: list | None = None
 
 
@@ -309,12 +294,11 @@ def _offload_only_replication(
         time_avg_jobs=area / span,
         lambda_eff=counted / span,
         saturation_events=0,
-        inadmissible_stops=0,
     )
 
 
 def _run_replication(
-    policy,
+    policy: PolicyTable,
     p: ModelParams,
     cfg: SimConfig,
     rep: int,
@@ -387,158 +371,137 @@ def _run_replication(
     counted = 0
     sojourn_sum = 0.0
     area = 0.0
-    inadmissible = 0
     saturation = 0
     pending_kind = -1
     collect = collect_events or times is not None
     events: list = []
 
-    try:
-        while True:
-            # ---- apply the policy until it idles or stalls ----
-            # inside the cap a row with no job queued can only idle; a
-            # dispatch starts a timer that was infinite: compare it to t_srv
-            while n0 or n2 > cap:
-                if n0 <= cap and n2 <= cap:
-                    a = rows[n0][i2][i1][n2]  # a row: admissible
-                elif rows is not None:  # beyond the cap: the clamped row
-                    a = rows[n0 if n0 < cap else cap][i2][i1][n2 if n2 < cap else cap]
-                    saturation += clamps
-                else:
-                    a = policy(n0, i2, i1, n2)
-                    if a != idle:
-                        move = _MOVE_OF.get(a)
-                        if move is None:
-                            raise SimulationError(
-                                f"policy returned unknown action {a!r} in state "
-                                f"({n0},{i2},{i1},{n2})"
-                            )
-                        if not admits(move, n0, i2, i1):
-                            inadmissible += 1
-                            break
-                if a == idle:
-                    break
-                if a != sm2:  # full offload, alone or first in the composite
-                    if trip_i == trip_chunk:
-                        trip = rng_triplets.standard_exponential(trip_chunk).tolist()
-                        trip_i = 0
-                    sm1_arr = base_popleft()
-                    sm1_remaining = trip[trip_i] * inv_c1
-                    trip_i += 2
-                    n0 -= 1
-                    i1 = 1
-                    if n2 == 0:
-                        sm1_done = t + sm1_remaining
-                        if sm1_done < t_srv:
-                            t_srv = sm1_done
-                            srv_ev = 3
-                    if a == sm1:
-                        continue
-                # SM2, or the second half of the composite
+    while True:
+        # ---- apply the policy until it idles ----
+        # inside the cap a row with no job queued can only idle; a
+        # dispatch starts a timer that was infinite: compare it to t_srv
+        while n0 or n2 > cap:
+            if n0 <= cap and n2 <= cap:
+                a = rows[n0][i2][i1][n2]
+            else:  # beyond the cap: the clamped row
+                a = rows[n0 if n0 < cap else cap][i2][i1][n2 if n2 < cap else cap]
+                saturation += clamps
+            if a == idle:
+                break
+            if a != sm2:  # full offload, alone or first in the composite
                 if trip_i == trip_chunk:
                     trip = rng_triplets.standard_exponential(trip_chunk).tolist()
                     trip_i = 0
-                local_arr = base_popleft()
-                local_done = t + l2_ratio * (trip[trip_i] * inv_c1)
-                local_c2 = trip[trip_i + 1] * inv_c2
+                sm1_arr = base_popleft()
+                sm1_remaining = trip[trip_i] * inv_c1
                 trip_i += 2
                 n0 -= 1
-                i2 = 1
-                if local_done <= t_srv:
-                    t_srv = local_done
-                    srv_ev = 1
+                i1 = 1
+                if n2 == 0:
+                    sm1_done = t + sm1_remaining
+                    if sm1_done < t_srv:
+                        t_srv = sm1_done
+                        srv_ev = 3
+                if a == sm1:
+                    continue
+            # SM2, or the second half of the composite
+            if trip_i == trip_chunk:
+                trip = rng_triplets.standard_exponential(trip_chunk).tolist()
+                trip_i = 0
+            local_arr = base_popleft()
+            local_done = t + l2_ratio * (trip[trip_i] * inv_c1)
+            local_c2 = trip[trip_i + 1] * inv_c2
+            trip_i += 2
+            n0 -= 1
+            i2 = 1
+            if local_done <= t_srv:
+                t_srv = local_done
+                srv_ev = 1
 
-            if collect and pending_kind >= 0:
-                if collect_events:
-                    events.append((t, EVENT_KINDS[pending_kind], n0, i2, i1, n2))
-                else:
-                    times[pending_kind].append(t)
+        if collect and pending_kind >= 0:
+            if collect_events:
+                events.append((t, EVENT_KINDS[pending_kind], n0, i2, i1, n2))
+            else:
+                times[pending_kind].append(t)
 
-            # ---- next event, an arrival winning ties; the time-average
-            # area over [warmup, horizon] is added up to each event ----
-            if next_arrival <= t_srv:
-                if next_arrival > horizon:
-                    break
-                t = next_arrival
-                if t > warmup:
-                    area += nf * (t - t_area)
-                    t_area = t
-                pending_kind = 0
-                base_append(t)
-                n0 += 1
-                nf += 1.0
-                if gap_i == chunk:
-                    if times is not None:
-                        # this arrival is logged after the pause: a window
-                        # ends before the instant that opens the next one
-                        yield t
-                    gaps = (rng_arrivals.standard_exponential(chunk) / lam).tolist()
-                    gap_i = 0
-                next_arrival = t + gaps[gap_i]
-                gap_i += 1
-                continue
-            if t_srv > horizon:
+        # ---- next event, an arrival winning ties; the time-average
+        # area over [warmup, horizon] is added up to each event ----
+        if next_arrival <= t_srv:
+            if next_arrival > horizon:
                 break
-            t = t_srv
+            t = next_arrival
             if t > warmup:
                 area += nf * (t - t_area)
                 t_area = t
-            pending_kind = srv_ev
-            if srv_ev == 1:
-                # local preprocessing done: the split job joins the cloud
-                # queue, pausing a full-offload job in service
-                i2 = 0
-                local_done = inf
-                if n2 == 0:
-                    if sm1_done < inf:
-                        sm1_remaining = sm1_done - t
-                        sm1_done = inf
-                    cloud_sm2_done = t + local_c2
-                cloud_append((local_arr, local_c2))
-                n2 += 1
-                # a split job is at the cloud, so no full-offload job runs
-                t_srv = cloud_sm2_done
+            pending_kind = 0
+            base_append(t)
+            n0 += 1
+            nf += 1.0
+            if gap_i == chunk:
+                if times is not None:
+                    # this arrival is logged after the pause: a window
+                    # ends before the instant that opens the next one
+                    yield t
+                gaps = (rng_arrivals.standard_exponential(chunk) / lam).tolist()
+                gap_i = 0
+            next_arrival = t + gaps[gap_i]
+            gap_i += 1
+            continue
+        if t_srv > horizon:
+            break
+        t = t_srv
+        if t > warmup:
+            area += nf * (t - t_area)
+            t_area = t
+        pending_kind = srv_ev
+        if srv_ev == 1:
+            # local preprocessing done: the split job joins the cloud
+            # queue, pausing a full-offload job in service
+            i2 = 0
+            local_done = inf
+            if n2 == 0:
+                if sm1_done < inf:
+                    sm1_remaining = sm1_done - t
+                    sm1_done = inf
+                cloud_sm2_done = t + local_c2
+            cloud_append((local_arr, local_c2))
+            n2 += 1
+            # a split job is at the cloud, so no full-offload job runs
+            t_srv = cloud_sm2_done
+            srv_ev = 2
+        elif srv_ev == 2:
+            # cloud finishes the head split job
+            job = cloud_popleft()
+            n2 -= 1
+            nf -= 1.0
+            completed += 1
+            if job[0] >= warmup:
+                counted += 1
+                sojourn_sum += t - job[0]
+            if n2 > 0:
+                cloud_sm2_done = t_srv = t + cloud_q[0][1]
                 srv_ev = 2
-            elif srv_ev == 2:
-                # cloud finishes the head split job
-                job = cloud_popleft()
-                n2 -= 1
-                nf -= 1.0
-                completed += 1
-                if job[0] >= warmup:
-                    counted += 1
-                    sojourn_sum += t - job[0]
-                if n2 > 0:
-                    cloud_sm2_done = t_srv = t + cloud_q[0][1]
-                    srv_ev = 2
-                else:
-                    cloud_sm2_done = inf
-                    if i1 == 1:
-                        sm1_done = t + sm1_remaining
-                    t_srv = sm1_done
-                    srv_ev = 3
-                if local_done <= t_srv:
-                    t_srv = local_done
-                    srv_ev = 1
             else:
-                # cloud finishes the full-offload job; it ran, so no split
-                # job is at the cloud
-                i1 = 0
-                sm1_done = inf
-                nf -= 1.0
-                completed += 1
-                if sm1_arr >= warmup:
-                    counted += 1
-                    sojourn_sum += t - sm1_arr
+                cloud_sm2_done = inf
+                if i1 == 1:
+                    sm1_done = t + sm1_remaining
+                t_srv = sm1_done
+                srv_ev = 3
+            if local_done <= t_srv:
                 t_srv = local_done
                 srv_ev = 1
-    except SimulationError:
-        raise
-    except Exception as exc:
-        raise SimulationError(
-            f"replication aborted at t={t:.6g} in state ({n0},{i2},{i1},{n2}): {exc}"
-        ) from exc
-
+        else:
+            # cloud finishes the full-offload job; it ran, so no split
+            # job is at the cloud
+            i1 = 0
+            sm1_done = inf
+            nf -= 1.0
+            completed += 1
+            if sm1_arr >= warmup:
+                counted += 1
+                sojourn_sum += t - sm1_arr
+            t_srv = local_done
+            srv_ev = 1
     area += nf * (horizon - t_area)
     if times is not None:
         yield INF
@@ -551,7 +514,6 @@ def _run_replication(
         time_avg_jobs=area / span,
         lambda_eff=counted / span,
         saturation_events=saturation,
-        inadmissible_stops=inadmissible,
         events=events if collect_events else None,
     )
 
@@ -589,7 +551,6 @@ class DelayReport:
     rep_jobs_in_system: np.ndarray
     rep_lambda_eff: np.ndarray
     saturation_events: int
-    inadmissible_stops: int
     event_logs: list | None = None
 
     def littles_law(self) -> tuple[float, float, float]:
@@ -614,7 +575,7 @@ class DelayReport:
             "rep_mean_sojourn": self.rep_mean_sojourn.tolist(),
             "rep_time_avg_jobs": self.rep_time_avg_jobs.tolist(),
             "saturation_events": self.saturation_events,
-            "inadmissible_stops": self.inadmissible_stops,
+            "inadmissible_stops": 0,  # a table never stops; the field stays in the artifact
         }
 
 
@@ -644,13 +605,12 @@ def _aggregate(reps: list[_RepResult], cfg: SimConfig, keep_events: bool) -> Del
         rep_jobs_in_system=np.array([r.jobs_in_system for r in reps]),
         rep_lambda_eff=np.array([r.lambda_eff for r in reps]),
         saturation_events=int(sum(r.saturation_events for r in reps)),
-        inadmissible_stops=int(sum(r.inadmissible_stops for r in reps)),
         event_logs=[r.events for r in reps] if keep_events else None,
     )
 
 
 def simulate(
-    policy,
+    policy: PolicyTable,
     p: ModelParams,
     cfg: SimConfig,
     collect_events: bool = False,
@@ -739,8 +699,8 @@ def _count_window(times_a: tuple, times_b: tuple, until: float, lead: int) -> tu
 
 
 def coupled_compare(
-    policy_a,
-    policy_b,
+    policy_a: PolicyTable,
+    policy_b: PolicyTable,
     p: ModelParams,
     cfg: SimConfig,
 ) -> CoupledReport:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
+import ast
 import json
 import re
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import offloadq
 from offloadq.cli import build_parser, main
 from offloadq.kernel import build_state_space
 from offloadq.model import Action
@@ -21,6 +23,7 @@ FAST = [
     "--n-max", "6", "--alpha", "0.9", "--tol", "1e-7",
 ]
 SIM_FAST = ["--horizon", "200", "--replications", "3", "--seed", "7"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _solve_fast(tmp_path, extra=()):
@@ -713,9 +716,8 @@ def test_couple_same_policy_is_exactly_zero(tmp_path, capsys):
 
 def _readme_commands() -> list[list[str]]:
     """The arguments of each ``offloadq`` command in README's sh blocks."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S):
         for line in block.replace("\\\n", " ").splitlines():
             argv = shlex.split(line, comments=True)
             if argv[:1] == ["offloadq"]:
@@ -730,3 +732,16 @@ def test_readme_commands_parse():
         "solve", "analyze", "grid", "simulate", "sweep", "couple"}
     for argv in commands:
         build_parser().parse_args(argv)  # a usage error raises ValueError
+
+
+def test_readme_python_imports_are_exported():
+    # each python block compiles, and what it imports from the package is
+    # public API, so a removed name cannot linger in the documentation
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    imported = set()
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "offloadq":
+                imported.update(alias.name for alias in node.names)
+    assert len(blocks) >= 2 and "PolicyTable" in imported
+    assert imported <= set(offloadq.__all__), imported - set(offloadq.__all__)

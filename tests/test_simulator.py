@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from offloadq import simulator
-from offloadq.kernel import build_state_space
+from offloadq.kernel import MOVES, admits, build_state_space
 from offloadq.model import derive_rates, lambda_from_utilization
 from offloadq.simulator import (
     ARRIVALS,
@@ -25,7 +25,6 @@ from offloadq.simulator import (
     EVENT_KINDS,
     DelayReport,
     SimConfig,
-    SimulationError,
     TablePolicy,
     _count_window,
     _dominance_counts,
@@ -171,9 +170,10 @@ def test_tabulating_a_table_reads_it_as_action_does():
 
 @pytest.mark.parametrize("code", [-1, 4, 7, 259, 1.5, 2.9999, np.nan])
 def test_policy_tables_reject_unknown_action_codes(code):
-    # the event loop reads a TablePolicy's rows without the unknown-action
-    # check a call gets; 259 would wrap to the valid 3 in PolicyTable's int8,
-    # and an integer cast would truncate 1.5 and 2.9999 and turn NaN into 0
+    # the event loop reads a table's rows with no check of its own, so each
+    # code is checked where the table is built; 259 would wrap to the valid
+    # 3 in PolicyTable's int8, and an integer cast would truncate 1.5 and
+    # 2.9999 and turn NaN into 0
     acts = np.zeros(4 * 7**2, dtype=type(code))
     sid = build_state_space(6).id_of(6, 0, 0, 6)  # where code 3 is admissible
     for make in (PolicyTable, lambda a: TablePolicy(a, n_max=6)):
@@ -185,8 +185,8 @@ def test_policy_tables_reject_unknown_action_codes(code):
 
 
 def test_clamped_lookups_of_a_table_stay_admissible():
-    # so only a callable policy can make the event loop stop on an
-    # inadmissible action
+    # so the event loop, which reads a table's row at the cap beyond it,
+    # never dispatches an inadmissible action
     space = build_state_space(2)
     rng = np.random.default_rng(4)
     states = list(itertools.product(range(6), (0, 1), (0, 1), range(6)))
@@ -202,27 +202,18 @@ def test_saturated_table_still_simulates():
     p = derive_rates(7.2, 1.0, 8.0, 0.4)  # deep in the heavy-traffic regime
     rep = simulate(pol, p, SimConfig(horizon=500.0, replications=2, seed=3))
     assert rep.saturation_events > 0
-    assert rep.inadmissible_stops == 0
     assert (rep.rep_jobs_arrived == rep.rep_jobs_completed + rep.rep_jobs_in_system).all()
 
 
-def test_inadmissible_prescriptions_counted_not_fatal():
-    rep = simulate(lambda n0, i2, i1, n2: SM1, CONFIG_A,
-                   SimConfig(horizon=200.0, replications=1, seed=8))
-    assert rep.inadmissible_stops > 0
-    assert rep.jobs_completed > 0
-
-
-def test_unknown_action_raises():
-    with pytest.raises(SimulationError, match="unknown action"):
-        simulate(lambda n0, i2, i1, n2: 7, CONFIG_A,
-                 SimConfig(horizon=10.0, replications=1, seed=8))
-    # -1 must not wrap to the composite's entry of the move table; the
-    # first state the policy is asked about with a job queued is (1,0,0,0)
-    for code in (-1, 4, 1.5, np.nan, None, "1"):
-        with pytest.raises(SimulationError, match=r"unknown action .* in state \(1,0,0,0\)"):
-            simulate(lambda n0, i2, i1, n2: code if n0 else IDLE, CONFIG_A,
-                     SimConfig(horizon=10.0, replications=1, seed=8))
+def test_a_policy_must_be_a_table():
+    # a function of the state is refused where it enters, not called
+    offload = lambda n0, i2, i1, n2: SM1 if n0 and not i1 else IDLE  # noqa: E731
+    cfg = SimConfig(horizon=10.0, replications=1, seed=8)
+    with pytest.raises(TypeError, match="must be a PolicyTable, got function"):
+        simulate(offload, CONFIG_A, cfg)
+    for a, b in ((offload, baseline("non_idling")), (baseline("offload_only"), offload)):
+        with pytest.raises(TypeError, match="must be a PolicyTable, got function"):
+            coupled_compare(a, b, CONFIG_A, cfg)
 
 
 # ---------------------------------------------------------------- statistics
@@ -337,13 +328,12 @@ def test_full_offload_resume_accounting():
     # the full-offload job; replaying the log checks that its service
     # accumulates exactly its drawn requirement across interruptions, that
     # local phases last exactly sigma_l2, and split cloud services exactly
-    # sigma_c2
-    def greedy(n0, i2, i1, n2):
-        if n0 >= 1 and i1 == 0:
-            return SM1
-        if n0 >= 1 and i2 == 0:
-            return SM2
-        return IDLE
+    # sigma_c2.  Greedy offloads whole when it can and else splits: its rule
+    # is constant in n0 >= 1 and n2, so its rows at cap 1 are exact
+    space = build_state_space(1)
+    queued = space.n0 >= 1
+    greedy = PolicyTable(np.select([queued & (space.i1 == 0), queued & (space.i2 == 0)],
+                                   [SM1, SM2], IDLE), exact_beyond_cap=True)
 
     rep, log = _event_log(greedy, 60.0)
     n_jobs = int(rep.rep_jobs_arrived[0])
@@ -428,10 +418,11 @@ def test_identical_policies_coincide_exactly():
 def test_eager_offloading_dominates_lazy_pathwise():
     # starting full offloads later can never reduce the queue on a shared
     # sample path: the eager system must hold at most as many jobs at
-    # every event instant of either system
-    def lazy(n0, i2, i1, n2):
-        return SM1 if n0 >= 4 and i1 == 0 else IDLE
-
+    # every event instant of either system.  Lazy waits for four jobs: its
+    # rows at cap 4 are exact
+    space = build_state_space(4)
+    lazy = PolicyTable(np.where((space.n0 >= 4) & (space.i1 == 0), SM1, IDLE),
+                       exact_beyond_cap=True)
     cfg = SimConfig(horizon=2e3, replications=3, seed=5)
     cr = coupled_compare(lazy, baseline("offload_only"), CONFIG_A, cfg)
     assert cr.dominance_fraction == 1.0
@@ -470,7 +461,7 @@ PINNED_PATHS = {
         [19.08070909359813, 45.170437910239315],
         [2550, 2608], [2525, 2550],
     ),
-    # constant callables: a split, or a composite, wherever the loop asks
+    # constant policies: a split, or a composite, wherever it is admissible
     ("a", "always_sm2"): (
         [54.61541670447187, 56.30453813287614],
         [181.43812113089356, 191.9318111804704],
@@ -494,13 +485,21 @@ PINNED_PATHS = {
 }
 
 
+def _always(code):
+    """The action ``code`` wherever it is admissible, else IDLE: admissibility
+    asks at most n0 >= 2, so the rows at cap 2 are exact."""
+    space = build_state_space(2)
+    allowed = admits(MOVES[code], space.n0, space.i2, space.i1)
+    return PolicyTable(np.where(allowed, code, IDLE), exact_beyond_cap=True)
+
+
 def _pin_policy(name):
-    if name == "always_sm1":  # offload_only's path, plus inadmissible stops
-        return lambda n0, i2, i1, n2: SM1
+    if name == "always_sm1":  # offload_only's rows, in a table of its own
+        return _always(SM1)
     if name == "always_sm2":
-        return lambda n0, i2, i1, n2: SM2
+        return _always(SM2)
     if name == "always_composite":
-        return lambda n0, i2, i1, n2: SM1_THEN_SM2
+        return _always(SM1_THEN_SM2)
     if name.startswith("table"):  # non_idling's path, tabulated at cap 8 or 1
         n_max = int(name[len("table"):])
         acts = tabulate_policy(baseline("non_idling"), build_state_space(n_max))
@@ -508,26 +507,33 @@ def _pin_policy(name):
     return baseline(name)
 
 
+# Each id ends in the number of decisions at which the constant policy,
+# when it was a function the loop called, answered an inadmissible action;
+# as a table it idles there.  The ids keep the cases' names.
 @pytest.mark.parametrize(
-    "config, policy, path, saturation, inadmissible",
+    "config, policy, path, saturation",
     [
-        ("a", "offload_only", "offload_only", 0, 0),
-        ("a", "non_idling", "non_idling", 0, 0),
-        ("a", "table8", "non_idling", 0, 0),
-        ("a", "table1", "non_idling", 579, 0),
-        ("a", "always_sm1", "offload_only", 0, 4288),
-        ("a", "always_sm2", "always_sm2", 0, 5185),
-        ("a", "always_composite", "always_composite", 0, 5356),
-        ("heavy", "offload_only", "offload_only", 0, 0),
-        ("heavy", "non_idling", "non_idling", 0, 0),
-        ("heavy", "table8", "non_idling", 10326, 0),
-        ("heavy", "table1", "non_idling", 14435, 0),
-        ("heavy", "always_sm1", "offload_only", 0, 9911),
-        ("heavy", "always_sm2", "always_sm2", 0, 8206),
-        ("heavy", "always_composite", "always_composite", 0, 8993),
+        pytest.param("a", "offload_only", "offload_only", 0, id="a-offload_only-offload_only-0-0"),
+        pytest.param("a", "non_idling", "non_idling", 0, id="a-non_idling-non_idling-0-0"),
+        pytest.param("a", "table8", "non_idling", 0, id="a-table8-non_idling-0-0"),
+        pytest.param("a", "table1", "non_idling", 579, id="a-table1-non_idling-579-0"),
+        pytest.param("a", "always_sm1", "offload_only", 0, id="a-always_sm1-offload_only-0-4288"),
+        pytest.param("a", "always_sm2", "always_sm2", 0, id="a-always_sm2-always_sm2-0-5185"),
+        pytest.param("a", "always_composite", "always_composite", 0,
+                     id="a-always_composite-always_composite-0-5356"),
+        pytest.param("heavy", "offload_only", "offload_only", 0,
+                     id="heavy-offload_only-offload_only-0-0"),
+        pytest.param("heavy", "non_idling", "non_idling", 0, id="heavy-non_idling-non_idling-0-0"),
+        pytest.param("heavy", "table8", "non_idling", 10326, id="heavy-table8-non_idling-10326-0"),
+        pytest.param("heavy", "table1", "non_idling", 14435, id="heavy-table1-non_idling-14435-0"),
+        pytest.param("heavy", "always_sm1", "offload_only", 0,
+                     id="heavy-always_sm1-offload_only-0-9911"),
+        pytest.param("heavy", "always_sm2", "always_sm2", 0, id="heavy-always_sm2-always_sm2-0-8206"),
+        pytest.param("heavy", "always_composite", "always_composite", 0,
+                     id="heavy-always_composite-always_composite-0-8993"),
     ],
 )
-def test_sample_path_pinned(config, policy, path, saturation, inadmissible):
+def test_sample_path_pinned(config, policy, path, saturation):
     p = CONFIG_A if config == "a" else HEAVY
     rep = simulate(_pin_policy(policy), p, PIN_CFG)
     sojourn, avg_jobs, arrived, completed = PINNED_PATHS[(config, path)]
@@ -536,7 +542,6 @@ def test_sample_path_pinned(config, policy, path, saturation, inadmissible):
     assert rep.rep_jobs_arrived.tolist() == arrived
     assert rep.rep_jobs_completed.tolist() == completed
     assert rep.saturation_events == saturation
-    assert rep.inadmissible_stops == inadmissible
 
 
 @pytest.mark.parametrize(
@@ -570,42 +575,67 @@ def test_coupling_a_table_with_itself_counts_each_side_once():
     assert cr.report_a.saturation_events == cr.report_b.saturation_events == alone
 
 
+# the event on the state before it: (n0, i2, i1, n2) increments per kind
+_EVENT_STEP = {"arrival": (1, 0, 0, 0), "local_done": (0, -1, 0, 1),
+               "cloud_sm2_done": (0, 0, 0, -1), "cloud_sm1_done": (0, 0, -1, 0)}
+
+
+def _replay_decisions(table, log):
+    """Replay a log's decisions by calling ``table.action``, as the loop
+    applies a policy: from the state after each event, until it idles, and
+    only while a job is queued or n2 is beyond the cap.  Checks that each
+    logged state is the replay's, and returns the calls beyond the cap and
+    the largest n0 and n2 the policy was asked about."""
+    cap, beyond, widest = table.n_max, 0, 0
+    n0 = i2 = i1 = n2 = 0
+    for _, kind, *logged in log:
+        n0, i2, i1, n2 = (x + d for x, d in zip((n0, i2, i1, n2), _EVENT_STEP[kind]))
+        while n0 or n2 > cap:
+            widest = max(widest, n0, n2)
+            beyond += max(n0, n2) > cap
+            a = table.action(n0, i2, i1, n2)
+            if a == IDLE:
+                break
+            take, fill2, fill1 = MOVES[a]
+            n0, i2, i1 = n0 - take, i2 + fill2, i1 + fill1
+        assert [n0, i2, i1, n2] == logged
+    return beyond, widest
+
+
 @pytest.mark.parametrize("policy", ["offload_only", "non_idling", "table8", "table1"])
 @pytest.mark.parametrize("config", ["a", "heavy"])
 def test_row_lookup_equals_calling_the_policy(config, policy):
-    # the loop reads rows, clamped beyond the cap; the wrapper has no rows,
-    # so the loop calls it in every state
+    # the loop reads rows, clamped beyond the cap; replaying each logged
+    # decision by PolicyTable.action gives the same states and, for a table
+    # not exact beyond its cap, one saturation event per call beyond it
     p = CONFIG_A if config == "a" else HEAVY
-    looked_up, called = _pin_policy(policy), _pin_policy(policy)
-    widest = [0]
-    beyond_cap = [0]
-
-    def call(n0, i2, i1, n2):
-        widest[0] = max(widest[0], n0, n2)
-        if not called.exact_beyond_cap and max(n0, n2) > called.n_max:
-            beyond_cap[0] += 1
-        return called.action(n0, i2, i1, n2)
-
-    rep = simulate(looked_up, p, PIN_CFG)
-    ref = simulate(call, p, PIN_CFG)
-    for field in dataclasses.fields(DelayReport):
-        x, y = getattr(rep, field.name), getattr(ref, field.name)
-        if field.name != "saturation_events":  # the wrapper counts none
-            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
-    # a run counts one saturation event per decision beyond the cap of a
-    # table whose clamped rows are not exact; the baselines' are
-    assert rep.saturation_events == beyond_cap[0]
+    table = _pin_policy(policy)
+    logged = simulate(table, p, PIN_CFG, collect_events=True)
+    _assert_same_report(dataclasses.replace(logged, event_logs=None),
+                        simulate(table, p, PIN_CFG))
+    beyond = widest = 0
+    for log in logged.event_logs:
+        b, w = _replay_decisions(table, log)
+        beyond, widest = beyond + b, max(widest, w)
+    saturation = {("a", "table1"): 579, ("heavy", "table8"): 10326, ("heavy", "table1"): 14435}
+    assert logged.saturation_events == saturation.get((config, policy), 0)
+    if not table.exact_beyond_cap:
+        assert logged.saturation_events == beyond
     if config == "heavy":  # states beyond the rows were visited, far beyond the baselines'
-        assert widest[0] > (60 if looked_up.exact_beyond_cap else looked_up.n_max)
+        assert widest > (60 if table.exact_beyond_cap else table.n_max)
 
 
 @pytest.mark.parametrize(
-    "policy, saturation, inadmissible",
-    [("table1", 14435, 0), ("offload_only", 0, 0), ("always_sm1", 0, 9911)],
+    "policy, saturation",
+    # the ids end in the inadmissible stops of always_sm1 when it was a
+    # function the loop called; they keep the cases' names
+    [pytest.param("table1", 14435, id="table1-14435-0"),
+     pytest.param("offload_only", 0, id="offload_only-0-0"),
+     pytest.param("always_sm1", 0, id="always_sm1-0-9911")],
 )
-def test_the_three_entry_points_agree(policy, saturation, inadmissible):
-    # a saturating table, a baseline deep beyond its cap and a callable that
-    # stops on inadmissible actions run one event loop under simulate, under
+def test_the_three_entry_points_agree(policy, saturation):
+    # a saturating table, a baseline deep beyond its cap and a copy of its
+    # rows in a table of its own run one event loop under simulate, under
     # event logging and on either side of a coupled comparison
     pol = _pin_policy(policy)
     other = baseline("non_idling")
@@ -615,7 +645,7 @@ def test_the_three_entry_points_agree(policy, saturation, inadmissible):
         coupled_compare(pol, other, HEAVY, PIN_CFG).report_a,
         coupled_compare(other, pol, HEAVY, PIN_CFG).report_b,
     ]
-    assert (ref.saturation_events, ref.inadmissible_stops) == (saturation, inadmissible)
+    assert ref.saturation_events == saturation
     if policy == "offload_only":
         assert max(r[2] for log in logged.event_logs for r in log) > 60
     for rep in (logged, *coupled):
@@ -628,23 +658,17 @@ def test_the_three_entry_points_agree(policy, saturation, inadmissible):
 @pytest.mark.parametrize("name", ["offload_only", "non_idling"])
 def test_only_an_inexact_table_counts_its_clamped_reads(name):
     # the same rows, exact beyond the cap or not, give the same run; only
-    # the inexact table counts its reads beyond the cap
+    # the inexact table counts its reads beyond the cap, as many as a
+    # function calling the table was asked beyond it on this path
     acts = baseline(name).actions
     exact, inexact = PolicyTable(acts, exact_beyond_cap=True), PolicyTable(acts)
-    beyond_cap = [0]
-
-    def call(n0, i2, i1, n2):
-        beyond_cap[0] += max(n0, n2) > exact.n_max
-        return exact.action(n0, i2, i1, n2)
-
     x, y = simulate(exact, HEAVY, PIN_CFG), simulate(inexact, HEAVY, PIN_CFG)
-    simulate(call, HEAVY, PIN_CFG)
     for field in dataclasses.fields(DelayReport):
         if field.name != "saturation_events":
             a, b = getattr(x, field.name), getattr(y, field.name)
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
     assert x.saturation_events == 0
-    assert y.saturation_events == beyond_cap[0] > 0
+    assert y.saturation_events == {"offload_only": 14558, "non_idling": 13637}[name]
 
 
 def test_a_saturating_table_is_read_not_called(monkeypatch):
@@ -673,11 +697,11 @@ def _assert_same_report(x, y):
 
 @pytest.mark.parametrize("load", [0.0, 0.02, 0.6, 0.9, 1.05, 1.3])
 def test_offload_only_closed_form_equals_the_event_loop(load):
-    # offload_only runs in closed form; a plain wrapper of it has no rows,
-    # so the event loop calls it at every decision and is the reference.
+    # offload_only runs in closed form; a copy of its table is not the
+    # baseline, so the event loop runs it and is the reference.
     # `load` is the cloud server's, lam / mu_c1, so 1.05 and 1.3 overload it
     offload_only = baseline("offload_only")
-    called = lambda *state: offload_only.action(*state)  # noqa: E731
+    loop = PolicyTable(offload_only.actions, exact_beyond_cap=True)
     p = derive_rates(load * CONFIG_A.mu_c1, CONFIG_A.mu0, CONFIG_A.K, CONFIG_A.f)
     # about 3.3 chunks of arrivals: at least three refills, and a part chunk
     horizon = 3.3 * _CHUNK / p.lam if p.lam else 100.0
@@ -685,13 +709,13 @@ def test_offload_only_closed_form_equals_the_event_loop(load):
         for seed in (3, 4):
             cfg = SimConfig(horizon=horizon, warmup=warmup, replications=1, seed=seed)
             fast = simulate(offload_only, p, cfg)
-            _assert_same_report(fast, simulate(called, p, cfg))
+            _assert_same_report(fast, simulate(loop, p, cfg))
             assert p.lam == 0.0 or fast.rep_jobs_arrived[0] > 3 * _CHUNK
     cfg = SimConfig(horizon=horizon, replications=2, seed=5)
     other = baseline("non_idling")
-    for a, b, ref_a, ref_b in ((offload_only, other, called, other),
-                               (other, offload_only, other, called),
-                               (offload_only, offload_only, called, called)):
+    for a, b, ref_a, ref_b in ((offload_only, other, loop, other),
+                               (other, offload_only, other, loop),
+                               (offload_only, offload_only, loop, loop)):
         fast, ref = coupled_compare(a, b, p, cfg), coupled_compare(ref_a, ref_b, p, cfg)
         _assert_same_report(fast.report_a, ref.report_a)
         _assert_same_report(fast.report_b, ref.report_b)
