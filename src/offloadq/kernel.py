@@ -20,8 +20,10 @@ real (state, action) pairs.  The stacked form with one row per pair is
 derived on demand.  What each action takes and fills is stated once, in
 ``MOVES``: ``admits`` reads the one admissibility rule from it, and
 ``MOVE_SLICES`` each action's post-action map as two basic slices of the
-grid, in ``SWEEP_AXES`` order, on which :mod:`offloadq.solver` sweeps
-(its docstring says why), with no index array.
+state grid, with no index array.  Only this module knows the layout: a
+state's id is its index in the grid of axes (i2, i1, n0, n2), so each slot
+occupancy owns one contiguous (n0, n2) plane, where the paper's thresholds
+live, and each action's slice is at most two contiguous blocks of ids.
 """
 
 from __future__ import annotations
@@ -39,13 +41,21 @@ N_ACTIONS = len(Action)
 
 # per Action code: (jobs taken from the base queue, fills slot i2, fills slot i1)
 MOVES = ((0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 1, 1))
-# the sweep grid's axes, (i2, i1, n0, n2), as axes of the (n0, i2, i1, n2) grid of ids
-SWEEP_AXES = (1, 2, 0, 3)
-# per Action code: slices of the sweep grid over the states that admit it,
-# and the slices, cell for cell, of the states it moves them to
+# per Action code: slices of the state grid, axes (i2, i1, n0, n2), over the
+# states that admit it, and the slices, cell for cell, of the states it moves them to
 MOVE_SLICES = tuple(((slice(None, 2 - fill2), slice(None, 2 - fill1), slice(take, None)),
                      (slice(fill2, None), slice(fill1, None), slice(None, -take or None)))
                     for take, fill2, fill1 in MOVES)
+
+
+def state_grid(n_max: int) -> tuple[int, int, int, int]:
+    """Shape of the state grid of cap ``n_max``, axes (i2, i1, n0, n2); an id is a flat index."""
+    return (2, 2, n_max + 1, n_max + 1)
+
+
+def state_ids(n_max: int, n0, i2, i1, n2):
+    """Ids of the states ``(n0, i2, i1, n2)`` of cap ``n_max``, vectorized (assumed in range)."""
+    return ((i2 * 2 + i1) * (n_max + 1) + n0) * (n_max + 1) + n2
 
 
 def admits(move, n0, i2, i1):
@@ -76,13 +86,14 @@ class PolicyTable:
     ``n_max`` is derived from the length of ``actions``, or checked against
     it when given, and every action must be admissible in its state by
     ``admits``.  ``rows`` holds the table as nested lists indexed
-    ``[n0][i2][i1][n2]``, built on first use.  ``action`` reads one state,
-    clamping n0 and n2 to the cap, so it answers for the untruncated system
-    too; the simulator's event loop reads the rows inline the same way,
-    without calling it.  A clamped answer stays admissible, since
-    admissibility asks at most ``n0 >= 2``.  ``exact_beyond_cap`` says the
-    rows at the cap are the policy's own answer for any larger n0 and n2;
-    without it, the simulator counts each read beyond the cap as saturation.
+    ``[i2][i1][n0][n2]``, the axes of the state grid, built on first use.
+    ``action`` reads one state, clamping n0 and n2 to the cap, so it answers
+    for the untruncated system too; the simulator's event loop reads the
+    rows inline the same way, without calling it.  A clamped answer stays
+    admissible, since admissibility asks at most ``n0 >= 2``.
+    ``exact_beyond_cap`` says the rows at the cap are the policy's own answer
+    for any larger n0 and n2; without it, the simulator counts each read
+    beyond the cap as saturation.
     """
 
     actions: np.ndarray
@@ -100,35 +111,33 @@ class PolicyTable:
                    else f"but cap {self.n_max} needs ({4 * m1 * m1},)")
             raise ValueError(f"policy table has shape {actions.shape}, {why}")
         actions = np.asarray(actions, dtype=np.int8)
-        # n2 plays no part: one verdict per action and (n0, i2, i1) prefix
-        n0, i2, i1 = np.ogrid[:m1, :2, :2]
+        # n2, the grid's last axis, plays no part: one verdict per action and row of n2
+        i2, i1, n0, _ = np.indices(state_grid(m1 - 1), sparse=True)
         verdicts = np.stack([admits(m, n0, i2, i1).ravel() for m in MOVES], axis=1)
         ok = np.take_along_axis(verdicts, actions.reshape(4 * m1, m1), axis=1)
         if not ok.all():
             bad = int(np.flatnonzero(~ok)[0])
-            raise ValueError(
-                f"policy prescribes inadmissible action {Action(int(actions[bad]))!r} "
-                f"in state {tuple(int(x) for x in np.unravel_index(bad, (m1, 2, 2, m1)))}"
-            )
+            i2, i1, n0, n2 = (int(c) for c in np.unravel_index(bad, state_grid(m1 - 1)))
+            raise ValueError(f"policy prescribes inadmissible action {Action(int(actions[bad]))!r} "
+                             f"in state {(n0, i2, i1, n2)}")
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "n_max", m1 - 1)
 
     @cached_property
     def rows(self) -> list:
-        m1 = self.n_max + 1
-        return self.actions.reshape(m1, 2, 2, m1).tolist()
+        return self.actions.reshape(state_grid(self.n_max)).tolist()
 
     def action(self, n0: int, i2: int, i1: int, n2: int) -> int:
         m = self.n_max
-        return self.rows[min(n0, m)][i2][i1][min(n2, m)]
+        return self.rows[i2][i1][min(n0, m)][min(n2, m)]
 
 
 @dataclass(frozen=True)
 class StateSpace:
     """Dense enumeration of all states with both queue counts capped at n_max.
 
-    States are ordered lexicographically in (n0, i2, i1, n2), so
-    ``id = ((n0 * 2 + i2) * 2 + i1) * (n_max + 1) + n2``.
+    A state's id is its index in ``grid``, of axes (i2, i1, n0, n2), so
+    ``id = ((i2 * 2 + i1) * (n_max + 1) + n0) * (n_max + 1) + n2``.
     """
 
     n_max: int
@@ -142,8 +151,8 @@ class StateSpace:
         return 4 * (self.n_max + 1) ** 2
 
     @property
-    def grid(self) -> tuple[int, int, int, int]:  # (n0, i2, i1, n2), the layout of the ids
-        return (self.n_max + 1, 2, 2, self.n_max + 1)
+    def grid(self) -> tuple[int, int, int, int]:
+        return state_grid(self.n_max)
 
     def id_of(self, n0: int, i2: int, i1: int, n2: int) -> int:
         m = self.n_max
@@ -158,7 +167,7 @@ class StateSpace:
 
     def ids_of(self, n0, i2, i1, n2) -> np.ndarray:
         """Vectorized index of component arrays (assumed in range)."""
-        return ((n0 * 2 + i2) * 2 + i1) * (self.n_max + 1) + n2
+        return state_ids(self.n_max, n0, i2, i1, n2)
 
 
 def build_state_space(n_max: int) -> StateSpace:
@@ -171,7 +180,7 @@ def build_state_space(n_max: int) -> StateSpace:
         raise ValueError(f"queue cap must be at least 1, got {n_max}")
     if 4 * (n_max + 1) ** 2 > np.iinfo(np.int32).max:
         raise ValueError(f"queue cap {n_max} gives more state ids than int32 holds")
-    n0, i2, i1, n2 = np.indices((n_max + 1, 2, 2, n_max + 1), dtype=np.int32).reshape(4, -1)
+    i2, i1, n0, n2 = np.indices(state_grid(n_max), dtype=np.int32).reshape(4, -1)
     return StateSpace(n_max=n_max, n0=n0, i2=i2, i1=i1, n2=n2)
 
 

@@ -10,12 +10,13 @@ service requirement and no fresh randomness is drawn, so a replication is
 a deterministic function of the seed, and two coupled systems share
 exactly the arrival and service-triplet streams and nothing else.
 
-The event loop reads each action from the table's nested rows, with n0
-and n2 clamped to its cap; every row is admissible, checked where the
-table is built, and so is every clamped read.  The replication counts
-each read beyond the cap as a saturation event in its own counter, unless
-the table is ``exact_beyond_cap``, as the two baselines are at cap 2: no
-run changes its policy, so two runs may share one.
+The event loop reads each action from the table's nested rows
+(``PolicyTable.rows``), with n0 and n2 clamped to its cap; every row is
+admissible, checked where the table is built, and so is every clamped
+read.  The replication counts each read beyond the cap as a saturation
+event in its own counter, unless the table is ``exact_beyond_cap``, as the
+two baselines are at cap 2: no run changes its policy, so two runs may
+share one.
 
 Every job carries a triplet of service times: an Exponential(mu_c1)
 full-offload cloud time; a local preprocessing time that is the same draw
@@ -62,7 +63,7 @@ from typing import Generator
 import numpy as np
 from scipy.special import stdtrit
 
-from .kernel import PolicyTable, build_state_space
+from .kernel import PolicyTable, build_state_space, state_ids
 from .model import Action, ModelParams
 
 INF = math.inf
@@ -129,8 +130,8 @@ def tabulate_policy(policy: PolicyTable, space) -> np.ndarray:
     """A table's actions on a truncated state space, in one gather, clamped
     as ``PolicyTable.action`` reads them."""
     m = policy.n_max
-    grid = policy.actions.reshape(m + 1, 2, 2, m + 1)
-    return grid[np.minimum(space.n0, m), space.i2, space.i1, np.minimum(space.n2, m)]
+    return policy.actions[state_ids(m, np.minimum(space.n0, m), space.i2, space.i1,
+                                    np.minimum(space.n2, m))]
 
 
 def _baseline_rules(space) -> dict:
@@ -161,10 +162,10 @@ def baseline(name: str) -> PolicyTable:
 
 
 def _lookup(policy: PolicyTable) -> tuple:
-    """``(rows, cap, clamps)``: the action in (n0, i2, i1, n2) is
-    ``rows[min(n0, cap)][i2][i1][min(n2, cap)]``, as ``PolicyTable.action``
-    reads it; a read beyond the cap adds ``clamps`` saturation events: 1, or
-    0 for an ``exact_beyond_cap`` table.
+    """``(rows, cap, clamps)``: ``PolicyTable.rows``, read with n0 and n2
+    clamped to ``cap`` as ``PolicyTable.action`` reads them; a read beyond
+    the cap adds ``clamps`` saturation events: 1, or 0 for an
+    ``exact_beyond_cap`` table.
     """
     if not isinstance(policy, PolicyTable):
         raise TypeError(f"a policy must be a PolicyTable, got {type(policy).__name__}")
@@ -382,9 +383,9 @@ def _run_replication(
         # dispatch starts a timer that was infinite: compare it to t_srv
         while n0 or n2 > cap:
             if n0 <= cap and n2 <= cap:
-                a = rows[n0][i2][i1][n2]
+                a = rows[i2][i1][n0][n2]
             else:  # beyond the cap: the clamped row
-                a = rows[n0 if n0 < cap else cap][i2][i1][n2 if n2 < cap else cap]
+                a = rows[i2][i1][n0 if n0 < cap else cap][n2 if n2 < cap else cap]
                 saturation += clamps
             if a == idle:
                 break

@@ -2,12 +2,10 @@
 
 :func:`policy_iterate` is the default solver: policy iteration that
 evaluates each policy exactly by a sparse LU solve over its
-post-decision states (a symmetric minimum-degree ordering with pivots on
-the diagonal, stable because the system is strictly diagonally dominant
-by rows, factored one column per panel, since the system's supernodes
-are too narrow for wider panels to pay) and improves it by a
-``LOOKAHEAD``-step lookahead (the next policy is greedy for
-``T^(LOOKAHEAD-1) v``, not for ``v``), stopping when no state improves.
+post-decision states (:func:`evaluate_policy` says how, and why it is
+stable) and improves it by a ``LOOKAHEAD``-step lookahead (the next
+policy is greedy for ``T^(LOOKAHEAD-1) v``, not for ``v``), stopping
+when no state improves.
 The first improvement looks ahead
 ``max(LOOKAHEAD, COLD_SWEEPS_PER_LEVEL * n_max)`` steps instead: the
 start dispatches every job, and the switching front has to cross the
@@ -21,16 +19,11 @@ residual of the returned table, which certifies the error bound
 ``alpha * residual / (1 - alpha)``.  Each returns its policy as a
 ``kernel.PolicyTable``, the object the simulator runs as it is.
 
-A sweep is one product ``cost0 + alpha * E v`` and one minimum per action
-over two slices of the state grid (``kernel.MOVE_SLICES``).  On the grid of
-ids, (n0, i2, i1, n2), a slice is slabs of ``n_max + 1`` entries with gaps,
-and the minimums cost as much as the product.  So :func:`value_iterate` and
-each lookahead permute ``E``, ``cost0`` and the values once onto the sweep
-grid, axes (i2, i1, n0, n2) (``kernel.SWEEP_AXES``), where a slice is at
-most two contiguous blocks, and back once.  Each row of the permuted ``E``
-keeps its terms in stored order, so the results are the same bit for bit.
-Evaluations read post-decision values through a policy's post-action map;
-value iteration and iterative evaluation share one loop.
+Every backup starts from one product, ``cost0 + alpha * E v``, the value
+of each post-decision state: a Bellman sweep and ``q_table`` read it through
+two slices of the state grid per action (``kernel.MOVE_SLICES``), an
+evaluation through its policy's post-action map.  Value iteration and
+iterative evaluation share one loop.
 
 A solve is stored as one complete artifact, written by
 :func:`save_checkpoint` and read back and validated by
@@ -40,7 +33,7 @@ A solve is stored as one complete artifact, written by
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +42,6 @@ import scipy.sparse.linalg as spla
 from .kernel import (
     MOVE_SLICES,
     N_ACTIONS,
-    SWEEP_AXES,
     DiscountSpec,
     PolicyTable,
     StateSpace,
@@ -75,7 +67,7 @@ COLD_SWEEPS_PER_LEVEL = 4
 # default policy-iteration step budget; the reference solves take 2-4 steps
 MAX_STEPS = 1_000
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 VALUE_ITERATION = "value_iteration"
 POLICY_ITERATION = "policy_iteration"
 POLICY_EVALUATION = "policy_evaluation"
@@ -107,31 +99,16 @@ class ValueTable:
 
 
 def _post_values(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
-    """``cost0 + alpha * E v``, the value of each post-decision state."""
-    return kernel.cost0 + kernel.discount.alpha * (kernel.events @ values)
+    """``cost0 + alpha * E v``, the value of each post-decision state, in a fresh array."""
+    w = kernel.events @ values
+    w *= kernel.discount.alpha
+    w += kernel.cost0
+    return w
 
 
-def _sweep_system(kernel: TransitionKernel) -> tuple:
-    """``(E, cost0, alpha)`` on the sweep grid for :func:`_bellman`, ``order`` and ``position``.
-
-    ``v[order]`` lists ``v`` in the sweep grid's order, and ``u[position]`` lists ``u`` in id order.
-    """
-    space = kernel.space
-    cost0 = kernel.cost0.reshape(space.grid).transpose(SWEEP_AXES).copy()
-    ids = np.arange(space.size, dtype=np.int32)
-    order = ids.reshape(space.grid).transpose(SWEEP_AXES).ravel()
-    position = ids.reshape(cost0.shape).transpose(np.argsort(SWEEP_AXES)).ravel()
-    e = kernel.events[order]  # a row slice keeps each row's terms in stored order
-    events = sp.csr_matrix((e.data, position[e.indices], e.indptr), shape=e.shape)
-    return (events, cost0, kernel.discount.alpha), order, position
-
-
-def _bellman(sweep: tuple, values: np.ndarray) -> np.ndarray:
-    """One Bellman sweep ``T v`` on the sweep grid: each state's least post-decision value."""
-    events, cost0, alpha = sweep
-    w = (events @ values).reshape(cost0.shape)
-    w *= alpha
-    w += cost0
+def _bellman(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
+    """One Bellman sweep ``T v``: each state's least post-decision value, in a fresh array."""
+    w = _post_values(kernel, values).reshape(kernel.space.grid)
     best = w.copy()  # IDLE, code 0, moves nothing
     for dst, src in MOVE_SLICES[1:]:
         np.minimum(best[dst], w[src], out=best[dst])
@@ -139,12 +116,14 @@ def _bellman(sweep: tuple, values: np.ndarray) -> np.ndarray:
 
 
 def _converge(step, values, tol, max_iters, discount, method) -> ValueTable:
-    """Apply ``step`` until one application moves no entry by more than ``tol``."""
+    """Apply ``step`` until one application moves no entry by more than ``tol``; consumes
+    ``values`` (each table is overwritten by its residual), so ``step`` must not return a view."""
     residual, k = float("inf"), 0
     while k < max_iters:
         k += 1
         v_new = step(values)
-        residual = float(np.max(np.abs(v_new - values)))
+        np.subtract(v_new, values, out=values)
+        residual = float(np.max(np.abs(values, out=values)))
         values = v_new
         if residual <= tol:
             return ValueTable(values, discount, k, residual, True, tol, method)
@@ -156,15 +135,15 @@ def q_table(kernel: TransitionKernel, values: np.ndarray) -> np.ndarray:
 
     The value of every post-action state, ``cost0 + alpha * E v``, is
     computed once, and each action's row copies it through the action's
-    slices (``kernel.MOVE_SLICES``) of transposed views onto the sweep grid.
+    slices of the state grid (``kernel.MOVE_SLICES``).
     """
     n = kernel.space.size
     if values.shape != (n,):
         raise ValueError(f"value table has shape {values.shape}, kernel expects ({n},)")
-    w = _post_values(kernel, values).reshape(kernel.space.grid).transpose(SWEEP_AXES)
+    w = _post_values(kernel, values).reshape(kernel.space.grid)
     q = np.full((N_ACTIONS, *kernel.space.grid), np.inf)
     for q_a, (dst, src) in zip(q, MOVE_SLICES):
-        q_a.transpose(SWEEP_AXES)[dst] = w[src]
+        q_a[dst] = w[src]
     return q.reshape(N_ACTIONS, n)
 
 
@@ -199,22 +178,14 @@ def value_iterate(
     rather than raising.
     """
     _check_tol(tol)
-    sweep, _, position = _sweep_system(kernel)
-    table = _converge(lambda v: _bellman(sweep, v), np.zeros(kernel.space.size),
+    table = _converge(lambda v: _bellman(kernel, v), np.zeros(kernel.space.size),
                       tol, max_iters, kernel.discount, VALUE_ITERATION)
-    del sweep
-    table = replace(table, values=table.values[position])
     return table, PolicyTable(_greedy(q_table(kernel, table.values))[1])
 
 
 def _check_tol(tol: float) -> None:
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-
-
-def _check_cap(kernel: TransitionKernel, pi: PolicyTable) -> None:
-    if pi.n_max != kernel.space.n_max:
-        raise ValueError(f"policy table has cap {pi.n_max}, kernel has cap {kernel.space.n_max}")
 
 
 def _reached(post_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +278,8 @@ def evaluate_policy(
     runs.
     """
     n = kernel.space.size
-    _check_cap(kernel, pi)
+    if pi.n_max != kernel.space.n_max:
+        raise ValueError(f"policy table has cap {pi.n_max}, kernel has cap {kernel.space.n_max}")
     _check_tol(tol)
     if method == "direct":
         if direct_size_limit is not None and n > direct_size_limit:
@@ -325,16 +297,11 @@ def evaluate_policy(
 
 
 def _lookahead(kernel: TransitionKernel, u: np.ndarray, sweeps: int) -> np.ndarray:
-    """Argmin policy of ``q_table`` at ``T^(sweeps-2) u``; for ``u = T v``, at ``T^(sweeps-1) v``.
-
-    Its iterates and the permuted ``E`` die on return, before the next evaluation factors.
-    """
-    sweep, order, position = _sweep_system(kernel)
-    u = u[order]
+    """Argmin policy of ``q_table`` at ``T^(sweeps-2) u``; for ``u = T v``, at ``T^(sweeps-1) v``;
+    its iterates die on return, before the next evaluation factors."""
     for _ in range(sweeps - 2):
-        u = _bellman(sweep, u)
-    del sweep
-    return q_table(kernel, u[position]).argmin(axis=0).astype(np.int8)
+        u = _bellman(kernel, u)
+    return q_table(kernel, u).argmin(axis=0).astype(np.int8)
 
 
 def policy_iterate(
@@ -414,13 +381,14 @@ def save_checkpoint(
 ) -> None:
     """Write a solve artifact: values, greedy policy, model and queue cap.
 
-    Layout (npz, format 1): ``format_version``; the value table under
+    Layout (npz, format 2): ``format_version``; the value table under
     ``values`` with scalars ``iterations``, ``residual``, ``converged``,
     ``tol`` and the string ``method``; the discount under
     ``nu``/``alpha``/``beta``; the greedy policy under ``policy`` (Action
     codes); the model under ``lam``/``mu0``/``cloud_speedup``/
-    ``local_fraction``; and the queue cap under ``n_max``.  A table that
-    does not fit ``n_max`` raises ``ValueError``, and nothing is written.
+    ``local_fraction``; and the queue cap under ``n_max``.  Tables are in
+    state-id order.  A table that does not fit ``n_max`` raises
+    ``ValueError``, and nothing is written.
     """
     _check_fits("values", table.values, n_max)
     _check_fits("policy", policy.actions, n_max)
@@ -482,7 +450,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"artifact {path} lacks the field {name!r}")
     version = int(data["format_version"])
     if version != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {version}")
+        raise ValueError(f"artifact {path} has checkpoint format {version}, but this version "
+                         f"reads format {CHECKPOINT_FORMAT} only; re-run solve to rewrite it")
     discount = DiscountSpec(
         nu=float(data["nu"]), alpha=float(data["alpha"]), beta=float(data["beta"])
     )

@@ -172,7 +172,7 @@ def _interior_cap(space: StateSpace, margin: int, entries: np.ndarray) -> int:
 
 def _steps(space: StateSpace, cap: int) -> tuple[np.ndarray, int]:
     """Interior states whose one-more-queued-job neighbour is interior, and that id offset."""
-    return np.flatnonzero(space.n0 + space.n2 + 1 <= cap), 4 * (space.n_max + 1)
+    return np.flatnonzero(space.n0 + space.n2 + 1 <= cap), int(space.ids_of(1, 0, 0, 0))
 
 
 def _screen(broken: np.ndarray, q, family, floor: float, *partner_offsets: int):
@@ -228,7 +228,7 @@ def check_switch_type(
     src = src[assigns[src]]
     bad = []
     indeterminate = 0
-    for step in (up, 1):
+    for step in (up, int(space.ids_of(0, 0, 0, 1))):  # one more queued job, one more split job
         broken, undecided = _screen(src[~assigns[src + step]], q, _ASSIGNS_SM2, floor, step)
         indeterminate += undecided
         bad += [

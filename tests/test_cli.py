@@ -432,7 +432,7 @@ def test_artifact_without_policy_table_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "fault", ["format_version", "nu", "lam", "n_max", "npy", "text", "truncated", "corrupt",
-              "inadmissible"]
+              "inadmissible", "format_1"]
 )
 def test_malformed_artifact_rejected(tmp_path, capsys, fault):
     sol = _solve_fast(tmp_path / "solved")
@@ -457,6 +457,11 @@ def test_malformed_artifact_rejected(tmp_path, capsys, fault):
         np.savez(bad, **payload)
         expected = ("error: policy prescribes inadmissible action <Action.SM1: 1> "
                     "in state (0, 0, 0, 0)")
+    elif fault == "format_1":  # a good artifact of the format with (n0, i2, i1, n2) ids
+        payload["format_version"] = np.array(1)
+        np.savez(bad, **payload)
+        expected = (f"error: artifact {bad} has checkpoint format 1, but this version reads "
+                    "format 2 only; re-run solve to rewrite it")
     else:  # an archive that lacks one field
         np.savez(bad, **payload)
         expected = f"error: artifact {bad} lacks the field '{fault}'"

@@ -88,9 +88,12 @@ def test_index_round_trip():
 
 
 def test_index_ordering_is_lexicographic():
+    # ids run through the state grid, axes (i2, i1, n0, n2), in C order
     space = build_state_space(3)
-    comps = np.stack([space.n0, space.i2, space.i1, space.n2], axis=1)
+    comps = np.stack([space.i2, space.i1, space.n0, space.n2], axis=1)
     assert all(tuple(comps[i]) < tuple(comps[i + 1]) for i in range(space.size - 1))
+    assert space.grid == (2, 2, 4, 4)
+    assert np.array_equal(comps.T, np.indices(space.grid).reshape(4, -1))
 
 
 def test_index_rejects_out_of_range():

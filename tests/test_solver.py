@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from offloadq import solver
 from offloadq.kernel import (
-    MOVES,
     DiscountSpec,
     build_kernel,
     build_state_space,
@@ -22,7 +21,6 @@ from offloadq.solver import (
     ValueTable,
     _bellman,
     _reached,
-    _sweep_system,
     bellman_backup,
     evaluate_policy,
     load_checkpoint,
@@ -309,7 +307,7 @@ def test_reduced_system_is_diagonally_dominant_by_one_minus_alpha(rates, alpha, 
     assert not np.allclose(margins, one_minus_alpha, rtol=0.0, atol=1e-13)
 
 
-# the sweep grid's slices against the post-action map's gather; at cap 1 no
+# the state grid's slices against the post-action map's gather; at cap 1 no
 # state admits the composite move, so its slices of the grid are empty
 VIEW_CAPS = (1, 2, 3, 6, 12)
 VIEW_RATES = pytest.mark.parametrize("p", [CONFIG_B, HETEROGENEOUS], ids=["b", "heterogeneous"])
@@ -321,7 +319,6 @@ def test_strided_bellman_step_and_q_table_equal_the_post_map_gather(p, n_max):
     k = _kernel(p, n_max=n_max, alpha=0.999)
     n = k.space.size
     assert k.admissible[int(Action.SM1_THEN_SM2)].any() == (n_max >= 2)
-    sweep, order, position = _sweep_system(k)
     rng = np.random.default_rng(n_max)
     # random values, a constant table (ties wherever two states hold as
     # many jobs), and values at the 1e12 scale
@@ -330,7 +327,7 @@ def test_strided_bellman_step_and_q_table_equal_the_post_map_gather(p, n_max):
         gathered = np.where(k.admissible, w[k.post], np.inf)
         q = q_table(k, v)
         assert q.tobytes() == gathered.tobytes()
-        assert _bellman(sweep, v[order])[position].tobytes() == q.min(axis=0).tobytes()
+        assert _bellman(k, v).tobytes() == q.min(axis=0).tobytes()
 
 
 @VIEW_RATES
@@ -426,35 +423,14 @@ def _stacked_loop(step, n, tol):
             return values, sweeps, residual
 
 
-def test_value_iterate_equals_the_stacked_kernel_loop():
-    k = _kernel(CONFIG_B, n_max=8, alpha=0.99)
+@VIEW_RATES
+def test_value_iterate_equals_the_stacked_kernel_loop(p):
+    k = _kernel(p, n_max=12, alpha=0.99)
     alpha = k.discount.alpha
     values, sweeps, residual = _stacked_loop(
         lambda v: (k.costs + alpha * (k.probs @ v).reshape(k.costs.shape)).min(axis=0),
         k.space.size, 1e-9,
     )
-    table, _ = value_iterate(k, tol=1e-9)
-    assert table.converged
-    assert (table.iterations, table.residual) == (sweeps, residual)
-    assert table.values.tobytes() == values.tobytes()
-
-
-def _id_grid_sweep(k, v):
-    """A Bellman sweep on the (n0, i2, i1, n2) grid of ids, one strided minimum per action."""
-    w = (k.cost0 + k.discount.alpha * (k.events @ v)).reshape(k.space.grid)
-    best = w.copy()
-    for take, fill2, fill1 in MOVES[1:]:
-        dst = (slice(take, None), slice(None, 2 - fill2), slice(None, 2 - fill1))
-        src = (slice(None, -take or None), slice(fill2, None), slice(fill1, None))
-        np.minimum(best[dst], w[src], out=best[dst])
-    return best.ravel()
-
-
-@pytest.mark.parametrize("p", [CONFIG_B, HETEROGENEOUS], ids=["b", "heterogeneous"])
-def test_value_iterate_on_the_sweep_grid_equals_the_id_grid_loop(p):
-    # the permuted E keeps each row's terms in stored order: same bits, same sweeps
-    k = _kernel(p, n_max=12, alpha=0.99)
-    values, sweeps, residual = _stacked_loop(lambda v: _id_grid_sweep(k, v), k.space.size, 1e-9)
     table, _ = value_iterate(k, tol=1e-9)
     assert table.converged
     assert (table.iterations, table.residual) == (sweeps, residual)
