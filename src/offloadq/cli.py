@@ -8,18 +8,19 @@ policies on shared randomness).
 
 Configuration is one JSON document with ``model``, ``solver``, ``sim``
 and ``output`` blocks; every CLI flag overrides the corresponding file
-value.  The model block needs exactly one of rho/lambda and exactly one
-rate parameterization, (mu0, K, f) or (mu_c1, mu_l2, mu_c2); the solver
-block accepts at most one of alpha/beta (required when a command has to
-solve).  Every model, solver and sim key is a number (an integer for
-n_max, max_iters, replications and seed) and ``output.out_dir`` a
-string; a null ``sim.warmup`` means 10% of the horizon.  Each command
-checks its inputs before its first solve or simulation, the solver's
-ranges included (n_max and max_iters at least 1, tol positive), and any
-command that reads a config file rejects an invalid ``sim`` block,
-``solve`` included.  The output directory resolves flag, then the
-OFFLOADQ_OUT_DIR environment variable, then the config file, then the
-working directory.
+value.  ``_CONFIG_KEYS`` is the one declaration of each key: its type,
+and the name and help of its flag.  The model block needs exactly one of
+rho/lambda and exactly one rate parameterization, (mu0, K, f) or (mu_c1,
+mu_l2, mu_c2); the solver block accepts at most one of alpha/beta
+(required when a command has to solve).  Every model, solver and sim key
+is a number (an integer for n_max, max_iters, replications and seed) and
+``output.out_dir`` a string; a null ``sim.warmup`` means 10% of the
+horizon.  Each command checks its inputs before its first solve or
+simulation, the solver's ranges included (n_max and max_iters at least
+1, tol positive), and any command that reads a config file rejects an
+invalid ``sim`` block, ``solve`` included.  The output directory
+resolves flag, then the OFFLOADQ_OUT_DIR environment variable, then the
+config file, then the working directory.
 
 All CSV output is byte-stable for fixed inputs: fixed column order,
 numbers at 9 significant digits, lines terminated with "\\n".  JSON
@@ -100,14 +101,25 @@ def _write_json(path: Path, payload: dict) -> None:
 # ------------------------------------------------------------------ config
 
 
-# the type of every config key the CLI reads, by block; each flag that
-# overrides a key has the key's name as its dest
+# every config key the CLI reads, by block, with its type and its flag's
+# help, declared once; a key's flag is --key with "-" for "_" (--lam for
+# lambda) and has the key as its dest
 _CONFIG_KEYS = {
-    "model": {"rho": float, "lambda": float, "mu0": float, "K": float, "f": float,
-              "mu_c1": float, "mu_l2": float, "mu_c2": float},
-    "solver": {"n_max": int, "alpha": float, "beta": float, "tol": float, "max_iters": int},
-    "sim": {"horizon": float, "warmup": float, "replications": int, "seed": int},
-    "output": {"out_dir": str},
+    "model": {"rho": (float, "utilization lambda/((K+1) mu0)"), "lambda": (float, "arrival rate"),
+              "mu0": (float, "local service rate scale"),
+              "K": (float, "cloud speedup factor (> 1)"),
+              "f": (float, "local fraction of split work (0, 1)"),
+              "mu_c1": (float, "full offload rate"), "mu_l2": (float, "local phase rate"),
+              "mu_c2": (float, "split remainder rate")},
+    "solver": {"n_max": (int, f"queue cap (default {DEFAULT_N_MAX})"),
+               "alpha": (float, "discount factor in (0, 1)"),
+               "beta": (float, "continuous-time discount rate"),
+               "tol": (float, "sup-norm residual target"),
+               "max_iters": (int, f"policy-iteration step budget (default {MAX_STEPS})")},
+    "sim": {"horizon": (float, "simulated time per replication"),
+            "warmup": (float, "statistics exclusion prefix"),
+            "replications": (int, "independent replications"), "seed": (int, "master seed")},
+    "output": {"out_dir": (str, "artifact directory")},
 }
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 _SIMPLE_RATES = ("mu0", "K", "f")
@@ -195,9 +207,9 @@ def _config_blocks(args) -> dict[str, dict]:
                 for k in theirs:
                     blocks[name].pop(k, None)
 
-    for name, types in _CONFIG_KEYS.items():
+    for name, keys in _CONFIG_KEYS.items():
         block = blocks[name]
-        for key, kind in types.items():
+        for key, (kind, _) in keys.items():
             if getattr(args, key, None) is not None:
                 block[key] = getattr(args, key)
             if key not in block or (key == "warmup" and block[key] is None):  # null: default
@@ -375,14 +387,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    ck = _load_artifact(args.solution)
-    space = ck.space()
-    acts = ck.policy.actions
-    rows = []
-    for n0 in range(1, space.n_max + 1):
-        for n2 in range(0, space.n_max + 1):
-            a = int(acts[space.id_of(n0, args.i2, args.i1, n2)])
-            rows.append((str(n0), str(n2), str(_GRID_ACTION[a]), str(int(a == 3))))
+    plane = _load_artifact(args.solution).policy.rows[args.i2][args.i1]  # [n0][n2]
+    rows = [(str(n0), str(n2), str(_GRID_ACTION[a]), str(int(a == 3)))
+            for n0 in range(1, len(plane)) for n2, a in enumerate(plane[n0])]
     out_dir = _resolve_out_dir(args, {})
     out_dir.mkdir(parents=True, exist_ok=True)
     path = Path(args.out) if args.out else out_dir / f"grid_i2{args.i2}_i1{args.i1}.csv"
@@ -529,36 +536,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_model_flags(sub) -> None:
+def _add_flags(sub, *blocks: str) -> None:
+    """``--config``, then a group of flags per config block, each built from ``_CONFIG_KEYS``."""
     sub.add_argument("--config", help="JSON config file (model/solver/sim/output)")
-    g = sub.add_argument_group("model overrides")
-    g.add_argument("--rho", type=float, help="utilization lambda/((K+1) mu0)")
-    g.add_argument("--lam", dest="lambda", metavar="LAM", type=float, help="arrival rate")
-    g.add_argument("--mu0", type=float, help="local service rate scale")
-    g.add_argument("--K", type=float, help="cloud speedup factor (> 1)")
-    g.add_argument("--f", type=float, help="local fraction of split work (0, 1)")
-    g.add_argument("--mu-c1", dest="mu_c1", type=float, help="full offload rate")
-    g.add_argument("--mu-l2", dest="mu_l2", type=float, help="local phase rate")
-    g.add_argument("--mu-c2", dest="mu_c2", type=float, help="split remainder rate")
-
-
-def _add_solver_flags(sub) -> None:
-    g = sub.add_argument_group("solver overrides")
-    g.add_argument("--n-max", dest="n_max", type=int,
-                   help=f"queue cap (default {DEFAULT_N_MAX})")
-    g.add_argument("--alpha", type=float, help="discount factor in (0, 1)")
-    g.add_argument("--beta", type=float, help="continuous-time discount rate")
-    g.add_argument("--tol", type=float, help="sup-norm residual target")
-    g.add_argument("--max-iters", dest="max_iters", type=int,
-                   help=f"policy-iteration step budget (default {MAX_STEPS})")
-
-
-def _add_sim_flags(sub) -> None:
-    g = sub.add_argument_group("simulation overrides")
-    g.add_argument("--horizon", type=float, help="simulated time per replication")
-    g.add_argument("--warmup", type=float, help="statistics exclusion prefix")
-    g.add_argument("--replications", type=int, help="independent replications")
-    g.add_argument("--seed", type=int, help="master seed")
+    for block in blocks:
+        group = sub.add_argument_group(("simulation" if block == "sim" else block) + " overrides")
+        for key, (kind, text) in _CONFIG_KEYS[block].items():
+            name = "lam" if key == "lambda" else key  # the one flag not named after its key
+            group.add_argument("--" + name.replace("_", "-"), dest=key, metavar=name.upper(),
+                               type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,8 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run policy iteration and write artifacts")
-    _add_model_flags(p)
-    _add_solver_flags(p)
+    _add_flags(p, "model", "solver")
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("grid", help="dump a policy slice as CSV")
@@ -588,17 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("simulate", help="estimate delay for one policy")
-    _add_model_flags(p)
-    _add_solver_flags(p)
-    _add_sim_flags(p)
+    _add_flags(p, "model", "solver", "sim")
     p.add_argument("--policy", required=True,
                    help="'optimal', a baseline name, or a solution artifact")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("sweep", help="delay vs utilization for several policies")
-    _add_model_flags(p)
-    _add_solver_flags(p)
-    _add_sim_flags(p)
+    _add_flags(p, "model", "solver", "sim")
     p.add_argument("--rhos", default=",".join(str(r) for r in DEFAULT_SWEEP_RHOS),
                    help="comma-separated utilization values")
     p.add_argument("--policies", default=",".join(DEFAULT_SWEEP_POLICIES),
@@ -606,15 +587,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("couple", help="paired comparison on shared randomness")
-    _add_model_flags(p)
-    _add_solver_flags(p)
-    _add_sim_flags(p)
+    _add_flags(p, "model", "solver", "sim")
     p.add_argument("--policy-a", dest="policy_a", required=True)
     p.add_argument("--policy-b", dest="policy_b", required=True)
     p.set_defaults(handler=cmd_couple)
 
     for p in sub.choices.values():
-        p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
+        p.add_argument("--out-dir", dest="out_dir", help=_CONFIG_KEYS["output"]["out_dir"][1])
     return parser
 
 

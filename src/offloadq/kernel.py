@@ -58,6 +58,12 @@ def state_ids(n_max: int, n0, i2, i1, n2):
     return ((i2 * 2 + i1) * (n_max + 1) + n0) * (n_max + 1) + n2
 
 
+def table_cap(shape: tuple) -> int | None:
+    """The queue cap of a per-state table of this shape, or None if the shape fits no cap."""
+    m1 = math.isqrt(shape[0] // 4) if len(shape) == 1 else 0
+    return m1 - 1 if m1 >= 1 and shape == (4 * m1 * m1,) else None
+
+
 def admits(move, n0, i2, i1):
     """Whether the base queue holds the jobs ``move`` takes and each slot it fills is free."""
     take, fill2, fill1 = move
@@ -105,23 +111,23 @@ class PolicyTable:
             raise ValueError(f"exact_beyond_cap must be a bool, got {self.exact_beyond_cap!r}")
         actions = np.asarray(self.actions)
         check_action_codes(actions)  # before the int8 cast, which would wrap
-        m1 = math.isqrt(actions.size // 4) if self.n_max is None else self.n_max + 1
-        if m1 < 1 or actions.shape != (4 * m1 * m1,):
+        cap = table_cap(actions.shape)
+        if cap is None or self.n_max not in (None, cap):
             why = ("which fits no queue cap" if self.n_max is None
-                   else f"but cap {self.n_max} needs ({4 * m1 * m1},)")
+                   else f"but cap {self.n_max} needs ({4 * (self.n_max + 1) ** 2},)")
             raise ValueError(f"policy table has shape {actions.shape}, {why}")
         actions = np.asarray(actions, dtype=np.int8)
         # n2, the grid's last axis, plays no part: one verdict per action and row of n2
-        i2, i1, n0, _ = np.indices(state_grid(m1 - 1), sparse=True)
+        i2, i1, n0, _ = np.indices(state_grid(cap), sparse=True)
         verdicts = np.stack([admits(m, n0, i2, i1).ravel() for m in MOVES], axis=1)
-        ok = np.take_along_axis(verdicts, actions.reshape(4 * m1, m1), axis=1)
+        ok = np.take_along_axis(verdicts, actions.reshape(-1, cap + 1), axis=1)
         if not ok.all():
             bad = int(np.flatnonzero(~ok)[0])
-            i2, i1, n0, n2 = (int(c) for c in np.unravel_index(bad, state_grid(m1 - 1)))
+            i2, i1, n0, n2 = (int(c) for c in np.unravel_index(bad, state_grid(cap)))
             raise ValueError(f"policy prescribes inadmissible action {Action(int(actions[bad]))!r} "
                              f"in state {(n0, i2, i1, n2)}")
         object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "n_max", m1 - 1)
+        object.__setattr__(self, "n_max", cap)
 
     @cached_property
     def rows(self) -> list:

@@ -213,10 +213,9 @@ def _offload_only_replication(
     rng_arrivals = substream(cfg.seed, rep, ARRIVALS)
     rng_triplets = substream(cfg.seed, rep, TRIPLETS)
 
-    services = np.empty(0)  # drawn for the jobs yet to arrive, in job order
     # arrival and departure instants of the jobs in the system, a pair per chunk
     held: deque = deque()
-    last_arrival = 0.0
+    until = 0.0  # the last arrival drawn
     last_dep = 0.0
     t_last = 0.0  # the last event instant processed
     in_system = 0
@@ -226,21 +225,17 @@ def _offload_only_replication(
     area = 0.0
     while lam > 0.0:
         arr = rng_arrivals.standard_exponential(_CHUNK) / lam
-        arr[0] += last_arrival
+        arr[0] += until
         arr = np.cumsum(arr)  # sequential: the loop's t + gap, one by one
         until = float(arr[-1])
         last_chunk = until > horizon
         if last_chunk:
             arr = arr[: np.searchsorted(arr, horizon, side="right")]
         n = arr.size
-        while services.size < n:
-            draws = rng_triplets.standard_exponential(_TRIP_CHUNK)
-            services = np.concatenate((services, draws[::2] * inv_c1))
+        # a chunk of triplet draws holds two per job of an arrival chunk
+        services = rng_triplets.standard_exponential(_TRIP_CHUNK)[: 2 * n : 2] * inv_c1
         dep = np.fromiter([last_dep := (a if a > last_dep else last_dep) + s
-                           for a, s in zip(arr.tolist(), services[:n].tolist())], float, n)
-        services = services[n:]
-        if n:
-            last_arrival = float(arr[-1])
+                           for a, s in zip(arr.tolist(), services.tolist())], float, n)
         held.append((arr, dep))
         # departures are in job order, so the leaving jobs are a prefix;
         # those at the pause instant follow it
@@ -258,19 +253,18 @@ def _offload_only_replication(
         left_dep = np.concatenate([d for _, d in leaving])
         k = left_dep.size
 
-        # the window's events in loop order; an arrival sorts first at a tie
+        # the window's events in loop order, an arrival first at a tie, after
+        # the last instant processed, which takes no job step
         t_ev = np.concatenate((arr, left_dep))
         order = np.argsort(t_ev, kind="stable")
-        t_ev = t_ev[order]
-        jobs = in_system + np.cumsum(np.where(order < n, 1, -1))
-        if t_ev.size:
-            jobs_before = np.concatenate(([in_system], jobs[:-1]))
-            t_from = np.maximum(np.concatenate(([t_last], t_ev[:-1])), warmup)
-            # after warmup each event adds N(t-) * (t - t_from); a tie adds 0.0
-            terms = np.where(t_ev > warmup, jobs_before * (t_ev - t_from), 0.0)
-            area = float(np.cumsum(np.concatenate(([area], terms)))[-1])
-            t_last = float(t_ev[-1])
-            in_system = int(jobs[-1])
+        t_ev = np.concatenate(([t_last], t_ev[order]))
+        jobs = in_system + np.cumsum(np.concatenate(([0], np.where(order < n, 1, -1))))
+        t_from = np.maximum(t_ev[:-1], warmup)
+        # after warmup each event adds N(t-) * (t - t_from); a tie adds 0.0
+        terms = np.where(t_ev[1:] > warmup, jobs[:-1] * (t_ev[1:] - t_from), 0.0)
+        area = float(np.cumsum(np.concatenate(([area], terms)))[-1])
+        t_last = float(t_ev[-1])
+        in_system = int(jobs[-1])
         after = left_arr >= warmup
         sojourns = (left_dep - left_arr)[after]
         sojourn_sum = float(np.cumsum(np.concatenate(([sojourn_sum], sojourns)))[-1])

@@ -40,12 +40,11 @@ are returned as counterexample lists.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .kernel import N_ACTIONS, StateSpace, TransitionKernel
+from .kernel import N_ACTIONS, StateSpace, TransitionKernel, table_cap
 from .model import Action
 from .solver import TIE_EPS, PolicyTable, ValueTable, near_optimal, q_table
 
@@ -163,9 +162,10 @@ def _interior_cap(space: StateSpace, margin: int, entries: np.ndarray) -> int:
             f"margin must lie in [0, n_max - 2] = [0, {space.n_max - 2}], got {margin}"
         )
     if entries.shape != (space.size,):
+        cap = table_cap(entries.shape)
+        table = f"shape {entries.shape}" if cap is None else f"queue cap {cap}"
         raise ValueError(
-            f"table of queue cap {math.isqrt(entries.size // 4) - 1} cannot be checked "
-            f"on a space of queue cap {space.n_max}"
+            f"table of {table} cannot be checked on a space of queue cap {space.n_max}"
         )
     return space.n_max - margin
 

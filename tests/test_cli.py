@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import offloadq
-from offloadq.cli import build_parser, main
+from offloadq.cli import _CONFIG_KEYS, _config_blocks, build_parser, main
 from offloadq.kernel import build_state_space
 from offloadq.model import Action
 from offloadq.simulator import baseline, tabulate_policy
@@ -243,6 +243,28 @@ def test_usage_errors_exit_1(capsys):
     assert main(["analyze"]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [(block, key) for block, keys in _CONFIG_KEYS.items() if block != "output" for key in keys],
+    ids=lambda x: x,
+)
+def test_every_config_key_is_reachable_by_its_flag(block, key):
+    # a flag is --key with "-" for "_", and --lam for lambda; the four
+    # counts are integers, every other model, solver and sim key a number
+    flag = "--lam" if key == "lambda" else "--" + key.replace("_", "-")
+    kind = int if key in ("n_max", "max_iters", "replications", "seed") else float
+    text = "3" if kind is int else "2.5"
+    args = build_parser().parse_args(["simulate", flag, text, "--policy", "x"])
+    value = _config_blocks(args)[block][key]
+    assert value == kind(text) and type(value) is kind is _CONFIG_KEYS[block][key][0]
+
+
+def test_solve_takes_no_sim_flag(capsys):
+    assert main(["solve", "--horizon", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: offloadq [-h]") and "unrecognized arguments: --horizon 5" in err
 
 
 def test_flag_overrides_replace_config_counterparts(tmp_path):

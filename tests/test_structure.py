@@ -273,6 +273,16 @@ def test_a_table_of_another_cap_is_rejected(space, check, table_cap):
         check(table, space, MARGIN)
 
 
+@pytest.mark.parametrize("shape", [(50,), (392,), (14, 14), (0,)], ids=str)
+def test_a_table_that_fits_no_cap_is_named_by_its_shape(shape):
+    # the cap was inferred from the size alone: 50 and 392 entries read as
+    # caps 2 and 8, a 14 x 14 table as the space's own cap 6, none as cap -1
+    table = ValueTable(values=np.ones(shape), discount=DiscountSpec.from_alpha(10.0, 0.9))
+    with pytest.raises(ValueError) as err:
+        check_value_inequalities(table, build_state_space(6), 2)
+    assert str(err.value) == f"table of shape {shape} cannot be checked on a space of queue cap 6"
+
+
 def test_screened_checks_reject_a_policy_of_another_cap(space, solved):
     kernel, table, _ = solved
     wide = _table(build_state_space(N_MAX + 8), "non_idling")
