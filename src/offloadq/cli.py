@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -94,8 +95,19 @@ def _write_csv(path: Path, header: tuple, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _finite(x):
+    """``x`` with every NaN or infinite float, at any depth, made ``None``."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a value that is not a finite number is written as null."""
+    path.write_text(json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+                    + "\n")
 
 
 # ------------------------------------------------------------------ config
@@ -409,7 +421,7 @@ def cmd_analyze(args) -> int:
     )
     out_dir = _resolve_out_dir(args, {})
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "structure.json").write_text(report.to_json() + "\n")
+    _write_json(out_dir / "structure.json", report.to_json_dict())
     (out_dir / "structure.txt").write_text(report.to_text())
     sys.stdout.write(report.to_text())
     floor = report.decision_floor
@@ -470,6 +482,10 @@ def cmd_sweep(args) -> int:
     policies = [tok.strip() for tok in args.policies.split(",") if tok.strip()]
     if not loads or not policies:
         raise ValueError("sweep needs at least one rho and one policy")
+    for flag, values in (("--rhos", rhos), ("--policies", policies)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{flag} names {repeated[0]} more than once")
     try:
         bases = {name: baseline(name) for name in policies if name != "optimal"}
     except ValueError as exc:  # the baselines are not all a sweep takes

@@ -33,12 +33,13 @@ TRIPLETS)``.  Statistics exclude a warmup period: a job contributes to
 sojourn statistics when it arrives after warmup and completes within the
 horizon.
 
-A replication is a generator.  When it logs event instants it pauses at
-every refill of the arrival gaps, that is every ``_CHUNK`` arrivals, and
-once more when the run is over; ``coupled_compare`` advances two systems
-one such window at a time and counts each window before the next is
-logged, so its memory does not grow with the horizon.  Without logs a
-replication never pauses, and ``simulate`` runs it to its end.
+A replication is a generator, and every replication pauses the same way,
+whether it logs or not: at every refill of the arrival gaps before the
+horizon, that is every ``_CHUNK`` arrivals, and once more after its last
+event.  ``coupled_compare`` advances two systems one such window at a
+time and counts each window before the next is logged, so its memory
+does not grow with the horizon; ``simulate`` runs a replication to its
+end.
 
 The ``offload_only`` baseline, unless event records are asked for, runs in
 closed form instead of the event loop.  Every job goes to the cloud whole
@@ -80,6 +81,8 @@ _TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
 # event-log record layout: (time, kind, n0, i2, i1, n2) with the state
 # taken after the event and any same-instant assignments
 EVENT_KINDS = ("arrival", "local_done", "cloud_sm2_done", "cloud_sm1_done")
+# each kind's index: a time log's position, and the event loop's event code
+ARRIVAL, LOCAL_DONE, CLOUD_SM2_DONE, CLOUD_SM1_DONE = range(len(EVENT_KINDS))
 
 
 def substream(seed: int, rep: int, purpose: int) -> np.random.Generator:
@@ -191,6 +194,29 @@ class _RepResult:
     events: list | None = None
 
 
+def _close(cfg: SimConfig, area: float, t_area: float, in_system: int, completed: int,
+           counted: int, sojourn_sum: float, saturation: int,
+           events: list | None = None) -> Generator[float, None, _RepResult]:
+    """A replication's last pause, after its last event, then its result.
+
+    ``area`` is the time-average area added up to ``t_area``; the
+    ``in_system`` jobs still in the system add theirs from there to the
+    horizon.
+    """
+    yield INF
+    span = cfg.horizon - cfg.warmup
+    return _RepResult(
+        jobs_arrived=completed + in_system,
+        jobs_completed=completed,
+        jobs_in_system=in_system,
+        mean_sojourn=sojourn_sum / counted if counted else 0.0,
+        time_avg_jobs=(area + in_system * (cfg.horizon - t_area)) / span,
+        lambda_eff=counted / span,
+        saturation_events=saturation,
+        events=events,
+    )
+
+
 def _offload_only_replication(
     p: ModelParams, cfg: SimConfig, rep: int, times: tuple | None
 ) -> Generator[float, None, _RepResult]:
@@ -271,25 +297,13 @@ def _offload_only_replication(
         counted += int(np.count_nonzero(after))
         completed += k
         if times is not None:
-            times[0].extend(arr.tolist())
-            times[3].extend(left_dep.tolist())
+            times[ARRIVAL].extend(arr.tolist())
+            times[CLOUD_SM1_DONE].extend(left_dep.tolist())
         if last_chunk:
             break
         yield until
-
-    area += in_system * (horizon - max(t_last, warmup))
-    if times is not None:
-        yield INF
-    span = horizon - warmup
-    return _RepResult(
-        jobs_arrived=completed + in_system,
-        jobs_completed=completed,
-        jobs_in_system=in_system,
-        mean_sojourn=sojourn_sum / counted if counted else 0.0,
-        time_avg_jobs=area / span,
-        lambda_eff=counted / span,
-        saturation_events=0,
-    )
+    return (yield from _close(cfg, area, max(t_last, warmup), in_system, completed, counted,
+                              sojourn_sum, 0))
 
 
 def _run_replication(
@@ -304,12 +318,12 @@ def _run_replication(
 
     ``times`` holds one log per entry of ``EVENT_KINDS``, anything with
     ``append`` and ``extend``; the run adds each event instant to its kind's
-    log, unless ``collect_events`` logs the full records instead.  With
-    ``times`` the generator yields at every refill of the arrival gaps the
-    instant of the arrival just drawn, and ``INF`` after the last event:
-    every instant logged by then lies at or before the yielded value, and
-    any instant logged later lies at or after it.  Its return value is the
-    replication's result.
+    log, unless ``collect_events`` logs the full records instead.  Logged
+    or not, the generator yields at every refill of the arrival gaps before
+    the horizon the instant of the arrival just drawn, and ``INF`` after
+    the last event: every instant logged by then lies at or before the
+    yielded value, and any instant logged later lies at or after it.  Its
+    return value is the replication's result.
     """
     if policy is _BASELINES["offload_only"] and not collect_events:
         return (yield from _offload_only_replication(p, cfg, rep, times))
@@ -325,6 +339,7 @@ def _run_replication(
     inv_c2 = 1.0 / p.mu_c2
     # module constants as locals: the loop reads them at every event
     idle, sm1, sm2, inf, chunk, trip_chunk = IDLE, SM1, SM2, INF, _CHUNK, _TRIP_CHUNK
+    arrival, ev_local, ev_sm2, ev_sm1 = ARRIVAL, LOCAL_DONE, CLOUD_SM2_DONE, CLOUD_SM1_DONE
 
     gaps: list[float] = []
     gap_i = 0
@@ -350,10 +365,10 @@ def _run_replication(
     sm1_remaining = 0.0
     sm1_done = inf  # finite exactly while the full-offload job is in service
     cloud_sm2_done = inf  # finite exactly while split jobs are at the cloud
-    # earliest service timer and its event code, ties going to local, then
+    # earliest service timer and its event kind, ties going to local, then
     # split cloud, then full-offload cloud; arrivals change no timer
     t_srv = inf
-    srv_ev = 1
+    srv_ev = ev_local
 
     if lam > 0.0:
         gaps = (rng_arrivals.standard_exponential(chunk) / lam).tolist()
@@ -396,7 +411,7 @@ def _run_replication(
                     sm1_done = t + sm1_remaining
                     if sm1_done < t_srv:
                         t_srv = sm1_done
-                        srv_ev = 3
+                        srv_ev = ev_sm1
                 if a == sm1:
                     continue
             # SM2, or the second half of the composite
@@ -411,7 +426,7 @@ def _run_replication(
             i2 = 1
             if local_done <= t_srv:
                 t_srv = local_done
-                srv_ev = 1
+                srv_ev = ev_local
 
         if collect and pending_kind >= 0:
             if collect_events:
@@ -428,15 +443,14 @@ def _run_replication(
             if t > warmup:
                 area += nf * (t - t_area)
                 t_area = t
-            pending_kind = 0
+            pending_kind = arrival
             base_append(t)
             n0 += 1
             nf += 1.0
             if gap_i == chunk:
-                if times is not None:
-                    # this arrival is logged after the pause: a window
-                    # ends before the instant that opens the next one
-                    yield t
+                # this arrival is logged after the pause: a window ends
+                # before the instant that opens the next one
+                yield t
                 gaps = (rng_arrivals.standard_exponential(chunk) / lam).tolist()
                 gap_i = 0
             next_arrival = t + gaps[gap_i]
@@ -449,7 +463,7 @@ def _run_replication(
             area += nf * (t - t_area)
             t_area = t
         pending_kind = srv_ev
-        if srv_ev == 1:
+        if srv_ev == ev_local:
             # local preprocessing done: the split job joins the cloud
             # queue, pausing a full-offload job in service
             i2 = 0
@@ -463,8 +477,8 @@ def _run_replication(
             n2 += 1
             # a split job is at the cloud, so no full-offload job runs
             t_srv = cloud_sm2_done
-            srv_ev = 2
-        elif srv_ev == 2:
+            srv_ev = ev_sm2
+        elif srv_ev == ev_sm2:
             # cloud finishes the head split job
             job = cloud_popleft()
             n2 -= 1
@@ -475,16 +489,16 @@ def _run_replication(
                 sojourn_sum += t - job[0]
             if n2 > 0:
                 cloud_sm2_done = t_srv = t + cloud_q[0][1]
-                srv_ev = 2
+                srv_ev = ev_sm2
             else:
                 cloud_sm2_done = inf
                 if i1 == 1:
                     sm1_done = t + sm1_remaining
                 t_srv = sm1_done
-                srv_ev = 3
+                srv_ev = ev_sm1
             if local_done <= t_srv:
                 t_srv = local_done
-                srv_ev = 1
+                srv_ev = ev_local
         else:
             # cloud finishes the full-offload job; it ran, so no split
             # job is at the cloud
@@ -496,21 +510,9 @@ def _run_replication(
                 counted += 1
                 sojourn_sum += t - sm1_arr
             t_srv = local_done
-            srv_ev = 1
-    area += nf * (horizon - t_area)
-    if times is not None:
-        yield INF
-    span = horizon - warmup
-    return _RepResult(
-        jobs_arrived=completed + int(nf),
-        jobs_completed=completed,
-        jobs_in_system=int(nf),
-        mean_sojourn=sojourn_sum / counted if counted else 0.0,
-        time_avg_jobs=area / span,
-        lambda_eff=counted / span,
-        saturation_events=saturation,
-        events=events if collect_events else None,
-    )
+            srv_ev = ev_local
+    return (yield from _close(cfg, area, t_area, int(nf), completed, counted, sojourn_sum,
+                              saturation, events if collect_events else None))
 
 
 def _finish(run: Generator[float, None, _RepResult]) -> _RepResult:
@@ -582,7 +584,7 @@ def _t_halfwidth(x: np.ndarray) -> float:
     return float(stdtrit(n - 1, 0.975) * x.std(ddof=1) / math.sqrt(n))
 
 
-def _aggregate(reps: list[_RepResult], cfg: SimConfig, keep_events: bool) -> DelayReport:
+def _aggregate(reps: list[_RepResult], cfg: SimConfig) -> DelayReport:
     means = np.array([r.mean_sojourn for r in reps])
     tavg = np.array([r.time_avg_jobs for r in reps])
     return DelayReport(
@@ -600,7 +602,7 @@ def _aggregate(reps: list[_RepResult], cfg: SimConfig, keep_events: bool) -> Del
         rep_jobs_in_system=np.array([r.jobs_in_system for r in reps]),
         rep_lambda_eff=np.array([r.lambda_eff for r in reps]),
         saturation_events=int(sum(r.saturation_events for r in reps)),
-        event_logs=[r.events for r in reps] if keep_events else None,
+        event_logs=None if reps[0].events is None else [r.events for r in reps],
     )
 
 
@@ -618,7 +620,7 @@ def simulate(
     """
     reps = [_finish(_run_replication(policy, p, cfg, r, collect_events=collect_events))
             for r in range(cfg.replications)]
-    return _aggregate(reps, cfg, collect_events)
+    return _aggregate(reps, cfg)
 
 
 @dataclass(frozen=True)
@@ -655,42 +657,36 @@ class CoupledReport:
         }
 
 
-def _dominance_counts(times_a: tuple, times_b: tuple, lead: int = 0) -> tuple[int, int]:
-    """(instants where B holds at most as many jobs as A, instants).
-
-    Takes each system's per-kind event-time logs; the instants are those
-    ``CoupledReport`` describes.  The arrivals are shared, so B holds at
-    most as many jobs exactly when it has completed at least as many: the
-    sorted logs are merged, and a sum of +1 per completion in A and -1 per
-    completion in B, starting from ``lead``, is read after the last event
-    at each instant.  B's arrival log is not read.
-    """
-    runs = (*times_a, *times_b[1:])  # B's arrivals are A's
-    sizes = [len(r) for r in runs]
-    t = np.fromiter(chain.from_iterable(runs), float, sum(sizes))
-    step = np.repeat([0, 0, 1, 1, 0, -1, -1], sizes)
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    lead = lead + np.cumsum(step[order])
-    last = np.diff(t, append=np.inf) != 0  # the last event at each instant
-    return int(np.count_nonzero(lead[last] <= 0)), int(np.count_nonzero(last))
+# +1 per job that leaves A and -1 per job that leaves B, over A's logs,
+# then B's but its first, the arrivals
+_LEAVES = [int(k in (CLOUD_SM2_DONE, CLOUD_SM1_DONE)) for k in range(len(EVENT_KINDS))]
+_STEP = _LEAVES + [-x for x in _LEAVES[1:]]
 
 
 def _count_window(times_a: tuple, times_b: tuple, until: float, lead: int) -> tuple[int, int, int]:
     """Count the instants before ``until`` and drop their entries from the logs.
 
-    Returns the ``_dominance_counts`` pair and the lead, A's completions
-    minus B's, carried into the next window.  Entries at or after ``until``
-    stay in the logs for the next window, since more events may follow at
-    that instant.
+    Takes each system's per-kind event-time logs, sorted lists; the
+    instants are those ``CoupledReport`` describes.  Returns the instants
+    where B holds at most as many jobs as A, the instants, and the lead,
+    A's completions minus B's, carried into the next window.  The arrivals
+    are shared, so B holds at most as many jobs exactly when it has
+    completed at least as many: the logs are merged, and the lead, starting
+    from ``lead``, is read after the last event at each instant.  B's
+    arrival log is not read.  Entries at or after ``until`` stay in the
+    logs for the next window, since more events may follow at that instant.
     """
-    runs = (*times_a, *times_b[1:])
+    runs = (*times_a, *times_b[1:])  # B's arrivals are A's
     cuts = [bisect_left(r, until) for r in runs]
-    heads = [r[:k] for r, k in zip(runs, cuts)]
-    hits, instants = _dominance_counts(heads[:4], [None, *heads[4:]], lead)
+    t = np.fromiter(chain.from_iterable(r[:k] for r, k in zip(runs, cuts)), float, sum(cuts))
     for r, k in zip(runs, cuts):
         del r[:k]
-    return hits, instants, lead + cuts[2] + cuts[3] - cuts[5] - cuts[6]
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    leads = lead + np.cumsum(np.repeat(_STEP, cuts)[order])
+    last = np.diff(t, append=np.inf) != 0  # the last event at each instant
+    return (int(np.count_nonzero(leads[last] <= 0)), int(np.count_nonzero(last)),
+            lead + sum(s * k for s, k in zip(_STEP, cuts)))
 
 
 def coupled_compare(
@@ -704,11 +700,13 @@ def coupled_compare(
     Replication r of both systems uses the same two substreams, so job j
     sees the same arrival instant and the same service triplet in both
     systems, and any difference in the reports is attributable to the
-    policies alone.  Both systems see the same arrivals, so they pause at
-    the same instants: each replication advances A and B one window of
-    ``_CHUNK`` arrivals at a time and counts the dominance instants of that
-    window before the next is logged.  The logs never hold more than one
-    window, and B's arrivals, which are A's, are not kept at all.
+    policies alone.  Every replication pauses at each refill of its arrival
+    gaps before the horizon and after its last event, and both systems see
+    the same arrivals, so they pause at the same instants: each replication
+    advances A and B one window of ``_CHUNK`` arrivals at a time and counts
+    the dominance instants of that window before the next is logged.  The
+    logs never hold more than one window, and B's arrivals, which are A's,
+    are not kept at all.
     """
     reps_a = []
     reps_b = []
@@ -733,8 +731,8 @@ def coupled_compare(
         rep_dom.append(hits / instants if instants else float("nan"))
         reps_a.append(_finish(run_a))
         reps_b.append(_finish(run_b))
-    report_a = _aggregate(reps_a, cfg, False)
-    report_b = _aggregate(reps_b, cfg, False)
+    report_a = _aggregate(reps_a, cfg)
+    report_b = _aggregate(reps_b, cfg)
     diff = report_b.rep_mean_sojourn - report_a.rep_mean_sojourn
     return CoupledReport(
         report_a=report_a,

@@ -149,6 +149,12 @@ def _config_with(block, key, value):
           for cmd, policy in _BASELINES.items() for flag, message in _INFINITE_RATES],
         pytest.param(["sweep", *FAST, *SIM_FAST, "--rhos", "0.5,inf", "--policies", "offload_only"],
                      None, "utilization must be finite, got inf", id="sweep--rhos=0.5,inf"),
+        # a repeat would only simulate its load or policy again, to an identical row
+        pytest.param(["sweep", *FAST, *SIM_FAST, "--rhos", "0.5,0.6,0.50", "--policies", "optimal"],
+                     None, "--rhos names 0.5 more than once", id="sweep--rhos-repeated"),
+        pytest.param(["sweep", *FAST, *SIM_FAST, "--rhos", "0.5",
+                      "--policies", "optimal,non_idling,optimal"],
+                     None, "--policies names optimal more than once", id="sweep--policies-repeated"),
         pytest.param(["solve", *FAST[2:], "--lam", "inf"], None, "lam must be finite, got inf",
                      id="solve--lam=inf"),
         *[pytest.param(["simulate", "--policy", "optimal"], _config_with(block, key, value),
@@ -739,6 +745,36 @@ def test_couple_same_policy_is_exactly_zero(tmp_path, capsys):
     payload = json.loads((tmp_path / "couple.json").read_text())
     assert payload["report"]["diff_mean"] == 0.0
     assert payload["report"]["dominance_fraction"] == 1.0
+
+
+def _strict_json(path):
+    """A JSON artifact, parsed with NaN and the infinities refused."""
+    def refuse(constant):
+        raise AssertionError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_artifacts_are_strict_json(tmp_path, capsys):
+    # one replication has no half-width, and no arrivals no dominance
+    # instant: each undefined statistic is written as null
+    sol = _solve_fast(tmp_path)
+    assert _strict_json(tmp_path / "solution.json")["status"] == "converged"
+    assert main(["analyze", "--solution", str(sol), "--margin", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert _strict_json(tmp_path / "structure.json")["all_passed"] is True
+    assert main(["simulate", *FAST, *SIM_FAST, "--replications", "1", "--policy", "non_idling",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert _strict_json(tmp_path / "simulation.json")["report"]["ci_halfwidth"] is None
+    assert main(["couple", *FAST[2:], "--lam", "0", *SIM_FAST, "--replications", "1",
+                 "--policy-a", "offload_only", "--policy-b", "non_idling",
+                 "--out-dir", str(tmp_path)]) == 0
+    rep = _strict_json(tmp_path / "couple.json")["report"]
+    assert [rep["diff_ci_halfwidth"], rep["dominance_fraction"], rep["rep_dominance"],
+            rep["policy_a"]["ci_halfwidth"], rep["policy_b"]["ci_halfwidth"]] == [
+        None, None, [None], None, None]
+    assert rep["diff_mean"] == 0.0
+    capsys.readouterr()
 
 
 def _readme_commands() -> list[list[str]]:

@@ -27,7 +27,6 @@ from offloadq.simulator import (
     SimConfig,
     TablePolicy,
     _count_window,
-    _dominance_counts,
     baseline,
     coupled_compare,
     mm1_reference,
@@ -760,6 +759,34 @@ def test_a_copy_of_offload_only_runs_the_event_loop(monkeypatch):
     assert (loop.rep_jobs_arrived > 3 * _CHUNK).all()
 
 
+def _pauses(run):
+    """The values a replication yields, and its result."""
+    pauses = []
+    try:
+        while True:
+            pauses.append(next(run))
+    except StopIteration as done:
+        return pauses, done.value
+
+
+@pytest.mark.parametrize("name", ["non_idling", "copy of offload_only", "offload_only"])
+def test_every_replication_pauses_at_each_chunk_and_after_its_end(name):
+    # the event loop (a baseline table, or a copy of offload_only's) and the
+    # closed form pause alike, logging or not: at the last arrival of each
+    # full chunk before the horizon, and once after the last event
+    policy = (PolicyTable(baseline("offload_only").actions, exact_beyond_cap=True)
+              if name.startswith("copy") else baseline(name))
+    cfg = SimConfig(horizon=2000.0, replications=1, seed=19)
+    pauses, result = _pauses(simulator._run_replication(policy, HEAVY, cfg, 0))
+    assert result.jobs_arrived > 3 * _CHUNK
+    arrivals, _ = _drawn_jobs(19, result.jobs_arrived, HEAVY)
+    assert pauses == [*arrivals[_CHUNK - 1::_CHUNK], math.inf]
+    logs = tuple([] for _ in EVENT_KINDS)
+    assert _pauses(simulator._run_replication(policy, HEAVY, cfg, 0, times=logs)) == (
+        pauses, result)
+    assert logs[0] == arrivals
+
+
 # ---------------------------------------------------------------- dominance count
 
 
@@ -815,6 +842,11 @@ def test_dominance_undefined_without_arrivals():
     assert math.isnan(cr.dominance_fraction)
 
 
+def _one_window(times_a, times_b):
+    """The single counter's (hits, instants, lead) over whole logs, left unchanged."""
+    return _count_window(tuple(map(list, times_a)), tuple(map(list, times_b)), math.inf, 0)
+
+
 def _brute_dominance(times_a, times_b):
     """Instants where B holds at most as many jobs as A, one by one."""
     arrivals = times_a[0]
@@ -840,7 +872,10 @@ def test_merge_count_equals_brute_force(runs):
     arrivals, *rest = runs
     times_a = (arrivals, *rest[:3])
     times_b = (arrivals, *rest[3:])
-    assert _dominance_counts(times_a, times_b) == _brute_dominance(times_a, times_b)
+    hits, instants, lead = _one_window(times_a, times_b)
+    assert (hits, instants) == _brute_dominance(times_a, times_b)
+    # the lead carried on is A's completions minus B's
+    assert lead == sum(map(len, times_a[2:])) - sum(map(len, times_b[2:]))
 
 
 def test_local_done_instants_are_counted():
@@ -848,9 +883,9 @@ def test_local_done_instants_are_counted():
     # then leaves the cloud at 3: at 2 B holds more than A
     times_a = ([1.0], [], [], [1.5])
     times_b = ([1.0], [2.0], [3.0], [])
-    assert _dominance_counts(times_a, times_b) == (2, 4)
+    assert _one_window(times_a, times_b) == (2, 4, 0)
     without_local = ([1.0], [], [3.0], [])
-    assert _dominance_counts(times_a, without_local) == (2, 3)
+    assert _one_window(times_a, without_local) == (2, 3, 0)
     assert _brute_dominance(times_a, times_b) == (2, 4)
 
 
@@ -866,7 +901,7 @@ def test_window_counts_add_up_to_the_one_shot_count(runs, bounds, early):
     # pause at `until` a log holds every entry below it, and the runs marked
     # early also hold their entries at it, the rest of which come later
     arrivals, *rest = runs
-    whole = _dominance_counts((arrivals, *rest[:3]), (arrivals, *rest[3:]))
+    whole = _one_window((arrivals, *rest[:3]), (arrivals, *rest[3:]))[:2]
     logs = [[] for _ in runs]
     fed = [0] * len(runs)
     hits = instants = lead = 0
@@ -886,13 +921,17 @@ def test_window_counts_add_up_to_the_one_shot_count(runs, bounds, early):
 
 def test_dominance_is_counted_one_window_at_a_time(monkeypatch):
     seen = []
-    count = simulator._dominance_counts
+    count = simulator._count_window
 
-    def record(times_a, times_b, *lead):
-        seen.append([len(log) for log in (*times_a, *times_b[1:])])
-        return count(times_a, times_b, *lead)
+    def record(times_a, times_b, until, lead):
+        # the entries each window counts are those it drops from the logs
+        logs = (*times_a, *times_b[1:])
+        sizes = [len(log) for log in logs]
+        out = count(times_a, times_b, until, lead)
+        seen.append([n - len(log) for n, log in zip(sizes, logs)])
+        return out
 
-    monkeypatch.setattr(simulator, "_dominance_counts", record)
+    monkeypatch.setattr(simulator, "_count_window", record)
     cfg = SimConfig(horizon=2000.0, replications=2, seed=19)
     cr = coupled_compare(baseline("offload_only"), baseline("non_idling"), HEAVY, cfg)
     arrived = cr.report_a.rep_jobs_arrived
