@@ -486,6 +486,9 @@ def cmd_sweep(args) -> int:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"{flag} names {repeated[0]} more than once")
+    if cfg.rho is not None and not any(params_close(cfg.params, q) for _, q in loads):
+        raise ValueError(f"sweep runs only the loads of --rhos, and the given load "
+                         f"(rho={cfg.rho:g}, lambda={cfg.params.lam:g}) is not one of them")
     try:
         bases = {name: baseline(name) for name in policies if name != "optimal"}
     except ValueError as exc:  # the baselines are not all a sweep takes

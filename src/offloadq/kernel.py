@@ -1,29 +1,27 @@
 """Truncated, uniformized transition kernel for the offloading MDP.
 
-The continuous-time chain is uniformized at rate ``nu = lam + mu_l2 + mu_c2``,
-the maximal total event rate in any state (the cloud serves one job at a
-time and ``mu_c2 > mu_c1``).  Each decision epoch then sees one of three
-potential events: an arrival, a local preprocessing completion, and a cloud
-completion; events whose rate is not fully active in the current state
-contribute self-loop mass.  Both queue counts are truncated at ``n_max``:
-arrivals into a full base queue are lost, and a preprocessing completion
-that would overflow the cloud's split-job queue re-samples (self-loop),
-which is well defined by memorylessness.
+The chain is stated once, in two tables.  ``MOVES`` says what each action
+takes from the base queue and which slots it fills; ``MOVE_SLICES`` reads
+off it the slice of the state grid that admits each action and the slice
+the action moves it to.  ``EVENTS`` gives each kind in ``EVENT_KINDS`` its
+rate, its channel and its shift on the grid.  The chain is uniformized at
+``nu``, the sum of the rates of the ``CHANNELS`` (arrival, local and cloud
+service), and in each channel the first kind whose shift keeps the state
+on the grid fires at its rate; the rest of the channel's rate self-loops.
+Both queue counts are capped at ``n_max``, so an arrival at the cap is lost
+and a local completion into a full split queue re-samples.
 
 Every decision is an instantaneous assignment: action ``a`` moves state
-``s`` to a post-action state ``post(s, a)``, and only then does an event
-happen.  So the kernel factors as ``P_a = R_a E``: ``R_a`` is the 0/1
-matrix of the post-action map and ``E`` the n x n kernel of the idle
-(no-assignment) dynamics.  The kernel stores ``E`` once, as a sparse
-matrix, beside the post-action map and the ``admissible`` mask of the
-real (state, action) pairs.  The stacked form with one row per pair is
-derived on demand.  What each action takes and fills is stated once, in
-``MOVES``: ``admits`` reads the one admissibility rule from it, and
-``MOVE_SLICES`` each action's post-action map as two basic slices of the
-state grid, with no index array.  Only this module knows the layout: a
-state's id is its index in the grid of axes (i2, i1, n0, n2), so each slot
-occupancy owns one contiguous (n0, n2) plane, where the paper's thresholds
-live, and each action's slice is at most two contiguous blocks of ids.
+``s`` to ``post(s, a)``, and only then does an event happen.  So the kernel
+factors as ``P_a = R_a E``: ``R_a`` is the 0/1 matrix of the post-action
+map and ``E`` the n x n kernel of the idle (no-assignment) dynamics.  The
+kernel stores ``E`` once, as a sparse matrix, beside the post-action map
+and the ``admissible`` mask, all read off the two tables; the stacked form
+with one row per (state, action) pair is derived on demand.  Only this
+module knows the layout: a state's id is its index in the grid of axes
+(i2, i1, n0, n2), so each slot occupancy owns one contiguous (n0, n2)
+plane, where the paper's thresholds live, and each action's slice is at
+most two contiguous blocks of ids.
 """
 
 from __future__ import annotations
@@ -47,6 +45,14 @@ MOVE_SLICES = tuple(((slice(None, 2 - fill2), slice(None, 2 - fill1), slice(take
                      (slice(fill2, None), slice(fill1, None), slice(None, -take or None)))
                     for take, fill2, fill1 in MOVES)
 
+# the uniformization channels, each by the ModelParams field of its rate
+CHANNELS = ("lam", "mu_l2", "mu_c2")
+EVENT_KINDS = ("arrival", "local_done", "cloud_sm2_done", "cloud_sm1_done")
+# per event kind: the ModelParams field of its rate, its channel, and its
+# shift on the state grid, axes (i2, i1, n0, n2)
+EVENTS = (("lam", 0, (0, 0, 1, 0)), ("mu_l2", 1, (-1, 0, 0, 1)),
+          ("mu_c2", 2, (0, 0, 0, -1)), ("mu_c1", 2, (0, -1, 0, 0)))
+
 
 def state_grid(n_max: int) -> tuple[int, int, int, int]:
     """Shape of the state grid of cap ``n_max``, axes (i2, i1, n0, n2); an id is a flat index."""
@@ -64,10 +70,29 @@ def table_cap(shape: tuple) -> int | None:
     return m1 - 1 if m1 >= 1 and shape == (4 * m1 * m1,) else None
 
 
-def admits(move, n0, i2, i1):
-    """Whether the base queue holds the jobs ``move`` takes and each slot it fills is free."""
-    take, fill2, fill1 = move
-    return (n0 >= take) & (i2 <= 1 - fill2) & (i1 <= 1 - fill1)
+def admissible_mask(n_max: int) -> np.ndarray:
+    """Whether each state id of cap ``n_max`` admits each action: the slices
+    of ``MOVE_SLICES`` that admit it, one row per action."""
+    mask = np.zeros((N_ACTIONS, *state_grid(n_max)), dtype=bool)
+    for a, (admit, _) in enumerate(MOVE_SLICES):
+        mask[a][admit] = True
+    return mask.reshape(N_ACTIONS, -1)
+
+
+def event_fires(state, grid) -> list:
+    """Per event kind, whether it fires in ``state``, its (i2, i1, n0, n2) as
+    ints or as arrays that broadcast together, on a grid of shape ``grid``:
+    in each channel, the first kind whose shift keeps the state on the grid.
+    An axis of size ``math.inf`` has no cap, as in the untruncated system."""
+    fires, taken = [], [np.False_] * len(CHANNELS)
+    for _, channel, shift in EVENTS:
+        on = True
+        for x, d, size in zip(state, shift, grid):
+            if d:  # the state itself is on the grid
+                on = on & (0 <= x + d) & (x + d < size)
+        fires.append(on & ~taken[channel])
+        taken[channel] = taken[channel] | on
+    return fires
 
 
 def check_action_codes(actions: np.ndarray) -> None:
@@ -91,7 +116,7 @@ class PolicyTable:
 
     ``n_max`` is derived from the length of ``actions``, or checked against
     it when given, and every action must be admissible in its state by
-    ``admits``.  ``rows`` holds the table as nested lists indexed
+    ``admissible_mask``.  ``rows`` holds the table as nested lists indexed
     ``[i2][i1][n0][n2]``, the axes of the state grid, built on first use.
     ``action`` reads one state, clamping n0 and n2 to the cap, so it answers
     for the untruncated system too; the simulator's event loop reads the
@@ -117,10 +142,7 @@ class PolicyTable:
                    else f"but cap {self.n_max} needs ({4 * (self.n_max + 1) ** 2},)")
             raise ValueError(f"policy table has shape {actions.shape}, {why}")
         actions = np.asarray(actions, dtype=np.int8)
-        # n2, the grid's last axis, plays no part: one verdict per action and row of n2
-        i2, i1, n0, _ = np.indices(state_grid(cap), sparse=True)
-        verdicts = np.stack([admits(m, n0, i2, i1).ravel() for m in MOVES], axis=1)
-        ok = np.take_along_axis(verdicts, actions.reshape(-1, cap + 1), axis=1)
+        ok = admissible_mask(cap)[actions, np.arange(actions.size)]
         if not ok.all():
             bad = int(np.flatnonzero(~ok)[0])
             i2, i1, n0, n2 = (int(c) for c in np.unravel_index(bad, state_grid(cap)))
@@ -191,8 +213,8 @@ def build_state_space(n_max: int) -> StateSpace:
 
 
 def uniformization_rate(p: ModelParams) -> float:
-    """Maximal total event rate: arrival + local completion + fastest cloud rate."""
-    return p.lam + p.mu_l2 + p.mu_c2
+    """The sum of the channels' rates, the largest total event rate of any state."""
+    return sum(getattr(p, rate) for rate in CHANNELS)
 
 
 @dataclass(frozen=True)
@@ -231,10 +253,11 @@ class TransitionKernel:
     """The kernel in factored form ``P_a = R_a E``.
 
     ``post[a, s]`` is the state id right after action ``a`` assigns jobs in
-    state ``s`` (``R_a`` is the 0/1 matrix of this map; ``post[a, s] = s``
-    where ``a`` is inadmissible).  ``events`` is ``E``, the n x n sparse
-    matrix of the idle dynamics: row ``x`` holds the distribution of the
-    next state id when no job is assigned in ``x``.  ``cost0[x]`` is the
+    state ``s``, read off ``MOVE_SLICES`` (``R_a`` is the 0/1 matrix of this
+    map; ``post[a, s] = s`` where ``admissible[a, s]`` is false).
+    ``events`` is ``E``, the n x n sparse matrix of the idle dynamics, read
+    off ``EVENTS`` by the channel rule: row ``x`` holds the distribution of
+    the next state id when no job is assigned in ``x``.  ``cost0[x]`` is the
     expected discounted holding cost accrued until the next epoch from
     ``x``, the number of jobs in ``x`` over ``beta + nu``.
 
@@ -266,18 +289,6 @@ class TransitionKernel:
         return costs
 
 
-def _post_action_map(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Post-action state ids and admissibility, one row per action."""
-    n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
-    post = np.empty((N_ACTIONS, space.size), dtype=np.int32)
-    admissible = np.empty((N_ACTIONS, space.size), dtype=bool)
-    for a, (take, fill2, fill1) in enumerate(MOVES):
-        admissible[a] = admits(MOVES[a], n0, i2, i1)
-        moved = space.ids_of(n0 - take, i2 + fill2, i1 + fill1, n2)
-        post[a] = np.where(admissible[a], moved, np.arange(space.size, dtype=np.int32))
-    return post, admissible
-
-
 def build_kernel(p: ModelParams, space: StateSpace, d: DiscountSpec) -> TransitionKernel:
     nu = uniformization_rate(p)
     if not math.isclose(d.nu, nu, rel_tol=1e-9):
@@ -285,57 +296,37 @@ def build_kernel(p: ModelParams, space: StateSpace, d: DiscountSpec) -> Transiti
             f"discount spec built for uniformization rate {d.nu}, parameters give {nu}"
         )
     n = space.size
-    m = space.n_max
-    n0, i2, i1, n2 = space.n0, space.i2, space.i1, space.n2
-    sids = np.arange(n, dtype=np.int32)
-    p_arr = p.lam / nu
-    p_loc = p.mu_l2 / nu
-    p_c2 = p.mu_c2 / nu
-    p_c1 = p.mu_c1 / nu
+    ids = np.arange(n, dtype=np.int32).reshape(space.grid)
+    post = np.stack([ids] * N_ACTIONS)  # where an action is not admitted, the state stays
+    for a, (admit, moved) in enumerate(MOVE_SLICES):
+        post[a][admit] = ids[moved]
 
-    # arrival: one more job in the base queue, lost at the cap
-    arr_tgt = np.where(n0 < m, space.ids_of(np.minimum(n0 + 1, m), i2, i1, n2), sids)
-
-    # local completion: the preprocessing job moves to the cloud queue,
-    # re-sampling (self-loop) if that queue is at the cap; idle local
-    # slots burn the rate as a self-loop
-    moves = (i2 == 1) & (n2 < m)
-    loc_tgt = np.where(moves, space.ids_of(n0, 0, i1, np.minimum(n2 + 1, m)), sids)
-
-    # cloud completion: split jobs are served first and at the faster
-    # rate; a lone full-offload job is served at mu_c1 with the rate
-    # difference self-looping; an empty cloud self-loops everything
-    serve_sm2 = n2 >= 1
-    serve_sm1 = (~serve_sm2) & (i1 == 1)
-    cloud_tgt = np.where(
-        serve_sm2,
-        space.ids_of(n0, i2, i1, np.maximum(n2 - 1, 0)),
-        np.where(serve_sm1, space.ids_of(n0, i2, 0, n2), sids),
-    )
-    cloud_prob = np.where(serve_sm2, p_c2, np.where(serve_sm1, p_c1, p_c2))
-
-    rows = np.concatenate([sids, sids, sids, sids[serve_sm1]])
-    cols = np.concatenate([arr_tgt, loc_tgt, cloud_tgt, sids[serve_sm1]])
-    data = np.concatenate(
-        [
-            np.full(n, p_arr),
-            np.full(n, p_loc),
-            cloud_prob,
-            # residual self-loop mass while the slower full-offload job is served
-            np.full(int(serve_sm1.sum()), p_c2 - p_c1),
-        ]
-    )
-    events = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    rows, cols, data = [], [], []
+    fired = [0.0] * len(CHANNELS)  # per channel, the probability of the kind that fires
+    state = [x.reshape(space.grid) for x in (space.i2, space.i1, space.n0, space.n2)]
+    fires = event_fires(state, space.grid)
+    for (rate, channel, shift), where in zip(EVENTS, fires):
+        prob = getattr(p, rate) / nu
+        # a kind fires only where its target is on the grid: no wrapped cell is read
+        rows.append(ids[where])
+        cols.append(np.roll(ids, [-x for x in shift], axis=(0, 1, 2, 3))[where])
+        data.append(np.full(rows[-1].size, prob))
+        fired[channel] = np.where(where, prob, fired[channel])
+    # the rest of each channel's rate self-loops, added up in channel order
+    rows.append(ids.ravel())
+    cols.append(ids.ravel())
+    data.append(sum(getattr(p, rate) / nu - f for rate, f in zip(CHANNELS, fired)).ravel())
+    events = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(n, n)).tocsr()
     events.sum_duplicates()
     events.eliminate_zeros()
-    post, admissible = _post_action_map(space)
-    cost0 = (n0 + i2 + i1 + n2) / (d.beta + nu)
+    cost0 = (space.n0 + space.i2 + space.i1 + space.n2) / (d.beta + nu)
     return TransitionKernel(
         params=p,
         space=space,
         discount=d,
         events=events,
-        post=post,
+        post=post.reshape(N_ACTIONS, n),
         cost0=cost0,
-        admissible=admissible,
+        admissible=admissible_mask(space.n_max),
     )

@@ -64,7 +64,7 @@ from typing import Generator
 import numpy as np
 from scipy.special import stdtrit
 
-from .kernel import PolicyTable, build_state_space, state_ids
+from .kernel import EVENT_KINDS, EVENTS, PolicyTable, build_state_space, state_ids
 from .model import Action, ModelParams
 
 INF = math.inf
@@ -78,10 +78,10 @@ IDLE, SM1, SM2, SM1_THEN_SM2 = (int(a) for a in Action)
 _CHUNK = 4096  # arrival gaps per draw
 _TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
 
-# event-log record layout: (time, kind, n0, i2, i1, n2) with the state
-# taken after the event and any same-instant assignments
-EVENT_KINDS = ("arrival", "local_done", "cloud_sm2_done", "cloud_sm1_done")
-# each kind's index: a time log's position, and the event loop's event code
+# event-log record layout: (time, kind, n0, i2, i1, n2), kind one of
+# kernel.EVENT_KINDS: the state is the previous record's, shifted by the
+# kind's shift in kernel.EVENTS, then moved by the same-instant assignments.
+# Each kind's index: a time log's position, and the event loop's event code
 ARRIVAL, LOCAL_DONE, CLOUD_SM2_DONE, CLOUD_SM1_DONE = range(len(EVENT_KINDS))
 
 
@@ -658,8 +658,9 @@ class CoupledReport:
 
 
 # +1 per job that leaves A and -1 per job that leaves B, over A's logs,
-# then B's but its first, the arrivals
-_LEAVES = [int(k in (CLOUD_SM2_DONE, CLOUD_SM1_DONE)) for k in range(len(EVENT_KINDS))]
+# then B's but its first, the arrivals; a job leaves where a kind's shift
+# lowers i2 + i1 + n0 + n2
+_LEAVES = [int(sum(shift) < 0) for _, _, shift in EVENTS]
 _STEP = _LEAVES + [-x for x in _LEAVES[1:]]
 
 

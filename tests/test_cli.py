@@ -157,6 +157,18 @@ def _config_with(block, key, value):
                      None, "--policies names optimal more than once", id="sweep--policies-repeated"),
         pytest.param(["solve", *FAST[2:], "--lam", "inf"], None, "lam must be finite, got inf",
                      id="solve--lam=inf"),
+        # a sweep runs the loads of --rhos only; a load given besides must be one of them
+        pytest.param(["sweep", *FAST, *SIM_FAST, "--rhos", "0.5", "--policies", "non_idling"],
+                     None, "the given load (rho=0.3, lambda=2.7) is not one of them",
+                     id="sweep--rho-outside--rhos"),
+        pytest.param(["sweep", *FAST[2:], *SIM_FAST, "--lam", "2.8", "--rhos", "0.3",
+                      "--policies", "non_idling"],
+                     None, "the given load (rho=0.311111, lambda=2.8) is not one of them",
+                     id="sweep--lam-outside--rhos"),
+        pytest.param(["sweep", "--rhos", "0.2,0.5", "--policies", "non_idling"],
+                     _config_with("model", "rho", 0.3),
+                     "the given load (rho=0.3, lambda=2.7) is not one of them",
+                     id="sweep-config-rho-outside--rhos"),
         *[pytest.param(["simulate", "--policy", "optimal"], _config_with(block, key, value),
                        f"config key {block}.{key} must be {kind}, got {json.dumps(value)}",
                        id=f"{block}.{key}={json.dumps(value)}")

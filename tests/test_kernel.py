@@ -1,5 +1,6 @@
 """State-space enumeration and the uniformized transition kernel."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from offloadq.kernel import (
     build_state_space,
     uniformization_rate,
 )
-from offloadq.model import Action, derive_rates
+from offloadq.model import Action, ModelParams, derive_rates, lambda_from_utilization
 from scalar_model import (
     Op,
     State,
@@ -341,3 +342,32 @@ def test_zero_arrival_rate_kernel():
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
     dist = _dist(k, space.id_of(0, 0, 0, 0), Action.IDLE)
     assert dist == {space.id_of(0, 0, 0, 0): pytest.approx(1.0)}
+
+
+# sha256 of each chain: its event matrix, post-action map and admissibility
+# mask, in fixed dtypes.  A change in the last bit of one probability moves
+# tie-band actions, so the chain is pinned byte for byte.  The configs are
+# the reference configs a-d (rho, f, K; mu0 1) and config a with no arrivals
+PINNED_CHAINS = {
+    ("a", 60): "e2473ec6ec22e2ad5e09b4125a45575da7623fd58467e9281118ad7edd7c6771",
+    ("b", 60): "a55f505438209a9851c82d67c4ad38ea7ec4815c859beeefe8f30f0cd610d7f6",
+    ("c", 60): "cb62c233737f8ee5d57e7ab055c0b218701bc30baacac6c21ee6a698f7a6c30f",
+    ("d", 60): "726fa725908136ce5f64cc727fb0922745259a40f634bf5ab5e9249fc639d7b1",
+    ("a", 1): "01c58576f1322fc09b530ed709c6fb30f6a207a967f574ce502407497ff2753b",
+    ("lam0", 60): "9bf5e21c8b42cd551608ec88b55229ccf37eeff9414d092f4126784ddc3d0017",
+    ("lam0", 1): "da96430d35857926d1355ea8f26653a526c9bae719d76588f84965c811097a7f",
+}
+CHAIN_CONFIGS = {"a": (0.4, 0.4, 8), "b": (0.8, 0.4, 8), "c": (0.4, 0.8, 8), "d": (0.4, 0.4, 15),
+                 "lam0": (0.0, 0.4, 8)}
+
+
+@pytest.mark.parametrize("name, n_max", PINNED_CHAINS, ids=[f"{c}-{m}" for c, m in PINNED_CHAINS])
+def test_chain_bytes_pinned(name, n_max):
+    rho, f, K = CHAIN_CONFIGS[name]
+    k = _kernel(ModelParams(lam=lambda_from_utilization(rho, 1.0, K), mu0=1.0, K=K, f=f), n_max)
+    digest = hashlib.sha256()
+    e = k.events
+    for arr, dtype in ((e.data, "<f8"), (e.indices, "<i8"), (e.indptr, "<i8"),
+                       (k.post, "<i8"), (k.admissible, "?")):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    assert digest.hexdigest() == PINNED_CHAINS[name, n_max]

@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -12,7 +13,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from offloadq import simulator
-from offloadq.kernel import MOVES, admits, build_state_space
+from offloadq.kernel import (
+    EVENTS,
+    MOVES,
+    DiscountSpec,
+    admissible_mask,
+    build_kernel,
+    build_state_space,
+    event_fires,
+    uniformization_rate,
+)
 from offloadq.model import derive_rates, lambda_from_utilization
 from offloadq.simulator import (
     ARRIVALS,
@@ -34,10 +44,11 @@ from offloadq.simulator import (
     substream,
     tabulate_policy,
 )
-from offloadq.solver import PolicyTable
+from offloadq.solver import PolicyTable, policy_iterate
 from scalar_model import State, admissible_actions
 
 CONFIG_A = derive_rates(3.6, 1.0, 8.0, 0.4)
+CONFIG_B = derive_rates(7.2, 1.0, 8.0, 0.4)
 
 
 # ---------------------------------------------------------------- streams
@@ -487,9 +498,7 @@ PINNED_PATHS = {
 def _always(code):
     """The action ``code`` wherever it is admissible, else IDLE: admissibility
     asks at most n0 >= 2, so the rows at cap 2 are exact."""
-    space = build_state_space(2)
-    allowed = admits(MOVES[code], space.n0, space.i2, space.i1)
-    return PolicyTable(np.where(allowed, code, IDLE), exact_beyond_cap=True)
+    return PolicyTable(np.where(admissible_mask(2)[code], code, IDLE), exact_beyond_cap=True)
 
 
 def _pin_policy(name):
@@ -574,21 +583,30 @@ def test_coupling_a_table_with_itself_counts_each_side_once():
     assert cr.report_a.saturation_events == cr.report_b.saturation_events == alone
 
 
-# the event on the state before it: (n0, i2, i1, n2) increments per kind
-_EVENT_STEP = {"arrival": (1, 0, 0, 0), "local_done": (0, -1, 0, 1),
-               "cloud_sm2_done": (0, 0, 0, -1), "cloud_sm1_done": (0, 0, -1, 0)}
+# the state grid of the untruncated system, axes (i2, i1, n0, n2)
+_UNTRUNCATED = (2, 2, math.inf, math.inf)
+
+
+@functools.cache
+def _fires(state):
+    """The event kinds the kernel's channel rule fires in an untruncated state (i2, i1, n0, n2)."""
+    return {kind for kind, fires in zip(EVENT_KINDS, event_fires(state, _UNTRUNCATED)) if fires}
 
 
 def _replay_decisions(table, log):
-    """Replay a log's decisions by calling ``table.action``, as the loop
-    applies a policy: from the state after each event, until it idles, and
-    only while a job is queued or n2 is beyond the cap.  Checks that each
-    logged state is the replay's, and returns the calls beyond the cap and
-    the largest n0 and n2 the policy was asked about."""
+    """Replay a log by the kernel's tables, as the loop runs: each logged
+    kind must be one the channel rule fires in the state before it, its
+    ``EVENTS`` shift gives the state after it, and from there
+    ``table.action`` applies the policy until it idles, only while a job is
+    queued or n2 is beyond the cap.  Checks that each logged state is the
+    replay's, and returns the calls beyond the cap and the largest n0 and
+    n2 the policy was asked about."""
     cap, beyond, widest = table.n_max, 0, 0
     n0 = i2 = i1 = n2 = 0
     for _, kind, *logged in log:
-        n0, i2, i1, n2 = (x + d for x, d in zip((n0, i2, i1, n2), _EVENT_STEP[kind]))
+        assert kind in _fires((i2, i1, n0, n2)), (kind, (n0, i2, i1, n2))
+        shift = EVENTS[EVENT_KINDS.index(kind)][2]
+        i2, i1, n0, n2 = (x + d for x, d in zip((i2, i1, n0, n2), shift))
         while n0 or n2 > cap:
             widest = max(widest, n0, n2)
             beyond += max(n0, n2) > cap
@@ -622,6 +640,72 @@ def test_row_lookup_equals_calling_the_policy(config, policy):
         assert logged.saturation_events == beyond
     if config == "heavy":  # states beyond the rows were visited, far beyond the baselines'
         assert widest > (60 if table.exact_beyond_cap else table.n_max)
+
+
+def _replay_table(name, p):
+    """A solved optimum of a small cap, or a table of admissible actions
+    drawn uniformly, neither exact beyond its cap."""
+    if name == "optimal":
+        space = build_state_space(6)
+        k = build_kernel(p, space, DiscountSpec.from_alpha(uniformization_rate(p), 0.99))
+        return policy_iterate(k, tol=1e-9)[1]
+    mask = admissible_mask(4)
+    draws = np.random.default_rng(3).random(mask.shape)
+    return PolicyTable(np.argmax(np.where(mask, draws, -1.0), axis=0))
+
+
+@pytest.mark.parametrize("policy", ["optimal", "random"])
+@pytest.mark.parametrize("config", ["a", "heavy"])
+def test_replay_of_any_table_follows_the_kernel(config, policy):
+    # every logged event is one the kernel's channel rule fires, and every
+    # logged state is its shift followed by the table's actions, read
+    # beyond the cap as often as the run counts saturation
+    p = CONFIG_A if config == "a" else HEAVY
+    table = _replay_table(policy, p)
+    logged = simulate(table, p, PIN_CFG, collect_events=True)
+    beyond = sum(_replay_decisions(table, log)[0] for log in logged.event_logs)
+    assert logged.saturation_events == beyond > 0
+
+
+def _kind_z(policy, p, cfg):
+    """Per class (i2, i1, n2 > 0) of the state before an event, and per kind:
+    the count logged from the class against its rate from ``EVENTS`` times
+    the time spent in the class, as a z-score of a Poisson count.  A kind
+    the channel rule does not fire in the class must never be logged from
+    it."""
+    spent, counts = {}, {}
+    for log in simulate(policy, p, cfg, collect_events=True).event_logs:
+        t_prev, cls = 0.0, (0, 0, False)
+        for t, kind, n0, i2, i1, n2 in log:
+            spent[cls] = spent.get(cls, 0.0) + t - t_prev
+            counts[cls, kind] = counts.get((cls, kind), 0) + 1
+            t_prev, cls = t, (i2, i1, n2 > 0)
+        spent[cls] = spent.get(cls, 0.0) + cfg.horizon - t_prev
+    z = {}
+    for cls, time in spent.items():
+        fires = _fires((cls[0], cls[1], 0, int(cls[2])))
+        for kind, (rate, _, _) in zip(EVENT_KINDS, EVENTS):
+            got = counts.get((cls, kind), 0)
+            if kind not in fires:
+                assert got == 0, (cls, kind, got)
+            else:
+                mean = getattr(p, rate) * time
+                z[cls, kind] = (got - mean) / math.sqrt(mean)
+    return z
+
+
+# each kind's count from each class lies within this many standard
+# deviations of its Poisson mean
+KIND_Z = 4.5
+
+
+def test_each_kind_fires_at_its_kernel_rate():
+    # under uniformization a kind fires from a class at the rate EVENTS
+    # gives it wherever the channel rule fires it there, and never elsewhere
+    cfg = SimConfig(horizon=2e4, warmup=0.0, replications=2, seed=1)
+    z = _kind_z(baseline("non_idling"), CONFIG_B, cfg)
+    assert len(z) == 18  # every class is visited: 8 arrivals, 4 local, 4 split and 2 whole
+    assert max(map(abs, z.values())) < KIND_Z
 
 
 @pytest.mark.parametrize(
