@@ -10,8 +10,9 @@ service requirement and no fresh randomness is drawn, so a replication is
 a deterministic function of the seed, and two coupled systems share
 exactly the arrival and service-triplet streams and nothing else.
 
-The event loop reads each action from the table's nested rows
-(``PolicyTable.rows``), with n0 and n2 clamped to its cap; every row is
+The event loop reads each action from the table, with n0 and n2 clamped
+to its cap: the Python loop from its nested rows (``PolicyTable.rows``),
+the compiled loop from ``PolicyTable.actions`` by state id.  Every row is
 admissible, checked where the table is built, and so is every clamped
 read.  The replication counts each read beyond the cap as a saturation
 event in its own counter, unless the table is ``exact_beyond_cap``, as the
@@ -23,9 +24,9 @@ full-offload cloud time; a local preprocessing time that is the same draw
 scaled by ``mu_c1/mu_l2``, so Exponential(mu_l2) and always the longer of
 the two; and an independent Exponential(mu_c2) split-remainder cloud
 time.  The base queue is FIFO, so jobs leave it in arrival order; job j's
-triplet is the j-th pair of the triplet stream, drawn when the job is
-dispatched.  Coupling by job index follows from drawing the triplets in
-arrival order.
+triplet is the j-th pair of the triplet stream, however early the chunk
+holding it is drawn.  Coupling by job index follows from drawing the
+triplets in arrival order.
 
 Replication r of a run with master seed s draws from two named
 substreams, ``substream(s, r, ARRIVALS)`` and ``substream(s, r,
@@ -41,24 +42,33 @@ time and counts each window before the next is logged, so its memory
 does not grow with the horizon; ``simulate`` runs a replication to its
 end.
 
-The ``offload_only`` baseline, unless event records are asked for, runs in
-closed form instead of the event loop.  Every job goes to the cloud whole
-and in arrival order, no split job ever preempts one, so the system is a
-FIFO single-server queue whose departures follow Lindley's recursion
-``d_j = max(a_j, d_{j-1}) + s_j``.  The closed form draws the same streams
-and repeats the loop's float operations one for one, in the loop's order,
-so its reports, logs and pauses are the loop's to the last bit.  The event
-loop stays the reference: it runs every other policy, any other table of
-offload-only's rows, and every run that records events.
+The event loop runs compiled, from ``_loop.c``, built with the system C
+compiler on the first replication of a process and cached in the user
+cache directory; nothing is built at import.  The Python loop in
+``_run_replication`` stays: it is the reference the tests compare the
+compiled loop against, the only loop that writes event records
+(``collect_events``), and the one that runs when no kernel can be built
+(no compiler, a build error, no writable cache directory).  The two agree
+to the last bit: the C loop carries the same state between events, draws
+the same chunks of the same streams, and repeats each float operation on
+the same operands in the same order, compiled without contraction into
+fused multiply-adds.  No option chooses between them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import subprocess
+import tempfile
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Generator
 
 import numpy as np
@@ -164,17 +174,6 @@ def baseline(name: str) -> PolicyTable:
     return _BASELINES[name]
 
 
-def _lookup(policy: PolicyTable) -> tuple:
-    """``(rows, cap, clamps)``: ``PolicyTable.rows``, read with n0 and n2
-    clamped to ``cap`` as ``PolicyTable.action`` reads them; a read beyond
-    the cap adds ``clamps`` saturation events: 1, or 0 for an
-    ``exact_beyond_cap`` table.
-    """
-    if not isinstance(policy, PolicyTable):
-        raise TypeError(f"a policy must be a PolicyTable, got {type(policy).__name__}")
-    return policy.rows, policy.n_max, 0 if policy.exact_beyond_cap else 1
-
-
 def mm1_reference(lam: float, mu: float) -> float:
     """Mean sojourn of the single exponential queue, 1/(mu - lam)."""
     if mu <= lam:
@@ -217,93 +216,137 @@ def _close(cfg: SimConfig, area: float, t_area: float, in_system: int, completed
     )
 
 
-def _offload_only_replication(
-    p: ModelParams, cfg: SimConfig, rep: int, times: tuple | None
-) -> Generator[float, None, _RepResult]:
-    """The event loop's replication of ``offload_only``, one arrival chunk at a time.
+_LOOP_SOURCE = Path(__file__).with_name("_loop.c")
+# no fast-math: a fused multiply-add would move the loop's last bits
+_LOOP_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_LOG_SIZE = 2 * _CHUNK  # time-log entries the compiled loop holds between returns
+# rep_run's return codes, as _loop.c numbers them
+_REP_DONE, _REP_PAUSE, _REP_TRIP, _REP_LOG = range(4)
 
-    Every job is offloaded whole, in arrival order, so the system is a FIFO
-    single-server queue and Lindley's recursion gives each departure.  Each
-    float the loop computes is computed here by the same operation on the
-    same operands: arrival instants as ``t + gap``, job j's service time as
-    the j-th pair's first draw times ``1/mu_c1``, departures as
-    ``max(a, d) + s``, and the area and sojourn sums added up in event
-    order, arrivals first at ties.  Each chunk's arrivals are merged with
-    the departures before its last arrival; the jobs still in the system
-    carry over to the next chunk.  Logs, pauses and result are the loop's.
+
+def _fields(ctype, names: str) -> list:
+    return [(name, ctype) for name in names.split()]
+
+
+class _Ring(ctypes.Structure):
+    _fields_ = [("buf", ctypes.c_void_p), *_fields(ctypes.c_int64, "cap head len")]
+
+
+class _Rep(ctypes.Structure):
+    """``struct rep`` of ``_loop.c``, field for field."""
+
+    _fields_ = [
+        ("actions", ctypes.c_void_p),
+        *_fields(ctypes.c_int64, "cap clamps"),
+        *_fields(ctypes.c_double, "horizon warmup l2_ratio inv_c1 inv_c2"),
+        ("gaps", ctypes.c_void_p),
+        *_fields(ctypes.c_int64, "chunk gap_i"),
+        ("trip", ctypes.c_void_p),
+        *_fields(ctypes.c_int64, "trip_len trip_i"),
+        *_fields(ctypes.c_void_p, "log_t log_kind"),
+        *_fields(ctypes.c_int64, "log_cap log_len"),
+        *_fields(ctypes.c_double, "t t_area nf next_arrival t_srv local_arr local_c2 local_done "
+                                  "sm1_arr sm1_remaining sm1_done cloud_sm2_done sojourn_sum area"),
+        *_fields(ctypes.c_int64, "n0 i2 i1 n2 srv_ev pending_kind paused "
+                                 "completed counted saturation"),
+        *_fields(_Ring, "base cloud"),
+    ]
+
+
+@functools.cache
+def _load_loop() -> ctypes.CDLL | None:
+    """The compiled event loop, built on first use, or None when it cannot be built.
+
+    The library is cached in the user cache directory under the SHA-256 of
+    the source and the flags, written under a temporary name and then
+    renamed, so a reader never loads half a file.  None means no C compiler,
+    a build error or no writable directory; the Python loop runs instead.
     """
-    horizon = cfg.horizon
-    warmup = cfg.warmup
+    try:
+        source = _LOOP_SOURCE.read_bytes()
+        digest = hashlib.sha256(source + "\0".join(_LOOP_CFLAGS).encode()).hexdigest()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "offloadq"
+        path = cache / f"_loop-{digest[:16]}.so"
+        if not path.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(["cc", *_LOOP_CFLAGS, "-o", tmp, str(_LOOP_SOURCE)],
+                               check=True, capture_output=True)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError, subprocess.CalledProcessError):
+        return None  # Path.home raises RuntimeError when no home is known
+    if ctypes.c_size_t.in_dll(lib, "rep_size").value != ctypes.sizeof(_Rep):
+        raise RuntimeError(f"{path} lays out struct rep unlike simulator._Rep")
+    lib.rep_run.argtypes = lib.rep_free.argtypes = [ctypes.POINTER(_Rep)]
+    lib.rep_run.restype = ctypes.c_int
+    lib.rep_free.restype = None
+    return lib
+
+
+def _compiled_replication(
+    lib: ctypes.CDLL, policy: PolicyTable, p: ModelParams, cfg: SimConfig, rep: int,
+    times: tuple | None, clamps: int,
+) -> Generator[float, None, _RepResult]:
+    """``_run_replication`` without event records, run by ``_loop.c``.
+
+    The arrays the C loop reads stay referenced here while it runs.  Each
+    return refills what it asks for: the gaps after a pause, the triplets
+    when fewer than two pairs are left; and the time log, emptied into
+    ``times`` at every return, so each kind's log is appended in the Python
+    loop's order.
+    """
     lam = p.lam
-    inv_c1 = 1.0 / p.mu_c1
     rng_arrivals = substream(cfg.seed, rep, ARRIVALS)
     rng_triplets = substream(cfg.seed, rep, TRIPLETS)
-
-    # arrival and departure instants of the jobs in the system, a pair per chunk
-    held: deque = deque()
-    until = 0.0  # the last arrival drawn
-    last_dep = 0.0
-    t_last = 0.0  # the last event instant processed
-    in_system = 0
-    completed = 0
-    counted = 0
-    sojourn_sum = 0.0
-    area = 0.0
-    while lam > 0.0:
-        arr = rng_arrivals.standard_exponential(_CHUNK) / lam
-        arr[0] += until
-        arr = np.cumsum(arr)  # sequential: the loop's t + gap, one by one
-        until = float(arr[-1])
-        last_chunk = until > horizon
-        if last_chunk:
-            arr = arr[: np.searchsorted(arr, horizon, side="right")]
-        n = arr.size
-        # a chunk of triplet draws holds two per job of an arrival chunk
-        services = rng_triplets.standard_exponential(_TRIP_CHUNK)[: 2 * n : 2] * inv_c1
-        dep = np.fromiter([last_dep := (a if a > last_dep else last_dep) + s
-                           for a, s in zip(arr.tolist(), services.tolist())], float, n)
-        held.append((arr, dep))
-        # departures are in job order, so the leaving jobs are a prefix;
-        # those at the pause instant follow it
-        cut, side = (horizon, "right") if last_chunk else (until, "left")
-        leaving = []
-        while held:
-            a, d = held[0]
-            k = int(np.searchsorted(d, cut, side=side))
-            if k < d.size:
-                leaving.append((a[:k], d[:k]))
-                held[0] = (a[k:], d[k:])
+    actions = np.ascontiguousarray(policy.actions, dtype=np.int8)
+    gaps = np.empty(_CHUNK)
+    trip = np.empty(_TRIP_CHUNK + 2)  # a chunk after the one pair left over, if any
+    log_t = np.empty(_LOG_SIZE)
+    log_kind = np.empty(_LOG_SIZE, dtype=np.int8)
+    r = _Rep(
+        actions=actions.ctypes.data, cap=policy.n_max, clamps=clamps,
+        horizon=cfg.horizon, warmup=cfg.warmup, l2_ratio=p.mu_c1 / p.mu_l2,
+        inv_c1=1.0 / p.mu_c1, inv_c2=1.0 / p.mu_c2,
+        gaps=gaps.ctypes.data, chunk=_CHUNK, trip=trip.ctypes.data,
+        log_t=None if times is None else log_t.ctypes.data, log_kind=log_kind.ctypes.data,
+        log_cap=_LOG_SIZE, t_area=cfg.warmup, next_arrival=INF, t_srv=INF,
+        local_done=INF, sm1_done=INF, cloud_sm2_done=INF, srv_ev=LOCAL_DONE, pending_kind=-1,
+    )
+    if lam > 0.0:
+        np.divide(rng_arrivals.standard_exponential(out=gaps), lam, out=gaps)
+        r.next_arrival = gaps[0]
+        r.gap_i = 1
+    try:
+        while True:
+            code = lib.rep_run(r)
+            if r.log_len:
+                t, kinds = log_t[:r.log_len], log_kind[:r.log_len]
+                for kind, log in enumerate(times):
+                    log.extend(t[kinds == kind].tolist())
+                r.log_len = 0
+            if code == _REP_DONE:
                 break
-            leaving.append(held.popleft())
-        left_arr = np.concatenate([a for a, _ in leaving])
-        left_dep = np.concatenate([d for _, d in leaving])
-        k = left_dep.size
-
-        # the window's events in loop order, an arrival first at a tie, after
-        # the last instant processed, which takes no job step
-        t_ev = np.concatenate((arr, left_dep))
-        order = np.argsort(t_ev, kind="stable")
-        t_ev = np.concatenate(([t_last], t_ev[order]))
-        jobs = in_system + np.cumsum(np.concatenate(([0], np.where(order < n, 1, -1))))
-        t_from = np.maximum(t_ev[:-1], warmup)
-        # after warmup each event adds N(t-) * (t - t_from); a tie adds 0.0
-        terms = np.where(t_ev[1:] > warmup, jobs[:-1] * (t_ev[1:] - t_from), 0.0)
-        area = float(np.cumsum(np.concatenate(([area], terms)))[-1])
-        t_last = float(t_ev[-1])
-        in_system = int(jobs[-1])
-        after = left_arr >= warmup
-        sojourns = (left_dep - left_arr)[after]
-        sojourn_sum = float(np.cumsum(np.concatenate(([sojourn_sum], sojourns)))[-1])
-        counted += int(np.count_nonzero(after))
-        completed += k
-        if times is not None:
-            times[ARRIVAL].extend(arr.tolist())
-            times[CLOUD_SM1_DONE].extend(left_dep.tolist())
-        if last_chunk:
-            break
-        yield until
-    return (yield from _close(cfg, area, max(t_last, warmup), in_system, completed, counted,
-                              sojourn_sum, 0))
+            if code == _REP_PAUSE:
+                yield r.t
+                np.divide(rng_arrivals.standard_exponential(out=gaps), lam, out=gaps)
+            elif code == _REP_TRIP:
+                left = r.trip_len - r.trip_i
+                trip[:left] = trip[r.trip_i:r.trip_len]
+                rng_triplets.standard_exponential(out=trip[left:left + _TRIP_CHUNK])
+                r.trip_len, r.trip_i = left + _TRIP_CHUNK, 0
+            elif code != _REP_LOG:
+                raise RuntimeError("the compiled event loop stopped: a queue could not grow, "
+                                   "or the table dispatched more jobs than were queued")
+    finally:
+        lib.rep_free(r)  # the queues; the counters stay
+    return (yield from _close(cfg, r.area, r.t_area, int(r.nf), r.completed, r.counted,
+                              r.sojourn_sum, r.saturation))
 
 
 def _run_replication(
@@ -325,9 +368,14 @@ def _run_replication(
     yielded value, and any instant logged later lies at or after it.  Its
     return value is the replication's result.
     """
-    if policy is _BASELINES["offload_only"] and not collect_events:
-        return (yield from _offload_only_replication(p, cfg, rep, times))
-    rows, cap, clamps = _lookup(policy)
+    if not isinstance(policy, PolicyTable):
+        raise TypeError(f"a policy must be a PolicyTable, got {type(policy).__name__}")
+    # a read beyond the cap adds this many saturation events
+    clamps = 0 if policy.exact_beyond_cap else 1
+    lib = None if collect_events else _load_loop()
+    if lib is not None:
+        return (yield from _compiled_replication(lib, policy, p, cfg, rep, times, clamps))
+    rows, cap = policy.rows, policy.n_max
 
     horizon = cfg.horizon
     warmup = cfg.warmup

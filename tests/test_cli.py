@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import offloadq
+from offloadq import simulator
 from offloadq.cli import _CONFIG_KEYS, _config_blocks, build_parser, main
 from offloadq.kernel import build_state_space
 from offloadq.model import Action
@@ -371,6 +372,17 @@ def test_grid_default_filename(tmp_path):
     assert main(["grid", "--solution", str(sol), "--i2", "1", "--i1", "0",
                  "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "grid_i21_i10.csv").exists()
+
+
+def test_solve_and_analyze_never_load_the_simulator_kernel(tmp_path, monkeypatch):
+    # the compiled event loop is built on the first replication, never at import
+    def refuse():
+        raise AssertionError("the compiled event loop was loaded")
+
+    monkeypatch.setattr(simulator, "_load_loop", refuse)
+    sol = _solve_fast(tmp_path)
+    assert main(["analyze", "--solution", str(sol), "--margin", "2",
+                 "--out-dir", str(tmp_path)]) == 0
 
 
 def test_analyze_pass_and_artifacts(tmp_path, capsys):

@@ -5,6 +5,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -766,7 +768,7 @@ def test_a_saturating_table_is_read_not_called(monkeypatch):
     assert rep.rep_mean_sojourn.tolist() == PINNED_PATHS[("heavy", "non_idling")][0]
 
 
-# ---------------------------------------------------------------- closed form
+# ---------------------------------------------------------------- compiled loop
 
 
 def _assert_same_report(x, y):
@@ -778,69 +780,123 @@ def _assert_same_report(x, y):
             assert a == b or (a != a and b != b), field.name
 
 
+def _assert_same_coupling(x, y):
+    _assert_same_report(x.report_a, y.report_a)
+    _assert_same_report(x.report_b, y.report_b)
+    assert np.array_equal(x.rep_dominance, y.rep_dominance, equal_nan=True)
+
+
+@pytest.fixture
+def compiled():
+    """Skip unless the compiled event loop can be built here."""
+    if simulator._load_loop() is None:
+        pytest.skip("the compiled event loop cannot be built here (no C compiler?)")
+
+
+@pytest.fixture
+def in_python(monkeypatch):
+    """Run a call with the loader reporting no kernel, so in the Python loop."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_load_loop", lambda: None)
+            return fn(*args, **kwargs)
+    return run
+
+
+def test_the_loop_source_compiles_without_warnings(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    subprocess.run([cc, *simulator._LOOP_CFLAGS, "-Wall", "-Wextra", "-Werror",
+                    "-o", str(tmp_path / "loop.so"), str(simulator._LOOP_SOURCE)],
+                   check=True, capture_output=True)
+
+
+# every case of test_sample_path_pinned, by its id's config and policy
+_PINNED_CASES = {f"{c}-{pol}-pinned": (c, pol) for c in ("a", "heavy")
+                 for pol in ("offload_only", "non_idling", "table8", "table1",
+                             "always_sm1", "always_sm2", "always_composite")}
+
+
+def _compiled_case(name):
+    """(policy, params, config) of a named case: each pinned sample path, a
+    clamped cap-6 optimum, random admissible tables, a composite across a
+    triplet chunk, rates whose products round, and no arrivals."""
+    if name in _PINNED_CASES:
+        config, policy = _PINNED_CASES[name]
+        return _pin_policy(policy), CONFIG_A if config == "a" else HEAVY, PIN_CFG
+    config, policy, *how = name.split("-")
+    p = {"a": CONFIG_A, "heavy": HEAVY, "lam0": derive_rates(0.0, 1.0, 8.0, 0.4),
+         # 1 / mu_c1 is not a power of two, so a reordered product rounds apart
+         "odd": derive_rates(lambda_from_utilization(0.893, 1.0, 14.69), 1.0, 14.69, 0.082),
+         }[config]
+    cfg = PIN_CFG
+    if config == "odd":  # count the first jobs, while t is small enough to keep last bits
+        cfg = SimConfig(horizon=300.0, warmup=0.0, replications=2, seed=2024)
+    if how == ["chunk"]:  # a composite takes the last triplet pair of a chunk and the next's first
+        cfg = SimConfig(horizon=2000.0, replications=1, seed=3)
+    return _replay_table(policy, p) if policy in ("optimal", "random") else baseline(policy), p, cfg
+
+
+@pytest.mark.parametrize("name", [*_PINNED_CASES, "heavy-optimal", "a-random", "heavy-random",
+                                  "a-random-chunk", "odd-non_idling", "odd-optimal", "odd-random",
+                                  "lam0-non_idling", "lam0-random"])
+def test_compiled_loop_equals_the_python_loop(name, compiled, in_python):
+    # the compiled loop repeats the Python loop's float operations in its
+    # order: reports, saturation counts, coupled logs and dominance agree
+    # to the last bit, beside non_idling on either side
+    policy, p, cfg = _compiled_case(name)
+    fast = simulate(policy, p, cfg)
+    _assert_same_report(fast, in_python(simulate, policy, p, cfg))
+    if name == "heavy-optimal":  # clamped beyond its cap, under load
+        assert fast.saturation_events > 0
+    other = baseline("non_idling")
+    for a, b in ((policy, other), (other, policy)):
+        _assert_same_coupling(coupled_compare(a, b, p, cfg),
+                              in_python(coupled_compare, a, b, p, cfg))
+
+
 @pytest.mark.parametrize("load", [0.0, 0.02, 0.6, 0.9, 1.05, 1.3])
-def test_offload_only_closed_form_equals_the_event_loop(load):
-    # offload_only runs in closed form; a copy of its table is not the
-    # baseline, so the event loop runs it and is the reference.
+def test_offload_only_closed_form_equals_the_event_loop(load, compiled, in_python):
+    # the compiled loop against the Python loop, its reference, on
+    # offload_only and non_idling over the three kinds of warmup.
     # `load` is the cloud server's, lam / mu_c1, so 1.05 and 1.3 overload it
-    offload_only = baseline("offload_only")
-    loop = PolicyTable(offload_only.actions, exact_beyond_cap=True)
     p = derive_rates(load * CONFIG_A.mu_c1, CONFIG_A.mu0, CONFIG_A.K, CONFIG_A.f)
     # about 3.3 chunks of arrivals: at least three refills, and a part chunk
     horizon = 3.3 * _CHUNK / p.lam if p.lam else 100.0
-    for warmup in (None, 0.0, math.nextafter(horizon, 0.0)):
-        for seed in (3, 4):
-            cfg = SimConfig(horizon=horizon, warmup=warmup, replications=1, seed=seed)
-            fast = simulate(offload_only, p, cfg)
-            _assert_same_report(fast, simulate(loop, p, cfg))
-            assert p.lam == 0.0 or fast.rep_jobs_arrived[0] > 3 * _CHUNK
+    for name in ("offload_only", "non_idling"):
+        policy = baseline(name)
+        for warmup in (None, 0.0, math.nextafter(horizon, 0.0)):
+            for seed in (3, 4):
+                cfg = SimConfig(horizon=horizon, warmup=warmup, replications=1, seed=seed)
+                fast = simulate(policy, p, cfg)
+                _assert_same_report(fast, in_python(simulate, policy, p, cfg))
+                assert p.lam == 0.0 or fast.rep_jobs_arrived[0] > 3 * _CHUNK
     cfg = SimConfig(horizon=horizon, replications=2, seed=5)
-    other = baseline("non_idling")
-    for a, b, ref_a, ref_b in ((offload_only, other, loop, other),
-                               (other, offload_only, other, loop),
-                               (offload_only, offload_only, loop, loop)):
-        fast, ref = coupled_compare(a, b, p, cfg), coupled_compare(ref_a, ref_b, p, cfg)
-        _assert_same_report(fast.report_a, ref.report_a)
-        _assert_same_report(fast.report_b, ref.report_b)
-        assert np.array_equal(fast.rep_dominance, ref.rep_dominance, equal_nan=True)
+    offload_only, other = baseline("offload_only"), baseline("non_idling")
+    for a, b in ((offload_only, other), (other, offload_only), (offload_only, offload_only)):
+        _assert_same_coupling(coupled_compare(a, b, p, cfg),
+                              in_python(coupled_compare, a, b, p, cfg))
 
 
-def test_offload_only_takes_the_closed_form(monkeypatch):
-    # only the event loop looks up a policy's rows: if the closed form fell
-    # back to the loop, these runs would fail here
-    def refuse(policy):
-        raise AssertionError("the event loop ran")
-
-    monkeypatch.setattr(simulator, "_lookup", refuse)
-    offload_only = baseline("offload_only")
+def test_without_a_kernel_the_python_loop_gives_the_same_reports(monkeypatch):
     cfg = SimConfig(horizon=2000.0, replications=2, seed=19)
-    rep = simulate(offload_only, HEAVY, cfg)
-    cr = coupled_compare(offload_only, offload_only, HEAVY, cfg)
-    assert (rep.rep_jobs_arrived > 3 * _CHUNK).all()
-    _assert_same_report(cr.report_a, rep)
-    _assert_same_report(cr.report_b, rep)
-    with pytest.raises(AssertionError, match="the event loop ran"):  # event records need it
-        simulate(offload_only, HEAVY, cfg, collect_events=True)
+    table, other = _pin_policy("table8"), baseline("offload_only")
+    built = simulate(table, HEAVY, cfg), coupled_compare(table, other, HEAVY, cfg)
+    monkeypatch.setattr(simulator, "_load_loop", lambda: None)
+    _assert_same_report(simulate(table, HEAVY, cfg), built[0])
+    _assert_same_coupling(coupled_compare(table, other, HEAVY, cfg), built[1])
+    assert built[0].saturation_events > 0
 
 
-def test_a_copy_of_offload_only_runs_the_event_loop(monkeypatch):
-    # the closed form is keyed to the baseline table itself: an equal table
-    # built elsewhere is looked up and run by the loop, to the same report
-    copy = PolicyTable(baseline("offload_only").actions, exact_beyond_cap=True)
-    looked_up = []
-    lookup = simulator._lookup
+def test_event_records_never_load_the_kernel(monkeypatch):
+    # only the Python loop writes event records
+    def refuse():
+        raise AssertionError("the compiled event loop was loaded")
 
-    def record(policy):
-        looked_up.append(policy)
-        return lookup(policy)
-
-    monkeypatch.setattr(simulator, "_lookup", record)
-    cfg = SimConfig(horizon=2000.0, replications=2, seed=19)
-    loop = simulate(copy, HEAVY, cfg)
-    assert looked_up == [copy, copy]
-    _assert_same_report(loop, simulate(baseline("offload_only"), HEAVY, cfg))
-    assert looked_up == [copy, copy]
-    assert (loop.rep_jobs_arrived > 3 * _CHUNK).all()
+    monkeypatch.setattr(simulator, "_load_loop", refuse)
+    rep = simulate(baseline("non_idling"), CONFIG_A, PIN_CFG, collect_events=True)
+    assert len(rep.event_logs) == 2
 
 
 def _pauses(run):
@@ -854,21 +910,27 @@ def _pauses(run):
 
 
 @pytest.mark.parametrize("name", ["non_idling", "copy of offload_only", "offload_only"])
-def test_every_replication_pauses_at_each_chunk_and_after_its_end(name):
-    # the event loop (a baseline table, or a copy of offload_only's) and the
-    # closed form pause alike, logging or not: at the last arrival of each
-    # full chunk before the horizon, and once after the last event
+def test_every_replication_pauses_at_each_chunk_and_after_its_end(name, monkeypatch):
+    # the compiled loop and the Python loop pause alike, logging or not: at
+    # the last arrival of each full chunk before the horizon, and once after
+    # the last event.  The ids keep the cases' names: a copy of
+    # offload_only's table now runs as the baseline does
     policy = (PolicyTable(baseline("offload_only").actions, exact_beyond_cap=True)
               if name.startswith("copy") else baseline(name))
     cfg = SimConfig(horizon=2000.0, replications=1, seed=19)
-    pauses, result = _pauses(simulator._run_replication(policy, HEAVY, cfg, 0))
-    assert result.jobs_arrived > 3 * _CHUNK
-    arrivals, _ = _drawn_jobs(19, result.jobs_arrived, HEAVY)
-    assert pauses == [*arrivals[_CHUNK - 1::_CHUNK], math.inf]
-    logs = tuple([] for _ in EVENT_KINDS)
-    assert _pauses(simulator._run_replication(policy, HEAVY, cfg, 0, times=logs)) == (
-        pauses, result)
-    assert logs[0] == arrivals
+    runs = []
+    for loader in (simulator._load_loop, lambda: None):
+        monkeypatch.setattr(simulator, "_load_loop", loader)
+        pauses, result = _pauses(simulator._run_replication(policy, HEAVY, cfg, 0))
+        assert result.jobs_arrived > 3 * _CHUNK
+        arrivals, _ = _drawn_jobs(19, result.jobs_arrived, HEAVY)
+        assert pauses == [*arrivals[_CHUNK - 1::_CHUNK], math.inf]
+        logs = tuple([] for _ in EVENT_KINDS)
+        assert _pauses(simulator._run_replication(policy, HEAVY, cfg, 0, times=logs)) == (
+            pauses, result)
+        assert logs[0] == arrivals
+        runs.append((pauses, result, logs))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------- dominance count
