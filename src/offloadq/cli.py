@@ -44,7 +44,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .kernel import DiscountSpec, build_kernel, build_state_space, uniformization_rate
+from .kernel import DiscountSpec, build_kernel, build_state_space, state_grid, uniformization_rate
 from .model import (
     ModelParams,
     derive_rates,
@@ -399,7 +399,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    plane = _load_artifact(args.solution).policy.rows[args.i2][args.i1]  # [n0][n2]
+    policy = _load_artifact(args.solution).policy
+    plane = policy.actions.reshape(state_grid(policy.n_max))[args.i2, args.i1].tolist()  # [n0][n2]
     rows = [(str(n0), str(n2), str(_GRID_ACTION[a]), str(int(a == 3)))
             for n0 in range(1, len(plane)) for n2, a in enumerate(plane[n0])]
     out_dir = _resolve_out_dir(args, {})

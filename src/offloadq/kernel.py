@@ -116,12 +116,12 @@ class PolicyTable:
 
     ``n_max`` is derived from the length of ``actions``, or checked against
     it when given, and every action must be admissible in its state by
-    ``admissible_mask``.  ``rows`` holds the table as nested lists indexed
-    ``[i2][i1][n0][n2]``, the axes of the state grid, built on first use.
-    ``action`` reads one state, clamping n0 and n2 to the cap, so it answers
-    for the untruncated system too; the simulator's event loop reads the
-    rows inline the same way, without calling it.  A clamped answer stays
-    admissible, since admissibility asks at most ``n0 >= 2``.
+    ``admissible_mask``.  The table keeps its own read-only copy of
+    ``actions``, so it stays checked: neither it nor the caller's array can
+    change it.  ``action`` reads one state, clamping n0 and n2 to the cap,
+    so it answers for the untruncated system too; the simulator's event
+    loops read the table the same way, without calling it.  A clamped
+    answer stays admissible, since admissibility asks at most ``n0 >= 2``.
     ``exact_beyond_cap`` says the rows at the cap are the policy's own answer
     for any larger n0 and n2; without it, the simulator counts each read
     beyond the cap as saturation.
@@ -141,7 +141,8 @@ class PolicyTable:
             why = ("which fits no queue cap" if self.n_max is None
                    else f"but cap {self.n_max} needs ({4 * (self.n_max + 1) ** 2},)")
             raise ValueError(f"policy table has shape {actions.shape}, {why}")
-        actions = np.asarray(actions, dtype=np.int8)
+        actions = np.array(actions, dtype=np.int8)  # the table's own copy
+        actions.flags.writeable = False
         ok = admissible_mask(cap)[actions, np.arange(actions.size)]
         if not ok.all():
             bad = int(np.flatnonzero(~ok)[0])
@@ -151,13 +152,9 @@ class PolicyTable:
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "n_max", cap)
 
-    @cached_property
-    def rows(self) -> list:
-        return self.actions.reshape(state_grid(self.n_max)).tolist()
-
     def action(self, n0: int, i2: int, i1: int, n2: int) -> int:
         m = self.n_max
-        return self.rows[i2][i1][min(n0, m)][min(n2, m)]
+        return int(self.actions[state_ids(m, min(n0, m), i2, i1, min(n2, m))])
 
 
 @dataclass(frozen=True)

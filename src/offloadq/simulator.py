@@ -11,13 +11,11 @@ a deterministic function of the seed, and two coupled systems share
 exactly the arrival and service-triplet streams and nothing else.
 
 The event loop reads each action from the table, with n0 and n2 clamped
-to its cap: the Python loop from its nested rows (``PolicyTable.rows``),
-the compiled loop from ``PolicyTable.actions`` by state id.  Every row is
-admissible, checked where the table is built, and so is every clamped
-read.  The replication counts each read beyond the cap as a saturation
-event in its own counter, unless the table is ``exact_beyond_cap``, as the
-two baselines are at cap 2: no run changes its policy, so two runs may
-share one.
+to its cap.  Every action is admissible, checked where the table is
+built, and so is every clamped read.  The replication counts each read
+beyond the cap as a saturation event in its own counter, unless the
+table is ``exact_beyond_cap``, as the two baselines are at cap 2: no run
+changes its policy, so two runs may share one.
 
 Every job carries a triplet of service times: an Exponential(mu_c1)
 full-offload cloud time; a local preprocessing time that is the same draw
@@ -42,17 +40,14 @@ time and counts each window before the next is logged, so its memory
 does not grow with the horizon; ``simulate`` runs a replication to its
 end.
 
-The event loop runs compiled, from ``_loop.c``, built with the system C
-compiler on the first replication of a process and cached in the user
-cache directory; nothing is built at import.  The Python loop in
-``_run_replication`` stays: it is the reference the tests compare the
-compiled loop against, the only loop that writes event records
-(``collect_events``), and the one that runs when no kernel can be built
-(no compiler, a build error, no writable cache directory).  The two agree
-to the last bit: the C loop carries the same state between events, draws
-the same chunks of the same streams, and repeats each float operation on
-the same operands in the same order, compiled without contraction into
-fused multiply-adds.  No option chooses between them.
+One driver, ``_run_replication``, runs either event loop on one record:
+the compiled ``rep_run`` of ``_loop.c``, built with the system C compiler
+on the first replication of a process and cached in the user cache
+directory, or ``_python_run``, its twin, which returns at the same points
+with the same state.  The Python twin is the reference the tests hold the
+compiled loop to bit for bit, the only loop that writes event records
+(``collect_events``), and the one that runs when no kernel can be built;
+no option chooses between them.
 """
 
 from __future__ import annotations
@@ -74,7 +69,7 @@ from typing import Generator
 import numpy as np
 from scipy.special import stdtrit
 
-from .kernel import EVENT_KINDS, EVENTS, PolicyTable, build_state_space, state_ids
+from .kernel import EVENT_KINDS, EVENTS, PolicyTable, build_state_space, state_grid, state_ids
 from .model import Action, ModelParams
 
 INF = math.inf
@@ -193,35 +188,16 @@ class _RepResult:
     events: list | None = None
 
 
-def _close(cfg: SimConfig, area: float, t_area: float, in_system: int, completed: int,
-           counted: int, sojourn_sum: float, saturation: int,
-           events: list | None = None) -> Generator[float, None, _RepResult]:
-    """A replication's last pause, after its last event, then its result.
-
-    ``area`` is the time-average area added up to ``t_area``; the
-    ``in_system`` jobs still in the system add theirs from there to the
-    horizon.
-    """
-    yield INF
-    span = cfg.horizon - cfg.warmup
-    return _RepResult(
-        jobs_arrived=completed + in_system,
-        jobs_completed=completed,
-        jobs_in_system=in_system,
-        mean_sojourn=sojourn_sum / counted if counted else 0.0,
-        time_avg_jobs=(area + in_system * (cfg.horizon - t_area)) / span,
-        lambda_eff=counted / span,
-        saturation_events=saturation,
-        events=events,
-    )
-
-
 _LOOP_SOURCE = Path(__file__).with_name("_loop.c")
 # no fast-math: a fused multiply-add would move the loop's last bits
 _LOOP_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-_LOG_SIZE = 2 * _CHUNK  # time-log entries the compiled loop holds between returns
+_LOG_SIZE = 2 * _CHUNK  # time-log entries either loop holds between returns
 # rep_run's return codes, as _loop.c numbers them
 _REP_DONE, _REP_PAUSE, _REP_TRIP, _REP_LOG = range(4)
+# the fields of struct rep that rep_run moves, each a local of _python_run's of the same name
+_CARRIED = ("gap_i trip_i log_len t t_area nf next_arrival t_srv local_arr local_c2 local_done "
+            "sm1_arr sm1_remaining sm1_done cloud_sm2_done sojourn_sum area "
+            "n0 i2 i1 n2 srv_ev pending_kind paused completed counted saturation").split()
 
 
 def _fields(ctype, names: str) -> list:
@@ -289,152 +265,45 @@ def _load_loop() -> ctypes.CDLL | None:
     return lib
 
 
-def _compiled_replication(
-    lib: ctypes.CDLL, policy: PolicyTable, p: ModelParams, cfg: SimConfig, rep: int,
-    times: tuple | None, clamps: int,
-) -> Generator[float, None, _RepResult]:
-    """``_run_replication`` without event records, run by ``_loop.c``.
+def _python_run(r: _Rep, rows: list, bufs: tuple, queues: tuple, events: list | None) -> int:
+    """``rep_run`` of ``_loop.c`` in Python, on the same record: the reference loop.
 
-    The arrays the C loop reads stay referenced here while it runs.  Each
-    return refills what it asks for: the gaps after a pause, the triplets
-    when fewer than two pairs are left; and the time log, emptied into
-    ``times`` at every return, so each kind's log is appended in the Python
-    loop's order.
+    It reads the record's state into locals, runs to the return ``rep_run``
+    makes, with its code, and writes the state back; ``rows`` is the table
+    as nested lists, ``[i2][i1][n0][n2]``, ``bufs`` the arrays the record
+    points at, (gaps, trip, log_t, log_kind), and ``queues`` the base and
+    cloud queues as deques, kept by the caller between returns.  Unless
+    None, ``events`` takes the full record of every event.
     """
-    lam = p.lam
-    rng_arrivals = substream(cfg.seed, rep, ARRIVALS)
-    rng_triplets = substream(cfg.seed, rep, TRIPLETS)
-    actions = np.ascontiguousarray(policy.actions, dtype=np.int8)
-    gaps = np.empty(_CHUNK)
-    trip = np.empty(_TRIP_CHUNK + 2)  # a chunk after the one pair left over, if any
-    log_t = np.empty(_LOG_SIZE)
-    log_kind = np.empty(_LOG_SIZE, dtype=np.int8)
-    r = _Rep(
-        actions=actions.ctypes.data, cap=policy.n_max, clamps=clamps,
-        horizon=cfg.horizon, warmup=cfg.warmup, l2_ratio=p.mu_c1 / p.mu_l2,
-        inv_c1=1.0 / p.mu_c1, inv_c2=1.0 / p.mu_c2,
-        gaps=gaps.ctypes.data, chunk=_CHUNK, trip=trip.ctypes.data,
-        log_t=None if times is None else log_t.ctypes.data, log_kind=log_kind.ctypes.data,
-        log_cap=_LOG_SIZE, t_area=cfg.warmup, next_arrival=INF, t_srv=INF,
-        local_done=INF, sm1_done=INF, cloud_sm2_done=INF, srv_ev=LOCAL_DONE, pending_kind=-1,
-    )
-    if lam > 0.0:
-        np.divide(rng_arrivals.standard_exponential(out=gaps), lam, out=gaps)
-        r.next_arrival = gaps[0]
-        r.gap_i = 1
-    try:
-        while True:
-            code = lib.rep_run(r)
-            if r.log_len:
-                t, kinds = log_t[:r.log_len], log_kind[:r.log_len]
-                for kind, log in enumerate(times):
-                    log.extend(t[kinds == kind].tolist())
-                r.log_len = 0
-            if code == _REP_DONE:
-                break
-            if code == _REP_PAUSE:
-                yield r.t
-                np.divide(rng_arrivals.standard_exponential(out=gaps), lam, out=gaps)
-            elif code == _REP_TRIP:
-                left = r.trip_len - r.trip_i
-                trip[:left] = trip[r.trip_i:r.trip_len]
-                rng_triplets.standard_exponential(out=trip[left:left + _TRIP_CHUNK])
-                r.trip_len, r.trip_i = left + _TRIP_CHUNK, 0
-            elif code != _REP_LOG:
-                raise RuntimeError("the compiled event loop stopped: a queue could not grow, "
-                                   "or the table dispatched more jobs than were queued")
-    finally:
-        lib.rep_free(r)  # the queues; the counters stay
-    return (yield from _close(cfg, r.area, r.t_area, int(r.nf), r.completed, r.counted,
-                              r.sojourn_sum, r.saturation))
-
-
-def _run_replication(
-    policy: PolicyTable,
-    p: ModelParams,
-    cfg: SimConfig,
-    rep: int,
-    collect_events: bool = False,
-    times: tuple | None = None,
-) -> Generator[float, None, _RepResult]:
-    """Replication ``rep`` on the substreams (cfg.seed, rep, ARRIVALS/TRIPLETS).
-
-    ``times`` holds one log per entry of ``EVENT_KINDS``, anything with
-    ``append`` and ``extend``; the run adds each event instant to its kind's
-    log, unless ``collect_events`` logs the full records instead.  Logged
-    or not, the generator yields at every refill of the arrival gaps before
-    the horizon the instant of the arrival just drawn, and ``INF`` after
-    the last event: every instant logged by then lies at or before the
-    yielded value, and any instant logged later lies at or after it.  Its
-    return value is the replication's result.
-    """
-    if not isinstance(policy, PolicyTable):
-        raise TypeError(f"a policy must be a PolicyTable, got {type(policy).__name__}")
-    # a read beyond the cap adds this many saturation events
-    clamps = 0 if policy.exact_beyond_cap else 1
-    lib = None if collect_events else _load_loop()
-    if lib is not None:
-        return (yield from _compiled_replication(lib, policy, p, cfg, rep, times, clamps))
-    rows, cap = policy.rows, policy.n_max
-
-    horizon = cfg.horizon
-    warmup = cfg.warmup
-    rng_arrivals = substream(cfg.seed, rep, ARRIVALS)
-    rng_triplets = substream(cfg.seed, rep, TRIPLETS)
-    lam = p.lam
-    l2_ratio = p.mu_c1 / p.mu_l2
-    inv_c1 = 1.0 / p.mu_c1
-    inv_c2 = 1.0 / p.mu_c2
+    gaps, trip, log_t, log_kind = (memoryview(b) for b in bufs)  # read and written in place
+    base, cloud_q = queues
+    (gap_i, trip_i, log_len, t, t_area, nf, next_arrival, t_srv, local_arr, local_c2,
+     local_done, sm1_arr, sm1_remaining, sm1_done, cloud_sm2_done, sojourn_sum, area,
+     n0, i2, i1, n2, srv_ev, pending_kind, paused, completed, counted,
+     saturation) = [getattr(r, name) for name in _CARRIED]
+    cap, clamps, horizon, warmup, chunk = r.cap, r.clamps, r.horizon, r.warmup, r.chunk
+    l2_ratio, inv_c1, inv_c2 = r.l2_ratio, r.inv_c1, r.inv_c2
+    trip_low = r.trip_len - 4  # past it, fewer than two pairs are left
+    logging = bool(r.log_t)
+    log_full = r.log_cap if logging else -1
+    collect = logging or events is not None
     # module constants as locals: the loop reads them at every event
-    idle, sm1, sm2, inf, chunk, trip_chunk = IDLE, SM1, SM2, INF, _CHUNK, _TRIP_CHUNK
+    idle, sm1, sm2, inf = IDLE, SM1, SM2, INF
     arrival, ev_local, ev_sm2, ev_sm1 = ARRIVAL, LOCAL_DONE, CLOUD_SM2_DONE, CLOUD_SM1_DONE
-
-    gaps: list[float] = []
-    gap_i = 0
-    trip: list[float] = []
-    trip_i = trip_chunk
-
-    t = 0.0
-    t_area = warmup  # the instant up to which the area has been added
-    n0 = 0
-    i2 = 0
-    i1 = 0
-    n2 = 0
-    nf = 0.0  # jobs in the system, a float for the area product
-
-    base: deque = deque()  # arrival times of the queued jobs, oldest first
-    cloud_q: deque = deque()  # split jobs at the cloud: (arrival_time, sigma_c2)
     base_append, base_popleft = base.append, base.popleft
     cloud_append, cloud_popleft = cloud_q.append, cloud_q.popleft
-    local_arr = 0.0
-    local_c2 = 0.0
-    local_done = inf  # finite exactly while the local slot is busy
-    sm1_arr = 0.0
-    sm1_remaining = 0.0
-    sm1_done = inf  # finite exactly while the full-offload job is in service
-    cloud_sm2_done = inf  # finite exactly while split jobs are at the cloud
-    # earliest service timer and its event kind, ties going to local, then
-    # split cloud, then full-offload cloud; arrivals change no timer
-    t_srv = inf
-    srv_ev = ev_local
 
-    if lam > 0.0:
-        gaps = (rng_arrivals.standard_exponential(chunk) / lam).tolist()
-        next_arrival = gaps[0]
+    if paused:  # the refill after the arrival that paused
+        paused = 0
+        next_arrival = t + gaps[0]
         gap_i = 1
-    else:
-        next_arrival = inf
-
-    completed = 0
-    counted = 0
-    sojourn_sum = 0.0
-    area = 0.0
-    saturation = 0
-    pending_kind = -1
-    collect = collect_events or times is not None
-    events: list = []
-
     while True:
+        if n0 and trip_i > trip_low:
+            code = _REP_TRIP
+            break
+        if log_len == log_full:
+            code = _REP_LOG
+            break
         # ---- apply the policy until it idles ----
         # inside the cap a row with no job queued can only idle; a
         # dispatch starts a timer that was infinite: compare it to t_srv
@@ -447,9 +316,6 @@ def _run_replication(
             if a == idle:
                 break
             if a != sm2:  # full offload, alone or first in the composite
-                if trip_i == trip_chunk:
-                    trip = rng_triplets.standard_exponential(trip_chunk).tolist()
-                    trip_i = 0
                 sm1_arr = base_popleft()
                 sm1_remaining = trip[trip_i] * inv_c1
                 trip_i += 2
@@ -463,9 +329,6 @@ def _run_replication(
                 if a == sm1:
                     continue
             # SM2, or the second half of the composite
-            if trip_i == trip_chunk:
-                trip = rng_triplets.standard_exponential(trip_chunk).tolist()
-                trip_i = 0
             local_arr = base_popleft()
             local_done = t + l2_ratio * (trip[trip_i] * inv_c1)
             local_c2 = trip[trip_i + 1] * inv_c2
@@ -477,15 +340,18 @@ def _run_replication(
                 srv_ev = ev_local
 
         if collect and pending_kind >= 0:
-            if collect_events:
+            if events is not None:
                 events.append((t, EVENT_KINDS[pending_kind], n0, i2, i1, n2))
             else:
-                times[pending_kind].append(t)
+                log_t[log_len] = t
+                log_kind[log_len] = pending_kind
+                log_len += 1
 
         # ---- next event, an arrival winning ties; the time-average
         # area over [warmup, horizon] is added up to each event ----
         if next_arrival <= t_srv:
             if next_arrival > horizon:
+                code = _REP_DONE
                 break
             t = next_arrival
             if t > warmup:
@@ -498,13 +364,14 @@ def _run_replication(
             if gap_i == chunk:
                 # this arrival is logged after the pause: a window ends
                 # before the instant that opens the next one
-                yield t
-                gaps = (rng_arrivals.standard_exponential(chunk) / lam).tolist()
-                gap_i = 0
+                paused = 1
+                code = _REP_PAUSE
+                break
             next_arrival = t + gaps[gap_i]
             gap_i += 1
             continue
         if t_srv > horizon:
+            code = _REP_DONE
             break
         t = t_srv
         if t > warmup:
@@ -559,8 +426,106 @@ def _run_replication(
                 sojourn_sum += t - sm1_arr
             t_srv = local_done
             srv_ev = ev_local
-    return (yield from _close(cfg, area, t_area, int(nf), completed, counted, sojourn_sum,
-                              saturation, events if collect_events else None))
+    state = locals()
+    for name in _CARRIED:
+        setattr(r, name, state[name])
+    return code
+
+
+def _run_replication(
+    policy: PolicyTable,
+    p: ModelParams,
+    cfg: SimConfig,
+    rep: int,
+    collect_events: bool = False,
+    times: tuple | None = None,
+) -> Generator[float, None, _RepResult]:
+    """Replication ``rep`` on the substreams (cfg.seed, rep, ARRIVALS/TRIPLETS).
+
+    ``times`` holds one log per entry of ``EVENT_KINDS``, anything with
+    ``extend``; the run adds each event instant to its kind's log, unless
+    ``collect_events`` logs the full records instead.  Logged or not, the
+    generator yields at every refill of the arrival gaps before the horizon
+    the instant of the arrival just drawn, and ``INF`` after the last
+    event: every instant logged by then lies at or before the yielded
+    value, and any instant logged later lies at or after it.  Its return
+    value is the replication's result.
+
+    One record, a ``_Rep``, carries the run; the compiled ``rep_run`` or,
+    with event records or no kernel, ``_python_run`` advances it, and this
+    driver refills what each return asks for: the gaps after a pause, the
+    triplets when fewer than two pairs are left, and the time log, emptied
+    into ``times`` at every return.  The arrays the loop reads stay
+    referenced here while it runs.
+    """
+    if not isinstance(policy, PolicyTable):
+        raise TypeError(f"a policy must be a PolicyTable, got {type(policy).__name__}")
+    lam = p.lam
+    rng_arrivals = substream(cfg.seed, rep, ARRIVALS)
+    rng_triplets = substream(cfg.seed, rep, TRIPLETS)
+    actions = policy.actions
+    gaps = np.empty(_CHUNK)
+    trip = np.empty(_TRIP_CHUNK + 2)  # a chunk after the one pair left over, if any
+    log_t = np.empty(_LOG_SIZE)
+    log_kind = np.empty(_LOG_SIZE, dtype=np.int8)
+    r = _Rep(
+        actions=actions.ctypes.data, cap=policy.n_max,
+        # a read beyond the cap adds this many saturation events
+        clamps=0 if policy.exact_beyond_cap else 1,
+        horizon=cfg.horizon, warmup=cfg.warmup, l2_ratio=p.mu_c1 / p.mu_l2,
+        inv_c1=1.0 / p.mu_c1, inv_c2=1.0 / p.mu_c2,
+        gaps=gaps.ctypes.data, chunk=_CHUNK, trip=trip.ctypes.data,
+        log_t=None if times is None else log_t.ctypes.data, log_kind=log_kind.ctypes.data,
+        log_cap=_LOG_SIZE, t_area=cfg.warmup, next_arrival=INF, t_srv=INF,
+        local_done=INF, sm1_done=INF, cloud_sm2_done=INF, srv_ev=LOCAL_DONE, pending_kind=-1,
+    )
+    events = [] if collect_events else None
+    lib = None if collect_events else _load_loop()
+    # all the two loops differ in: the Python twin's table rows and queues live here
+    run = lib.rep_run if lib is not None else functools.partial(
+        _python_run, rows=actions.reshape(state_grid(policy.n_max)).tolist(),
+        bufs=(gaps, trip, log_t, log_kind), queues=(deque(), deque()), events=events)
+    if lam > 0.0:
+        np.divide(rng_arrivals.standard_exponential(out=gaps), lam, out=gaps)
+        r.next_arrival = gaps[0]
+        r.gap_i = 1
+    try:
+        while True:
+            code = run(r)
+            if r.log_len:
+                at, kinds = log_t[:r.log_len], log_kind[:r.log_len]
+                for kind, log in enumerate(times):
+                    log.extend(at[kinds == kind].tolist())
+                r.log_len = 0
+            if code == _REP_DONE:
+                break
+            if code == _REP_PAUSE:
+                yield r.t
+                np.divide(rng_arrivals.standard_exponential(out=gaps), lam, out=gaps)
+            elif code == _REP_TRIP:
+                left = r.trip_len - r.trip_i
+                trip[:left] = trip[r.trip_i:r.trip_len]
+                rng_triplets.standard_exponential(out=trip[left:left + _TRIP_CHUNK])
+                r.trip_len, r.trip_i = left + _TRIP_CHUNK, 0
+            elif code != _REP_LOG:
+                raise RuntimeError("the compiled event loop stopped: a queue could not grow, "
+                                   "or the table dispatched more jobs than were queued")
+    finally:
+        if lib is not None:
+            lib.rep_free(r)  # the queues; the counters stay
+    yield INF  # the last pause, after the last event
+    # the jobs still in the system add their area from t_area to the horizon
+    span, in_system = cfg.horizon - cfg.warmup, int(r.nf)
+    return _RepResult(
+        jobs_arrived=r.completed + in_system,
+        jobs_completed=r.completed,
+        jobs_in_system=in_system,
+        mean_sojourn=r.sojourn_sum / r.counted if r.counted else 0.0,
+        time_avg_jobs=(r.area + in_system * (cfg.horizon - r.t_area)) / span,
+        lambda_eff=r.counted / span,
+        saturation_events=r.saturation,
+        events=events,
+    )
 
 
 def _finish(run: Generator[float, None, _RepResult]) -> _RepResult:

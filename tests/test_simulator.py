@@ -1,12 +1,14 @@
 """Tests for the discrete-event simulator and the coupling machinery."""
 
 import bisect
+import ctypes
 import dataclasses
 import functools
 import itertools
 import math
 import shutil
 import subprocess
+import types
 
 import numpy as np
 import pytest
@@ -215,6 +217,23 @@ def test_saturated_table_still_simulates():
     rep = simulate(pol, p, SimConfig(horizon=500.0, replications=2, seed=3))
     assert rep.saturation_events > 0
     assert (rep.rep_jobs_arrived == rep.rep_jobs_completed + rep.rep_jobs_in_system).all()
+
+
+def test_a_table_keeps_its_own_read_only_actions(in_python):
+    # a table is checked once, where it is built: neither the caller's
+    # array nor the table's own can change it after that
+    acts = baseline("non_idling").actions.copy()
+    table = PolicyTable(acts)
+    p, cfg = derive_rates(5.0, 1.0, 8.0, 0.4), SimConfig(horizon=500.0, replications=2, seed=3)
+    before = simulate(table, p, cfg), simulate(table, p, cfg, collect_events=True).event_logs
+    acts[:] = SM2  # every state asks for a split, even with the local slot busy
+    assert table.actions.tolist() == baseline("non_idling").actions.tolist()
+    for run in (simulate, functools.partial(in_python, simulate)):
+        _assert_same_report(run(table, p, cfg), before[0])
+    assert simulate(table, p, cfg, collect_events=True).event_logs == before[1]
+    for where in (0, slice(None)):
+        with pytest.raises(ValueError, match="read-only"):
+            table.actions[where] = 0
 
 
 def test_a_policy_must_be_a_table():
@@ -857,7 +876,7 @@ def test_compiled_loop_equals_the_python_loop(name, compiled, in_python):
 
 
 @pytest.mark.parametrize("load", [0.0, 0.02, 0.6, 0.9, 1.05, 1.3])
-def test_offload_only_closed_form_equals_the_event_loop(load, compiled, in_python):
+def test_compiled_loop_equals_the_python_loop_on_the_baselines(load, compiled, in_python):
     # the compiled loop against the Python loop, its reference, on
     # offload_only and non_idling over the three kinds of warmup.
     # `load` is the cloud server's, lam / mu_c1, so 1.05 and 1.3 overload it
@@ -1088,3 +1107,59 @@ def test_dominance_is_counted_one_window_at_a_time(monkeypatch):
     assert sizes[:, 0].sum() == arrived.sum()
     assert sizes[:, 2:4].sum() == cr.report_a.rep_jobs_completed.sum()
     assert sizes[:, 5:7].sum() == cr.report_b.rep_jobs_completed.sum()
+
+
+def _log_of(r):
+    """The (time, kind) entries in a record's time log."""
+    t = ctypes.cast(r.log_t, ctypes.POINTER(ctypes.c_double))
+    kind = ctypes.cast(r.log_kind, ctypes.POINTER(ctypes.c_int8))
+    return [(t[i], kind[i]) for i in range(r.log_len)]
+
+
+@pytest.mark.parametrize("name,logged", [("heavy-non_idling", True), ("heavy-optimal", True),
+                                         ("heavy-optimal", False), ("lam0-random", True)])
+def test_the_two_loops_return_alike_step_by_step(name, logged, compiled, monkeypatch):
+    # rep_run and its Python twin, each run by the one driver on the same
+    # inputs, return the same code after every call, with every field of
+    # the record that holds no pointer equal, and the same time log
+    policy, p, _ = _compiled_case(name)
+    cfg = SimConfig(horizon=2000.0, replications=1, seed=23)
+    lib = simulator._load_loop()
+    fields = [f for f, ctype in simulator._Rep._fields_
+              if ctype not in (ctypes.c_void_p, simulator._Ring)]
+
+    def recording(run, steps):
+        def step(r, **python_only):
+            code = run(r, **python_only)
+            steps.append((code, [getattr(r, f) for f in fields], _log_of(r) if logged else []))
+            return code
+        return step
+
+    runs = []
+    for loop in ("compiled", "python"):
+        steps = []
+        with monkeypatch.context() as m:
+            if loop == "compiled":
+                m.setattr(simulator, "_load_loop", lambda: types.SimpleNamespace(
+                    rep_run=recording(lib.rep_run, steps), rep_free=lib.rep_free))
+            else:
+                m.setattr(simulator, "_load_loop", lambda: None)
+                m.setattr(simulator, "_python_run", recording(simulator._python_run, steps))
+            logs = tuple([] for _ in EVENT_KINDS) if logged else None
+            result = simulator._finish(simulator._run_replication(policy, p, cfg, 0, times=logs))
+        runs.append((steps, result, logs))
+    (steps, result, logs), twin = runs
+    assert len(steps) == len(twin[0])
+    for mine, theirs in zip(steps, twin[0]):
+        assert mine == theirs
+    assert (result, logs) == twin[1:]
+    codes = [code for code, _, _ in steps]
+    assert codes[-1] == simulator._REP_DONE
+    if p.lam == 0.0:  # nothing arrives: the first return is the horizon
+        assert codes == [simulator._REP_DONE]
+    else:
+        assert {simulator._REP_PAUSE, simulator._REP_TRIP} <= set(codes)
+    if name == "heavy-non_idling":  # its splits fill the time log between refills
+        assert simulator._REP_LOG in codes
+    if name == "heavy-optimal":  # clamped beyond its cap
+        assert result.saturation_events > 0
