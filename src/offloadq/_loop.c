@@ -1,9 +1,10 @@
 /* The simulator's event loop, compiled: one replication between returns to
- * Python.  simulator._run_replication holds the reference loop, in Python;
- * this one repeats each of its float operations on the same operands and
- * in the same order, so the two agree to the last bit.  Build it with
- * floating-point contraction off (-ffp-contract=off): a fused multiply-add
- * would round once where the reference rounds twice.
+ * Python.  simulator._python_run, which simulator._run_replication drives,
+ * is the reference loop, in Python; this one repeats each of its float
+ * operations on the same operands and in the same order, so the two agree
+ * to the last bit.  Build it with floating-point contraction off
+ * (-ffp-contract=off): a fused multiply-add would round once where the
+ * reference rounds twice.
  *
  * rep_run returns to the caller, which acts and calls it again:
  *   REP_PAUSE  after an arrival that used up the gaps: refill `gaps`; the
@@ -11,7 +12,7 @@
  *   REP_TRIP   at the loop's top, a job queued and fewer than two triplet
  *              pairs left, as many as one policy application takes: move
  *              the rest to the front of `trip` and append a chunk;
- *   REP_LOG    at the loop's top, the time log full: empty it;
+ *   REP_LOG    at the loop's top, the event log full: empty it;
  *   REP_DONE   at the horizon;
  *   REP_ERROR  a queue cannot grow, or a table that is not admissible
  *              dispatched more jobs than are queued or triplets drawn.
@@ -42,8 +43,9 @@ struct rep {
     int64_t chunk, gap_i;
     const double *trip;
     int64_t trip_len, trip_i;
-    double *log_t; /* NULL: no time log */
+    double *log_t; /* NULL: no event log */
     int8_t *log_kind;
+    int64_t *log_state; /* (n0, i2, i1, n2) after the instant's assignments */
     int64_t log_cap, log_len;
     /* the state carried between events */
     double t, t_area, nf, next_arrival, t_srv;
@@ -144,6 +146,8 @@ int rep_run(struct rep *r)
             }
         }
         if (r->log_t && r->pending_kind >= 0) {
+            int64_t *state = r->log_state + 4 * r->log_len;
+            state[0] = r->n0, state[1] = r->i2, state[2] = r->i1, state[3] = r->n2;
             r->log_t[r->log_len] = r->t;
             r->log_kind[r->log_len++] = (int8_t)r->pending_kind;
         }

@@ -45,9 +45,10 @@ the compiled ``rep_run`` of ``_loop.c``, built with the system C compiler
 on the first replication of a process and cached in the user cache
 directory, or ``_python_run``, its twin, which returns at the same points
 with the same state.  The Python twin is the reference the tests hold the
-compiled loop to bit for bit, the only loop that writes event records
-(``collect_events``), and the one that runs when no kernel can be built;
-no option chooses between them.
+compiled loop to bit for bit, and the one that runs when no kernel can be
+built; no option chooses between them.  Either loop writes one event log,
+read both as event records (``collect_events``) and by the coupled
+dominance count.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ import math
 import os
 import subprocess
 import tempfile
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Generator
 
@@ -86,7 +85,7 @@ _TRIP_CHUNK = 2 * _CHUNK  # triplet draws: two per job
 # event-log record layout: (time, kind, n0, i2, i1, n2), kind one of
 # kernel.EVENT_KINDS: the state is the previous record's, shifted by the
 # kind's shift in kernel.EVENTS, then moved by the same-instant assignments.
-# Each kind's index: a time log's position, and the event loop's event code
+# Each kind's index: its code in the event log and in the event loop
 ARRIVAL, LOCAL_DONE, CLOUD_SM2_DONE, CLOUD_SM1_DONE = range(len(EVENT_KINDS))
 
 
@@ -185,13 +184,14 @@ class _RepResult:
     time_avg_jobs: float
     lambda_eff: float
     saturation_events: int
-    events: list | None = None
 
 
 _LOOP_SOURCE = Path(__file__).with_name("_loop.c")
 # no fast-math: a fused multiply-add would move the loop's last bits
 _LOOP_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-_LOG_SIZE = 2 * _CHUNK  # time-log entries either loop holds between returns
+_LOG_SIZE = 2 * _CHUNK  # event-log entries either loop holds between returns
+# the event log's columns, empty: times, kinds and states (n0, i2, i1, n2)
+_NO_EVENTS = (np.empty(0), np.empty(0, dtype=np.int8), np.empty((0, 4), dtype=np.int64))
 # rep_run's return codes, as _loop.c numbers them
 _REP_DONE, _REP_PAUSE, _REP_TRIP, _REP_LOG = range(4)
 # the fields of struct rep that rep_run moves, each a local of _python_run's of the same name
@@ -219,7 +219,7 @@ class _Rep(ctypes.Structure):
         *_fields(ctypes.c_int64, "chunk gap_i"),
         ("trip", ctypes.c_void_p),
         *_fields(ctypes.c_int64, "trip_len trip_i"),
-        *_fields(ctypes.c_void_p, "log_t log_kind"),
+        *_fields(ctypes.c_void_p, "log_t log_kind log_state"),
         *_fields(ctypes.c_int64, "log_cap log_len"),
         *_fields(ctypes.c_double, "t t_area nf next_arrival t_srv local_arr local_c2 local_done "
                                   "sm1_arr sm1_remaining sm1_done cloud_sm2_done sojourn_sum area"),
@@ -265,17 +265,18 @@ def _load_loop() -> ctypes.CDLL | None:
     return lib
 
 
-def _python_run(r: _Rep, rows: list, bufs: tuple, queues: tuple, events: list | None) -> int:
+def _python_run(r: _Rep, rows: list, bufs: tuple, queues: tuple) -> int:
     """``rep_run`` of ``_loop.c`` in Python, on the same record: the reference loop.
 
     It reads the record's state into locals, runs to the return ``rep_run``
     makes, with its code, and writes the state back; ``rows`` is the table
     as nested lists, ``[i2][i1][n0][n2]``, ``bufs`` the arrays the record
-    points at, (gaps, trip, log_t, log_kind), and ``queues`` the base and
-    cloud queues as deques, kept by the caller between returns.  Unless
-    None, ``events`` takes the full record of every event.
+    points at, (gaps, trip, log_t, log_kind, log_state), the last flat, and
+    ``queues`` the base and cloud queues as deques, kept by the caller
+    between returns.
     """
-    gaps, trip, log_t, log_kind = (memoryview(b) for b in bufs)  # read and written in place
+    # read and written in place
+    gaps, trip, log_t, log_kind, log_state = (memoryview(b) for b in bufs)
     base, cloud_q = queues
     (gap_i, trip_i, log_len, t, t_area, nf, next_arrival, t_srv, local_arr, local_c2,
      local_done, sm1_arr, sm1_remaining, sm1_done, cloud_sm2_done, sojourn_sum, area,
@@ -286,7 +287,6 @@ def _python_run(r: _Rep, rows: list, bufs: tuple, queues: tuple, events: list | 
     trip_low = r.trip_len - 4  # past it, fewer than two pairs are left
     logging = bool(r.log_t)
     log_full = r.log_cap if logging else -1
-    collect = logging or events is not None
     # module constants as locals: the loop reads them at every event
     idle, sm1, sm2, inf = IDLE, SM1, SM2, INF
     arrival, ev_local, ev_sm2, ev_sm1 = ARRIVAL, LOCAL_DONE, CLOUD_SM2_DONE, CLOUD_SM1_DONE
@@ -339,13 +339,12 @@ def _python_run(r: _Rep, rows: list, bufs: tuple, queues: tuple, events: list | 
                 t_srv = local_done
                 srv_ev = ev_local
 
-        if collect and pending_kind >= 0:
-            if events is not None:
-                events.append((t, EVENT_KINDS[pending_kind], n0, i2, i1, n2))
-            else:
-                log_t[log_len] = t
-                log_kind[log_len] = pending_kind
-                log_len += 1
+        if logging and pending_kind >= 0:
+            log_t[log_len] = t
+            log_kind[log_len] = pending_kind
+            j = 4 * log_len
+            log_state[j], log_state[j + 1], log_state[j + 2], log_state[j + 3] = n0, i2, i1, n2
+            log_len += 1
 
         # ---- next event, an arrival winning ties; the time-average
         # area over [warmup, horizon] is added up to each event ----
@@ -437,71 +436,66 @@ def _run_replication(
     p: ModelParams,
     cfg: SimConfig,
     rep: int,
-    collect_events: bool = False,
-    times: tuple | None = None,
+    log: list | None = None,
 ) -> Generator[float, None, _RepResult]:
     """Replication ``rep`` on the substreams (cfg.seed, rep, ARRIVALS/TRIPLETS).
 
-    ``times`` holds one log per entry of ``EVENT_KINDS``, anything with
-    ``extend``; the run adds each event instant to its kind's log, unless
-    ``collect_events`` logs the full records instead.  Logged or not, the
-    generator yields at every refill of the arrival gaps before the horizon
-    the instant of the arrival just drawn, and ``INF`` after the last
-    event: every instant logged by then lies at or before the yielded
-    value, and any instant logged later lies at or after it.  Its return
-    value is the replication's result.
+    Unless None, ``log`` takes the event log: at every return of the loop
+    that logged anything, one entry of three arrays, the times, the kinds'
+    indices in ``EVENT_KINDS`` and the states (n0, i2, i1, n2) after each
+    instant's assignments, one row per event.  Logged or not, the generator
+    yields at every refill of the arrival gaps before the horizon the
+    instant of the arrival just drawn, and ``INF`` after the last event:
+    every instant logged by then lies at or before the yielded value, and
+    any instant logged later lies at or after it.  Its return value is the
+    replication's result.
 
     One record, a ``_Rep``, carries the run; the compiled ``rep_run`` or,
-    with event records or no kernel, ``_python_run`` advances it, and this
-    driver refills what each return asks for: the gaps after a pause, the
-    triplets when fewer than two pairs are left, and the time log, emptied
-    into ``times`` at every return.  The arrays the loop reads stay
-    referenced here while it runs.
+    with no kernel, ``_python_run`` advances it, and this driver refills
+    what each return asks for: the gaps after a pause, the triplets when
+    fewer than two pairs are left, and the event log, emptied into ``log``
+    at every return.  The arrays the loop reads stay referenced here while
+    it runs.
     """
     if not isinstance(policy, PolicyTable):
         raise TypeError(f"a policy must be a PolicyTable, got {type(policy).__name__}")
-    lam = p.lam
-    rng_arrivals = substream(cfg.seed, rep, ARRIVALS)
-    rng_triplets = substream(cfg.seed, rep, TRIPLETS)
-    actions = policy.actions
+    rng_arrivals, rng_triplets = (substream(cfg.seed, rep, use) for use in (ARRIVALS, TRIPLETS))
     gaps = np.empty(_CHUNK)
     trip = np.empty(_TRIP_CHUNK + 2)  # a chunk after the one pair left over, if any
-    log_t = np.empty(_LOG_SIZE)
-    log_kind = np.empty(_LOG_SIZE, dtype=np.int8)
+    log_t, log_kind, log_state = (np.empty((_LOG_SIZE, *col.shape[1:]), col.dtype)
+                                  for col in _NO_EVENTS)
     r = _Rep(
-        actions=actions.ctypes.data, cap=policy.n_max,
+        actions=policy.actions.ctypes.data, cap=policy.n_max,
         # a read beyond the cap adds this many saturation events
         clamps=0 if policy.exact_beyond_cap else 1,
         horizon=cfg.horizon, warmup=cfg.warmup, l2_ratio=p.mu_c1 / p.mu_l2,
         inv_c1=1.0 / p.mu_c1, inv_c2=1.0 / p.mu_c2,
         gaps=gaps.ctypes.data, chunk=_CHUNK, trip=trip.ctypes.data,
-        log_t=None if times is None else log_t.ctypes.data, log_kind=log_kind.ctypes.data,
-        log_cap=_LOG_SIZE, t_area=cfg.warmup, next_arrival=INF, t_srv=INF,
-        local_done=INF, sm1_done=INF, cloud_sm2_done=INF, srv_ev=LOCAL_DONE, pending_kind=-1,
+        log_t=None if log is None else log_t.ctypes.data, log_kind=log_kind.ctypes.data,
+        log_state=log_state.ctypes.data, log_cap=_LOG_SIZE, t_area=cfg.warmup,
+        next_arrival=INF, t_srv=INF, local_done=INF, sm1_done=INF, cloud_sm2_done=INF,
+        srv_ev=LOCAL_DONE, pending_kind=-1,
     )
-    events = [] if collect_events else None
-    lib = None if collect_events else _load_loop()
+    lib = _load_loop()
     # all the two loops differ in: the Python twin's table rows and queues live here
     run = lib.rep_run if lib is not None else functools.partial(
-        _python_run, rows=actions.reshape(state_grid(policy.n_max)).tolist(),
-        bufs=(gaps, trip, log_t, log_kind), queues=(deque(), deque()), events=events)
-    if lam > 0.0:
-        np.divide(rng_arrivals.standard_exponential(out=gaps), lam, out=gaps)
+        _python_run, rows=policy.actions.reshape(state_grid(policy.n_max)).tolist(),
+        bufs=(gaps, trip, log_t, log_kind, log_state.reshape(-1)), queues=(deque(), deque()))
+    if p.lam > 0.0:
+        np.divide(rng_arrivals.standard_exponential(out=gaps), p.lam, out=gaps)
         r.next_arrival = gaps[0]
         r.gap_i = 1
     try:
         while True:
             code = run(r)
             if r.log_len:
-                at, kinds = log_t[:r.log_len], log_kind[:r.log_len]
-                for kind, log in enumerate(times):
-                    log.extend(at[kinds == kind].tolist())
-                r.log_len = 0
+                n, r.log_len = r.log_len, 0
+                log.append((log_t[:n].copy(), log_kind[:n].copy(), log_state[:n].copy()))
             if code == _REP_DONE:
                 break
             if code == _REP_PAUSE:
                 yield r.t
-                np.divide(rng_arrivals.standard_exponential(out=gaps), lam, out=gaps)
+                np.divide(rng_arrivals.standard_exponential(out=gaps), p.lam, out=gaps)
             elif code == _REP_TRIP:
                 left = r.trip_len - r.trip_i
                 trip[:left] = trip[r.trip_i:r.trip_len]
@@ -524,8 +518,13 @@ def _run_replication(
         time_avg_jobs=(r.area + in_system * (cfg.horizon - r.t_area)) / span,
         lambda_eff=r.counted / span,
         saturation_events=r.saturation,
-        events=events,
     )
+
+
+def _records(log: list) -> list:
+    """An event log as records (time, kind, n0, i2, i1, n2), kind named."""
+    t, kinds, states = (np.concatenate(column) for column in zip(_NO_EVENTS, *log))
+    return list(zip(t.tolist(), [EVENT_KINDS[k] for k in kinds.tolist()], *states.T.tolist()))
 
 
 def _finish(run: Generator[float, None, _RepResult]) -> _RepResult:
@@ -544,7 +543,8 @@ class DelayReport:
     The point estimate is the mean of per-replication mean sojourns; the
     95% half-width uses the Student-t quantile over replications (NaN for
     a single replication).  Per-replication arrays are kept for auditing;
-    ``event_logs`` is populated only when event collection was requested.
+    with ``collect_events``, ``event_logs`` holds each replication's event
+    records (time, kind, n0, i2, i1, n2), written by either loop.
     """
 
     mean_sojourn: float
@@ -597,7 +597,7 @@ def _t_halfwidth(x: np.ndarray) -> float:
     return float(stdtrit(n - 1, 0.975) * x.std(ddof=1) / math.sqrt(n))
 
 
-def _aggregate(reps: list[_RepResult], cfg: SimConfig) -> DelayReport:
+def _aggregate(reps: list, cfg: SimConfig, event_logs: list | None = None) -> DelayReport:
     means = np.array([r.mean_sojourn for r in reps])
     tavg = np.array([r.time_avg_jobs for r in reps])
     return DelayReport(
@@ -615,7 +615,7 @@ def _aggregate(reps: list[_RepResult], cfg: SimConfig) -> DelayReport:
         rep_jobs_in_system=np.array([r.jobs_in_system for r in reps]),
         rep_lambda_eff=np.array([r.lambda_eff for r in reps]),
         saturation_events=int(sum(r.saturation_events for r in reps)),
-        event_logs=None if reps[0].events is None else [r.events for r in reps],
+        event_logs=event_logs,
     )
 
 
@@ -631,9 +631,9 @@ def simulate(
     (seed, r, TRIPLETS); results are merged in replication order, so the
     report is a deterministic function of (policy, params, config).
     """
-    reps = [_finish(_run_replication(policy, p, cfg, r, collect_events=collect_events))
-            for r in range(cfg.replications)]
-    return _aggregate(reps, cfg)
+    logs = [[] if collect_events else None for _ in range(cfg.replications)]
+    reps = [_finish(_run_replication(policy, p, cfg, r, log)) for r, log in enumerate(logs)]
+    return _aggregate(reps, cfg, [_records(log) for log in logs] if collect_events else None)
 
 
 @dataclass(frozen=True)
@@ -647,7 +647,8 @@ class CoupledReport:
     (NaN when a replication has no events).  The instants are every event
     <= horizon of either system: arrivals, local-preprocessing completions
     and both kinds of cloud completion.  Equal instants count once, and the
-    state compared is the one after all events at that instant.
+    state compared is the one after all events at that instant.  The count
+    reads the two systems' event logs, the ones ``collect_events`` reports.
     """
 
     report_a: DelayReport
@@ -670,37 +671,40 @@ class CoupledReport:
         }
 
 
-# +1 per job that leaves A and -1 per job that leaves B, over A's logs,
-# then B's but its first, the arrivals; a job leaves where a kind's shift
-# lowers i2 + i1 + n0 + n2
-_LEAVES = [int(sum(shift) < 0) for _, _, shift in EVENTS]
-_STEP = _LEAVES + [-x for x in _LEAVES[1:]]
+# 1 for each kind whose shift lowers i2 + i1 + n0 + n2: a job leaves
+_LEAVES = np.array([int(sum(shift) < 0) for _, _, shift in EVENTS])
 
 
-def _count_window(times_a: tuple, times_b: tuple, until: float, lead: int) -> tuple[int, int, int]:
+def _count_window(log_a: list, log_b: list, until: float, lead: int) -> tuple[int, int, int]:
     """Count the instants before ``until`` and drop their entries from the logs.
 
-    Takes each system's per-kind event-time logs, sorted lists; the
+    Takes each system's event log as ``_run_replication`` fills it; the
     instants are those ``CoupledReport`` describes.  Returns the instants
     where B holds at most as many jobs as A, the instants, and the lead,
     A's completions minus B's, carried into the next window.  The arrivals
     are shared, so B holds at most as many jobs exactly when it has
-    completed at least as many: the logs are merged, and the lead, starting
-    from ``lead``, is read after the last event at each instant.  B's
-    arrival log is not read.  Entries at or after ``until`` stay in the
-    logs for the next window, since more events may follow at that instant.
+    completed at least as many: the lead, from ``lead``, steps by +1 per
+    job leaving A and -1 per job leaving B over both logs in time order,
+    and is read after the last event at each instant.  Entries at or after
+    ``until`` stay for the next window: more may follow at that instant.
     """
-    runs = (*times_a, *times_b[1:])  # B's arrivals are A's
-    cuts = [bisect_left(r, until) for r in runs]
-    t = np.fromiter(chain.from_iterable(r[:k] for r, k in zip(runs, cuts)), float, sum(cuts))
-    for r, k in zip(runs, cuts):
-        del r[:k]
+    times, steps = [_NO_EVENTS[0]], [_LEAVES[:0]]  # a window with no entries joins too
+    for log, leaves in ((log_a, _LEAVES), (log_b, -_LEAVES)):
+        rest = []
+        for t, kinds, states in log:  # entries in time order
+            k = int(np.searchsorted(t, until))
+            times.append(t[:k])
+            steps.append(leaves[kinds[:k]])
+            if k < t.size:
+                rest.append((t[k:], kinds[k:], states[k:]))
+        log[:] = rest
+    t, step = np.concatenate(times), np.concatenate(steps)
     order = np.argsort(t, kind="stable")
     t = t[order]
-    leads = lead + np.cumsum(np.repeat(_STEP, cuts)[order])
+    leads = np.cumsum(step[order])
     last = np.diff(t, append=np.inf) != 0  # the last event at each instant
-    return (int(np.count_nonzero(leads[last] <= 0)), int(np.count_nonzero(last)),
-            lead + sum(s * k for s, k in zip(_STEP, cuts)))
+    return (int(np.count_nonzero(leads[last] <= -lead)), int(np.count_nonzero(last)),
+            lead + int(leads[-1]) if leads.size else lead)
 
 
 def coupled_compare(
@@ -718,36 +722,28 @@ def coupled_compare(
     gaps before the horizon and after its last event, and both systems see
     the same arrivals, so they pause at the same instants: each replication
     advances A and B one window of ``_CHUNK`` arrivals at a time and counts
-    the dominance instants of that window before the next is logged.  The
-    logs never hold more than one window, and B's arrivals, which are A's,
-    are not kept at all.
+    the dominance instants of that window before the next is logged, so
+    the two event logs never hold much more than one window.
     """
-    reps_a = []
-    reps_b = []
-    dom_hits = 0
-    dom_total = 0
-    rep_dom = []
+    reps_a, reps_b, counts = [], [], []  # counts: (hits, instants) per replication
     for r in range(cfg.replications):
-        times_a = tuple([] for _ in EVENT_KINDS)
-        times_b = (deque(maxlen=0), [], [], [])  # B's arrivals are discarded
-        run_a = _run_replication(policy_a, p, cfg, r, times=times_a)
-        run_b = _run_replication(policy_b, p, cfg, r, times=times_b)
+        log_a, log_b = [], []
+        run_a = _run_replication(policy_a, p, cfg, r, log_a)
+        run_b = _run_replication(policy_b, p, cfg, r, log_b)
         hits = instants = lead = 0
         until = 0.0
         while until < INF:
             until = next(run_a)
             next(run_b)
-            h, n, lead = _count_window(times_a, times_b, until, lead)
+            h, n, lead = _count_window(log_a, log_b, until, lead)
             hits += h
             instants += n
-        dom_hits += hits
-        dom_total += instants
-        rep_dom.append(hits / instants if instants else float("nan"))
+        counts.append((hits, instants))
         reps_a.append(_finish(run_a))
         reps_b.append(_finish(run_b))
-    report_a = _aggregate(reps_a, cfg)
-    report_b = _aggregate(reps_b, cfg)
+    report_a, report_b = _aggregate(reps_a, cfg), _aggregate(reps_b, cfg)
     diff = report_b.rep_mean_sojourn - report_a.rep_mean_sojourn
+    dom_hits, dom_total = (sum(column) for column in zip(*counts))
     return CoupledReport(
         report_a=report_a,
         report_b=report_b,
@@ -755,5 +751,5 @@ def coupled_compare(
         diff_ci_halfwidth=_t_halfwidth(diff),
         rep_diff=diff,
         dominance_fraction=dom_hits / dom_total if dom_total else float("nan"),
-        rep_dominance=np.array(rep_dom),
+        rep_dominance=np.array([h / n if n else float("nan") for h, n in counts]),
     )

@@ -688,14 +688,14 @@ def test_replay_of_any_table_follows_the_kernel(config, policy):
     assert logged.saturation_events == beyond > 0
 
 
-def _kind_z(policy, p, cfg):
+def _kind_z(logged, p, cfg):
     """Per class (i2, i1, n2 > 0) of the state before an event, and per kind:
     the count logged from the class against its rate from ``EVENTS`` times
     the time spent in the class, as a z-score of a Poisson count.  A kind
     the channel rule does not fire in the class must never be logged from
-    it."""
+    it.  ``logged`` is the report of an event-logged run on ``p`` and ``cfg``."""
     spent, counts = {}, {}
-    for log in simulate(policy, p, cfg, collect_events=True).event_logs:
+    for log in logged.event_logs:
         t_prev, cls = 0.0, (0, 0, False)
         for t, kind, n0, i2, i1, n2 in log:
             spent[cls] = spent.get(cls, 0.0) + t - t_prev
@@ -718,14 +718,30 @@ def _kind_z(policy, p, cfg):
 # each kind's count from each class lies within this many standard
 # deviations of its Poisson mean
 KIND_Z = 4.5
+# the run each kind-frequency case logs
+KIND_CFG = SimConfig(horizon=2e4, warmup=0.0, replications=2, seed=1)
 
 
 def test_each_kind_fires_at_its_kernel_rate():
     # under uniformization a kind fires from a class at the rate EVENTS
     # gives it wherever the channel rule fires it there, and never elsewhere
-    cfg = SimConfig(horizon=2e4, warmup=0.0, replications=2, seed=1)
-    z = _kind_z(baseline("non_idling"), CONFIG_B, cfg)
+    logged = simulate(baseline("non_idling"), CONFIG_B, KIND_CFG, collect_events=True)
+    z = _kind_z(logged, CONFIG_B, KIND_CFG)
     assert len(z) == 18  # every class is visited: 8 arrivals, 4 local, 4 split and 2 whole
+    assert max(map(abs, z.values())) < KIND_Z
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.95])
+def test_each_kind_fires_at_its_kernel_rate_beyond_a_solved_cap(rho):
+    # the same law holds for a solved cap-60 optimum under load, read
+    # clamped beyond its cap as often as the run counts
+    p = derive_rates(lambda_from_utilization(rho, 1.0, 8.0), 1.0, 8.0, 0.4)
+    k = build_kernel(p, build_state_space(60),
+                     DiscountSpec.from_alpha(uniformization_rate(p), 0.999))
+    logged = simulate(policy_iterate(k, tol=1e-9)[1], p, KIND_CFG, collect_events=True)
+    assert logged.saturation_events > 0
+    z = _kind_z(logged, p, KIND_CFG)
+    assert len(z) == 18
     assert max(map(abs, z.values())) < KIND_Z
 
 
@@ -857,9 +873,11 @@ def _compiled_case(name):
     return _replay_table(policy, p) if policy in ("optimal", "random") else baseline(policy), p, cfg
 
 
-@pytest.mark.parametrize("name", [*_PINNED_CASES, "heavy-optimal", "a-random", "heavy-random",
-                                  "a-random-chunk", "odd-non_idling", "odd-optimal", "odd-random",
-                                  "lam0-non_idling", "lam0-random"])
+_COMPILED_CASES = [*_PINNED_CASES, "heavy-optimal", "a-random", "heavy-random", "a-random-chunk",
+                   "odd-non_idling", "odd-optimal", "odd-random", "lam0-non_idling", "lam0-random"]
+
+
+@pytest.mark.parametrize("name", _COMPILED_CASES)
 def test_compiled_loop_equals_the_python_loop(name, compiled, in_python):
     # the compiled loop repeats the Python loop's float operations in its
     # order: reports, saturation counts, coupled logs and dominance agree
@@ -908,14 +926,17 @@ def test_without_a_kernel_the_python_loop_gives_the_same_reports(monkeypatch):
     assert built[0].saturation_events > 0
 
 
-def test_event_records_never_load_the_kernel(monkeypatch):
-    # only the Python loop writes event records
-    def refuse():
-        raise AssertionError("the compiled event loop was loaded")
-
-    monkeypatch.setattr(simulator, "_load_loop", refuse)
-    rep = simulate(baseline("non_idling"), CONFIG_A, PIN_CFG, collect_events=True)
-    assert len(rep.event_logs) == 2
+@pytest.mark.parametrize("name", _COMPILED_CASES)
+def test_event_records_are_alike_from_either_loop(name, compiled, in_python):
+    # either loop writes the one event log: the records and the report agree
+    # to the last bit, and logging leaves the report as it is without it
+    policy, p, cfg = _compiled_case(name)
+    fast = simulate(policy, p, cfg, collect_events=True)
+    slow = in_python(simulate, policy, p, cfg, collect_events=True)
+    assert fast.event_logs == slow.event_logs
+    assert len(fast.event_logs) == cfg.replications
+    _assert_same_report(fast, slow)
+    _assert_same_report(dataclasses.replace(fast, event_logs=None), simulate(policy, p, cfg))
 
 
 def _pauses(run):
@@ -944,11 +965,11 @@ def test_every_replication_pauses_at_each_chunk_and_after_its_end(name, monkeypa
         assert result.jobs_arrived > 3 * _CHUNK
         arrivals, _ = _drawn_jobs(19, result.jobs_arrived, HEAVY)
         assert pauses == [*arrivals[_CHUNK - 1::_CHUNK], math.inf]
-        logs = tuple([] for _ in EVENT_KINDS)
-        assert _pauses(simulator._run_replication(policy, HEAVY, cfg, 0, times=logs)) == (
-            pauses, result)
-        assert logs[0] == arrivals
-        runs.append((pauses, result, logs))
+        log = []
+        assert _pauses(simulator._run_replication(policy, HEAVY, cfg, 0, log)) == (pauses, result)
+        records = simulator._records(log)
+        assert [t for t, kind, *_ in records if kind == "arrival"] == arrivals
+        runs.append((pauses, result, records))
     assert runs[0] == runs[1]
 
 
@@ -1007,9 +1028,18 @@ def test_dominance_undefined_without_arrivals():
     assert math.isnan(cr.dominance_fraction)
 
 
+def _sink(*runs):
+    """An event log of one entry, as a replication fills it, from the sorted
+    times of each kind, in ``EVENT_KINDS`` order; the states are not read."""
+    t = np.array([x for run in runs for x in run], dtype=float)
+    kinds = np.repeat(np.arange(len(runs), dtype=np.int8), [len(run) for run in runs])
+    order = np.argsort(t, kind="stable")
+    return [(t[order], kinds[order], np.zeros((t.size, 4), dtype=np.int64))]
+
+
 def _one_window(times_a, times_b):
-    """The single counter's (hits, instants, lead) over whole logs, left unchanged."""
-    return _count_window(tuple(map(list, times_a)), tuple(map(list, times_b)), math.inf, 0)
+    """The single counter's (hits, instants, lead) over whole logs."""
+    return _count_window(_sink(*times_a), _sink(*times_b), math.inf, 0)
 
 
 def _brute_dominance(times_a, times_b):
@@ -1064,22 +1094,28 @@ _bounds = st.lists(st.integers(0, 13).map(lambda k: k / 4), max_size=4).map(sort
 def test_window_counts_add_up_to_the_one_shot_count(runs, bounds, early):
     # logs are fed window by window, as a replication logs them: before a
     # pause at `until` a log holds every entry below it, and the runs marked
-    # early also hold their entries at it, the rest of which come later
+    # early also hold their entries at it, the rest of which come later.
+    # B's arrivals are A's, fed as A's are
     arrivals, *rest = runs
-    whole = _one_window((arrivals, *rest[:3]), (arrivals, *rest[3:]))[:2]
-    logs = [[] for _ in runs]
-    fed = [0] * len(runs)
+    sides = ((arrivals, *rest[:3]), (arrivals, *rest[3:]))
+    flags = (early[:4], early[:1] + early[4:])
+    whole = _one_window(*sides)[:2]
+    logs = ([], [])
+    fed = ([0] * 4, [0] * 4)
     hits = instants = lead = 0
     for until in (*bounds, math.inf):
-        for i, run in enumerate(runs):
-            end = (bisect.bisect_right if early[i] else bisect.bisect_left)(run, until)
-            logs[i].extend(run[fed[i]:end])
-            fed[i] = end
-        h, n, lead = _count_window(tuple(logs[:4]), ([], *logs[4:]), until, lead)
+        for log, side, side_early, side_fed in zip(logs, sides, flags, fed):
+            window = []
+            for k, run in enumerate(side):
+                end = (bisect.bisect_right if side_early[k] else bisect.bisect_left)(run, until)
+                window.append(run[side_fed[k]:end])
+                side_fed[k] = end
+            log.extend(_sink(*window))
+        h, n, lead = _count_window(*logs, until, lead)
         hits += h
         instants += n
         # only entries at or after the boundary are carried to the next window
-        assert all(x >= until for log in logs for x in log)
+        assert all((t >= until).all() for log in logs for t, _, _ in log)
     assert (hits, instants) == whole
     assert not any(logs)
 
@@ -1088,12 +1124,15 @@ def test_dominance_is_counted_one_window_at_a_time(monkeypatch):
     seen = []
     count = simulator._count_window
 
-    def record(times_a, times_b, until, lead):
-        # the entries each window counts are those it drops from the logs
-        logs = (*times_a, *times_b[1:])
-        sizes = [len(log) for log in logs]
-        out = count(times_a, times_b, until, lead)
-        seen.append([n - len(log) for n, log in zip(sizes, logs)])
+    def per_kind(log):
+        return sum((np.bincount(kinds, minlength=len(EVENT_KINDS)) for _, kinds, _ in log),
+                   np.zeros(len(EVENT_KINDS), dtype=int))
+
+    def record(log_a, log_b, until, lead):
+        # the entries each window counts, per kind, are those it drops from the logs
+        before = np.concatenate([per_kind(log_a), per_kind(log_b)])
+        out = count(log_a, log_b, until, lead)
+        seen.append(before - np.concatenate([per_kind(log_a), per_kind(log_b)]))
         return out
 
     monkeypatch.setattr(simulator, "_count_window", record)
@@ -1102,18 +1141,21 @@ def test_dominance_is_counted_one_window_at_a_time(monkeypatch):
     arrived = cr.report_a.rep_jobs_arrived
     assert (arrived > 3 * _CHUNK).all()
     sizes = np.array(seen)
-    # no call sees more than one chunk of arrivals, and nothing is lost
+    # no call sees more than one chunk of arrivals, and nothing is lost;
+    # each window holds the same arrivals on both sides
     assert sizes[:, 0].max() <= _CHUNK
     assert sizes[:, 0].sum() == arrived.sum()
+    assert np.array_equal(sizes[:, 4], sizes[:, 0])
     assert sizes[:, 2:4].sum() == cr.report_a.rep_jobs_completed.sum()
-    assert sizes[:, 5:7].sum() == cr.report_b.rep_jobs_completed.sum()
+    assert sizes[:, 6:8].sum() == cr.report_b.rep_jobs_completed.sum()
 
 
 def _log_of(r):
-    """The (time, kind) entries in a record's time log."""
+    """The (time, kind, n0, i2, i1, n2) entries in a record's event log."""
     t = ctypes.cast(r.log_t, ctypes.POINTER(ctypes.c_double))
     kind = ctypes.cast(r.log_kind, ctypes.POINTER(ctypes.c_int8))
-    return [(t[i], kind[i]) for i in range(r.log_len)]
+    state = ctypes.cast(r.log_state, ctypes.POINTER(ctypes.c_int64))
+    return [(t[i], kind[i], *state[4 * i:4 * i + 4]) for i in range(r.log_len)]
 
 
 @pytest.mark.parametrize("name,logged", [("heavy-non_idling", True), ("heavy-optimal", True),
@@ -1121,7 +1163,8 @@ def _log_of(r):
 def test_the_two_loops_return_alike_step_by_step(name, logged, compiled, monkeypatch):
     # rep_run and its Python twin, each run by the one driver on the same
     # inputs, return the same code after every call, with every field of
-    # the record that holds no pointer equal, and the same time log
+    # the record that holds no pointer equal, and the same event log,
+    # times, kinds and states
     policy, p, _ = _compiled_case(name)
     cfg = SimConfig(horizon=2000.0, replications=1, seed=23)
     lib = simulator._load_loop()
@@ -1145,9 +1188,9 @@ def test_the_two_loops_return_alike_step_by_step(name, logged, compiled, monkeyp
             else:
                 m.setattr(simulator, "_load_loop", lambda: None)
                 m.setattr(simulator, "_python_run", recording(simulator._python_run, steps))
-            logs = tuple([] for _ in EVENT_KINDS) if logged else None
-            result = simulator._finish(simulator._run_replication(policy, p, cfg, 0, times=logs))
-        runs.append((steps, result, logs))
+            log = [] if logged else None
+            result = simulator._finish(simulator._run_replication(policy, p, cfg, 0, log))
+        runs.append((steps, result, simulator._records(log) if logged else None))
     (steps, result, logs), twin = runs
     assert len(steps) == len(twin[0])
     for mine, theirs in zip(steps, twin[0]):
@@ -1159,7 +1202,7 @@ def test_the_two_loops_return_alike_step_by_step(name, logged, compiled, monkeyp
         assert codes == [simulator._REP_DONE]
     else:
         assert {simulator._REP_PAUSE, simulator._REP_TRIP} <= set(codes)
-    if name == "heavy-non_idling":  # its splits fill the time log between refills
+    if name == "heavy-non_idling":  # its splits fill the event log between refills
         assert simulator._REP_LOG in codes
     if name == "heavy-optimal":  # clamped beyond its cap
         assert result.saturation_events > 0
